@@ -140,19 +140,24 @@ def is_cyclic(code: MixedRadixCode) -> bool:
     return int(np.count_nonzero(a[0] != a[-1])) == 1 and is_gray(code)
 
 
+def _in_box(code: MixedRadixCode) -> bool:
+    """Is every digit below its radix?"""
+    return not (code.array >= np.array(code.radices, dtype=np.uint8)).any()
+
+
+def _distinct(code: MixedRadixCode) -> bool:
+    """Is no rank repeated?  Only for words in the radix box: an out-of-box
+    word has a rank that aliases some word of the box, or lies beyond it."""
+    return int(np.bincount(code.ranks()).max(initial=0)) <= 1
+
+
 def is_permutation(code: MixedRadixCode) -> bool:
     """Does the code visit every tuple of the radix box exactly once?
 
     That is: prod(radices) words, every digit below its radix, and no rank
-    repeated.  The digit check comes first because an out-of-box word has a
-    rank that aliases some word of the box, or lies beyond it.
+    repeated.
     """
-    n = prod(code.radices)
-    if len(code) != n:
-        return False
-    if (code.array >= np.array(code.radices, dtype=np.uint8)).any():
-        return False
-    return int(np.bincount(code.ranks(), minlength=n).max()) == 1
+    return len(code) == prod(code.radices) and _in_box(code) and _distinct(code)
 
 
 def transversal_blocks(radices: tuple[int, ...]) -> list[frozenset[int]]:
@@ -175,7 +180,10 @@ def word_to_subset(radices: tuple[int, ...], word: Word) -> frozenset[int]:
 
 
 def to_set_system(code: MixedRadixCode) -> SetSystem:
-    if len(np.unique(code.ranks())) != len(code):
+    """The transversal subsets of the code's words, in code order."""
+    if not _in_box(code):
+        raise InvalidInputError(f"code has a digit outside its radices {code.radices}")
+    if not _distinct(code):
         raise InvalidInputError("code words must be distinct")
     t = sum(code.radices)
     blocks = tuple(word_to_subset(code.radices, w) for w in code.words)

@@ -1,15 +1,12 @@
 """Exact exhaustive solver for minimum ground sizes.
 
-The search kernel assigns bitmask columns to vertices in descending-degree
-order with canonical-row symmetry breaking; the compiled Cython kernel is
-preferred and the pure-Python twin is the fallback (force it with
-GCFF_SOLVER=python).  Verdicts are backend-independent: both kernels explore
-the identical tree and report identical node counts and witnesses.
+The search kernel (``engine``) assigns bitmask columns to vertices in
+descending-degree order with canonical-row symmetry breaking, filtering all
+2^t candidate columns of a depth at once as bits of one Python int.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from math import comb
@@ -18,28 +15,14 @@ from typing import Optional
 from ..core import IncidenceMatrix, find_violation
 from ..errors import InvalidInputError
 from ..graphs import Graph
-
-if os.environ.get("GCFF_SOLVER", "").lower() in ("python", "pure"):
-    from . import engine as _kernel
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _engine as _kernel  # type: ignore[attr-defined]
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import engine as _kernel
-
-        BACKEND = "python"
-
-FOUND, EXHAUSTED, BUDGET = 0, 1, 2
+from .engine import EXHAUSTED, FOUND, search_exists, search_longest_path
 
 #: Default node budget; "exhausted" is only ever claimed for completed trees.
 DEFAULT_BUDGET = 10 ** 9
 
-#: Candidate enumeration walks all 2^t columns, so cap the row count.
-SEARCH_ROW_CAP = 62
+#: The kernel's candidate tables take about 2^(2t) bits: 3.5 MB at t = 12,
+#: 13 MB at t = 13 and 52 MB at t = 14, so cap the row count.
+SEARCH_ROW_CAP = 13
 
 _QUANTITY = {"cff": "t", "ecff": "t_e", "sperner": "t_s"}
 
@@ -109,7 +92,7 @@ def exists_cff(g: Graph, t: int, prop: str = "cff",
         raise InvalidInputError(f"search supports 1 <= t <= {SEARCH_ROW_CAP}, got {t}")
     order, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok = \
         _build_problem(g, prop)
-    status, cols, nodes = _kernel.search_exists(
+    status, cols, nodes = search_exists(
         t, g.n, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok,
         budget,
     )
@@ -213,7 +196,7 @@ def longest_path_cff(t: int, budget: int = DEFAULT_BUDGET) -> LongestPathResult:
         raise InvalidInputError("longest-path search supports 2 <= t <= 6")
     cap = comb(t, t // 2)
     begin = time.perf_counter()
-    status, depth, cols, nodes = _kernel.search_longest_path(t, cap, budget)
+    status, depth, cols, nodes = search_longest_path(t, cap, budget)
     wall = time.perf_counter() - begin
     witness = None
     if depth >= 2:

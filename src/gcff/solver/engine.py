@@ -1,22 +1,123 @@
-"""Pure-Python search kernel: exhaustive column assignment with canonical-row
-symmetry breaking.
+"""Search kernel: exhaustive column assignment with canonical-row symmetry
+breaking, bit-parallel over the candidate columns.
 
-Columns are assigned to vertices in a fixed order; a candidate column is a
-bitmask over the t ground rows.  Ground-element relabeling symmetry is broken
-by requiring each column's new rows to be exactly the lowest unused ones, so
-every row-permutation class is visited once.  Cover constraints are kept
-incrementally: each completed edge (and each loop) pushes a forbidden union
-that later columns must escape.
+Columns are assigned to vertices in a fixed order; a column is a bitmask over
+the t ground rows.  The candidates still allowed at a depth are held as one
+Python int with 2^t bits, bit c standing for column c, so every filter acts on
+all candidates at once and the next candidate is the lowest set bit.  This is
+the bitboard technique of exact maximum-clique search (San Segundo et al.,
+"An exact bit-parallel algorithm for the maximum clique problem", Comput.
+Oper. Res. 2011).
 
-The Cython kernel in ``_engine.pyx`` is a statement-for-statement twin; both
-must report identical node counts and witnesses.
+Ground-element relabeling symmetry is broken by requiring each column's new
+rows to be exactly the lowest unused ones, so the used rows are always the
+lowest k and every row-permutation class is visited once.  Cover constraints
+are kept incrementally: each completed edge (and each loop) forbids, for all
+later columns, the subsets of its union.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 FOUND = 0
 EXHAUSTED = 1
 BUDGET = 2
+
+
+@lru_cache(maxsize=None)
+def _tables(t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Candidate masks over the 2^t columns on t rows: (sub, sup, canon).
+
+    sub[u] holds the columns that are subsets of u, sup[m] the columns that
+    are supersets of m, and canon[k] the columns whose rows outside the lowest
+    k are the next lowest ones (the canonical candidates once rows 0..k-1 are
+    used).  Built on first use for each t; they take about 2^(2t) bits.
+    """
+    full = (1 << t) - 1
+    sub = [1] * (full + 1)
+    for u in range(1, full + 1):
+        low = u & -u
+        s = sub[u ^ low]
+        sub[u] = s | s << low
+    sup = tuple(sub[full ^ m] << m for m in range(full + 1))
+    canon = []
+    for k in range(t + 1):
+        below = sub[(1 << k) - 1]
+        mask = 0
+        for j in range(t - k + 1):
+            mask |= below << (((1 << j) - 1) << k)
+        canon.append(mask)
+    return tuple(sub), sup, tuple(canon)
+
+
+def _walk(t, n, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok,
+          budget):
+    """Depth-first search over column assignments, lowest candidate first.
+
+    Returns (status, best, nodes): `best` is the deepest assignment reached,
+    all n columns when status is FOUND.
+    """
+    sub, sup, canon = _tables(t)
+    top = 1 << ((1 << t) - 1)  # candidate bit of the full column
+    cols = [0] * n
+    used = [0] * (n + 1)
+    forb = [0] * (n + 1)  # candidates inside a completed edge's or loop's union
+    left = [0] * n  # candidates not yet tried at each depth
+    best: list[int] = []
+    nodes = 0
+    depth = 0
+
+    while True:
+        m = canon[used[depth].bit_length()]
+        if not zero_ok[depth]:
+            m &= ~1
+        if not full_ok[depth]:
+            m &= ~top
+        nb = prev_nbrs[depth]
+        bad = 0
+        if need_sperner:
+            for j in nb:
+                cj = cols[j]
+                bad |= sub[cj] | sup[cj]
+        if need_cover:
+            bad |= forb[depth]
+            for j in nb:
+                cj = cols[j]
+                for w in range(depth):
+                    if w != j:
+                        bad |= sup[cols[w] & ~cj]
+            if loops[depth]:
+                for w in range(depth):
+                    bad |= sup[cols[w]]
+        left[depth] = m & ~bad
+
+        while not left[depth]:
+            if depth == 0:
+                return EXHAUSTED, best, nodes
+            depth -= 1
+        m = left[depth]
+        low = m & -m
+        left[depth] = m ^ low
+        c = low.bit_length() - 1
+
+        nodes += 1
+        if nodes > budget:
+            return BUDGET, best, nodes
+        cols[depth] = c
+        used[depth + 1] = used[depth] | c
+        if need_cover:
+            f = forb[depth]
+            for j in prev_nbrs[depth]:
+                f |= sub[cols[j] | c]
+            if loops[depth]:
+                f |= sub[c]
+            forb[depth + 1] = f
+        depth += 1
+        if depth > len(best):
+            best = cols[:depth]
+            if depth == n:
+                return FOUND, best, nodes
 
 
 def search_exists(t, n, prev_nbrs, loops, need_sperner, need_cover,
@@ -25,87 +126,9 @@ def search_exists(t, n, prev_nbrs, loops, need_sperner, need_cover,
 
     Returns (status, cols-or-None, nodes); `cols` is indexed by position.
     """
-    full = (1 << t) - 1
-    cols = [0] * n
-    used = [0] * (n + 1)
-    unions: list[int] = []
-    ucount = [0] * (n + 1)
-    nxt = [0] * (n + 1)
-    nodes = 0
-    depth = 0
-
-    while True:
-        c = nxt[depth]
-        u0 = used[depth]
-        nb = prev_nbrs[depth]
-        ulim = ucount[depth]
-        accept = -1
-        while c <= full:
-            if c == 0 and not zero_ok[depth]:
-                c += 1
-                continue
-            if c == full and not full_ok[depth]:
-                c += 1
-                continue
-            new = c & ~u0
-            if new:
-                un = ~u0 & full
-                if (un & ((1 << new.bit_length()) - 1)) != new:
-                    c += 1
-                    continue
-            ok = True
-            if need_sperner:
-                for j in nb:
-                    cj = cols[j]
-                    if not (c & ~cj) or not (cj & ~c):
-                        ok = False
-                        break
-            if ok and need_cover:
-                for k in range(ulim):
-                    if c & ~unions[k] == 0:
-                        ok = False
-                        break
-                if ok:
-                    for j in nb:
-                        u2 = cols[j] | c
-                        for w in range(depth):
-                            if w != j and cols[w] & ~u2 == 0:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                if ok and loops[depth]:
-                    for w in range(depth):
-                        if cols[w] & ~c == 0:
-                            ok = False
-                            break
-            if ok:
-                accept = c
-                break
-            c += 1
-
-        if accept < 0:
-            if depth == 0:
-                return EXHAUSTED, None, nodes
-            depth -= 1
-            del unions[ucount[depth]:]
-            continue
-
-        nodes += 1
-        if nodes > budget:
-            return BUDGET, None, nodes
-        cols[depth] = accept
-        nxt[depth] = accept + 1
-        used[depth + 1] = u0 | accept
-        for j in nb:
-            unions.append(cols[j] | accept)
-        if loops[depth]:
-            unions.append(accept)
-        ucount[depth + 1] = len(unions)
-        depth += 1
-        if depth == n:
-            return FOUND, cols[:], nodes
-        nxt[depth] = 0
+    status, cols, nodes = _walk(t, n, prev_nbrs, loops, need_sperner,
+                                need_cover, zero_ok, full_ok, budget)
+    return status, cols if status == FOUND else None, nodes
 
 
 def search_longest_path(t, cap, budget):
@@ -115,71 +138,10 @@ def search_longest_path(t, cap, budget):
     (status, best_depth, best_cols, nodes); EXHAUSTED means the whole tree was
     explored (or the cap was hit, which is equally conclusive).
     """
-    full = (1 << t) - 1
-    n = cap
-    cols = [0] * n
-    used = [0] * (n + 1)
-    unions: list[int] = []
-    nxt = [0] * (n + 1)
-    nodes = 0
-    depth = 0
-    best_depth = 0
-    best_cols: list[int] = []
-
-    while True:
-        c = nxt[depth]
-        u0 = used[depth]
-        accept = -1
-        while c <= full:
-            if c == 0 or c == full:
-                c += 1
-                continue
-            new = c & ~u0
-            if new:
-                un = ~u0 & full
-                if (un & ((1 << new.bit_length()) - 1)) != new:
-                    c += 1
-                    continue
-            ok = True
-            if depth > 0:
-                cj = cols[depth - 1]
-                if not (c & ~cj) or not (cj & ~c):
-                    ok = False
-                if ok:
-                    for k in range(depth - 1):
-                        if c & ~unions[k] == 0:
-                            ok = False
-                            break
-                if ok:
-                    u2 = cols[depth - 1] | c
-                    for w in range(depth - 1):
-                        if cols[w] & ~u2 == 0:
-                            ok = False
-                            break
-            if ok:
-                accept = c
-                break
-            c += 1
-
-        if accept < 0:
-            if depth == 0:
-                return EXHAUSTED, best_depth, best_cols, nodes
-            depth -= 1
-            del unions[max(depth - 1, 0):]
-            continue
-
-        nodes += 1
-        if nodes > budget:
-            return BUDGET, best_depth, best_cols, nodes
-        cols[depth] = accept
-        nxt[depth] = accept + 1
-        used[depth + 1] = u0 | accept
-        if depth > 0:
-            unions.append(cols[depth - 1] | accept)
-        depth += 1
-        if depth > best_depth:
-            best_depth = depth
-            best_cols = cols[:depth]
-            if best_depth == cap:
-                return EXHAUSTED, best_depth, best_cols, nodes
-        nxt[depth] = 0
+    prev_nbrs = [()] + [(i - 1,) for i in range(1, cap)]
+    never = [False] * cap
+    status, cols, nodes = _walk(t, cap, prev_nbrs, never, True, True,
+                                never, never, budget)
+    if status == FOUND:
+        status = EXHAUSTED
+    return status, len(cols), cols, nodes

@@ -100,9 +100,6 @@ class TestBoundsAndSolve:
     def test_solve_budget_exit_code(self, capsys):
         assert run(["solve", "cycle:9", "--budget", "5"]) == 3
 
-    def test_threads_flag_accepted(self, capsys):
-        assert run(["solve", "path:4", "--threads", "2"]) == 0
-
 
 class TestGray:
     def test_reflected_with_map(self, tmp_path, capsys):

@@ -152,6 +152,16 @@ class TestTransversalMap:
         s = to_set_system(modular(3, 3))
         assert len(set(s.blocks)) == 27
 
+    @pytest.mark.parametrize("words", [
+        [(0, 0), (0, 1), (1, 1), (2, 0)],  # last block would be {3}, inside P_2
+        [(0, 0), (0, 1), (1, 1), (0, 2)],  # (0, 2) aliases (1, 0)
+        [(0, 0), (0, 1), (0, 1)],
+    ], ids=["digit beyond first radix", "digit beyond last radix", "repeated word"])
+    def test_rejects_words_outside_the_box_or_repeated(self, words):
+        code = MixedRadixCode((2, 2), np.array(words, dtype=np.uint8), "shortened")
+        with pytest.raises(InvalidInputError):
+            to_set_system(code)
+
     def test_covering_lemma_on_full_codes(self):
         # consecutive pairs never cover a third block, up to 729-word codes
         from gcff.core import matrix_from_sets

@@ -1,5 +1,5 @@
-"""Exact search: soundness against naive enumeration, backend equivalence,
-small exact values, budgets, determinism."""
+"""Exact search: soundness against naive enumeration, equality with the
+reference kernel, small exact values, budgets, determinism."""
 
 from itertools import combinations, product
 
@@ -20,15 +20,17 @@ from gcff.graphs import (
     windmill,
 )
 from gcff.solver import (
-    BACKEND,
+    SEARCH_ROW_CAP,
     exact_t,
     exact_ts,
     exists_cff,
     longest_path_cff,
 )
 from gcff.solver import _build_problem
-from gcff.solver import engine as pure_engine
+from gcff.solver import engine
 from gcff.sperner import t1
+
+import reference_engine
 
 
 def naive_exists(g: Graph, t: int, prop: str) -> bool:
@@ -86,35 +88,42 @@ class TestSoundness:
             checked += 1
 
 
-class TestBackends:
-    def test_selected_backend_reported(self):
-        assert BACKEND in ("cython", "python")
+BUDGETS = [10 ** 9, 7, 40]
+KERNEL_CASES = [
+    (cycle(5), 4, "cff"), (cycle(4), 4, "cff"), (wheel(6), 5, "cff"),
+    (matching(6), 4, "ecff"), (path(6), 5, "cff"), (cycle(5), 3, "sperner"),
+]
 
-    @pytest.mark.parametrize("g,t,prop", [
-        (cycle(5), 4, "cff"), (cycle(4), 4, "cff"), (wheel(6), 5, "cff"),
-        (matching(6), 4, "ecff"), (path(6), 5, "cff"), (cycle(5), 3, "sperner"),
-    ])
-    def test_pure_kernel_matches_selected(self, g, t, prop):
-        order, prev, loops, ns, nc, z, f = _build_problem(g, prop)
-        got_pure = pure_engine.search_exists(t, g.n, prev, loops, ns, nc, z, f, 10 ** 9)
-        out = exists_cff(g, t, prop)
-        status = {0: "found", 1: "exhausted", 2: "budget-exceeded"}[got_pure[0]]
-        assert status == out.status
-        assert got_pure[2] == out.nodes  # identical node counts
+
+class TestKernelMatchesReference:
+    """The bit-parallel kernel walks the reference kernel's tree in the same
+    order: identical status, witness and node count, also when cut short."""
+
+    @pytest.mark.parametrize("budget", BUDGETS, ids=["uncut", "cut7", "cut40"])
+    @pytest.mark.parametrize("g,t,prop", KERNEL_CASES,
+                             ids=[f"{g.family}-t{t}-{p}" for g, t, p in KERNEL_CASES])
+    def test_search_exists(self, g, t, prop, budget):
+        order, *problem = _build_problem(g, prop)
+        want = reference_engine.search_exists(t, g.n, *problem, budget)
+        assert engine.search_exists(t, g.n, *problem, budget) == want
+        out = exists_cff(g, t, prop, budget=budget)
+        status = {0: "found", 1: "exhausted", 2: "budget-exceeded"}[want[0]]
+        assert (out.status, out.nodes) == (status, want[2])
         if out.status == "found":
             by_vertex = [0] * g.n
             for i, v in enumerate(order):
-                by_vertex[v] = got_pure[1][i]
+                by_vertex[v] = want[1][i]
             assert IncidenceMatrix(t, tuple(by_vertex)) == out.witness
 
-    def test_pure_longest_path_matches(self):
+    @pytest.mark.parametrize("budget", BUDGETS, ids=["uncut", "cut7", "cut40"])
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_search_longest_path(self, t, budget):
         from math import comb
 
-        for t in (3, 4, 5):
-            got = pure_engine.search_longest_path(t, comb(t, t // 2), 10 ** 9)
-            res = longest_path_cff(t)
-            assert got[1] == res.n_max
-            assert got[3] == res.nodes_explored
+        want = reference_engine.search_longest_path(t, comb(t, t // 2), budget)
+        assert engine.search_longest_path(t, comb(t, t // 2), budget) == want
+        res = longest_path_cff(t, budget)
+        assert (res.n_max, res.nodes_explored) == (want[1], want[3])
 
 
 class TestExactValues:
@@ -227,6 +236,11 @@ class TestBudgetsAndDeterminism:
         with pytest.raises(InvalidInputError):
             exists_cff(path(3), 63)
 
+    def test_row_cap_is_tight(self):
+        assert exists_cff(path(3), SEARCH_ROW_CAP).status == "found"
+        with pytest.raises(InvalidInputError):
+            exists_cff(path(3), SEARCH_ROW_CAP + 1)
+
 
 class TestOpenQuestionRefinements:
     """Exhaustion settles the cells the small-n table leaves unbolded."""
@@ -238,13 +252,11 @@ class TestOpenQuestionRefinements:
     def test_p11_needs_seven(self):
         assert exists_cff(path(11), 6).status == "exhausted"
 
-    @pytest.mark.skipif(BACKEND != "cython", reason="compiled-kernel-scale search")
     def test_w11_needs_eight(self):
         res = exact_t(wheel(11), "cff")
         assert (res.status, res.t_min) == ("found", 8)
         assert set(res.searched_exhaustively) == {6, 7}
 
-    @pytest.mark.skipif(BACKEND != "cython", reason="compiled-kernel-scale search")
     def test_two_disjunct_nine_columns_need_nine_rows(self):
         # independent confirmation of the literature value behind the table
         res = exact_t(complete(9), "cff", start=1)
