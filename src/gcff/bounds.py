@@ -6,18 +6,24 @@ Each bound carries the quantity it constrains ("t" for the full property,
 "t_e" for the edge-only variant, "t_s" for the Sperner-only variant), a
 short source tag, and an exactness flag.  A report aggregates the menu of
 applicable theorems; consumers take max of lowers / min of uppers.
+
+Each theorem is stated once, as an entry in its family's bound list.  An
+interval is read from those lists by `_extremes`, never re-derived: the
+wheel and Hamming bounds read the path and cycle lists, and so does the
+"interval" entry, so a new path or cycle fact is one entry in
+`_path_bounds` or `_cycle_bounds`.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number
+from .graphs import Graph, chromatic_number, parse_family
 from .graycode import cycle_cff_rows
 from .sperner import doubling_increment, t1
 
@@ -97,26 +103,32 @@ class Bound:
     exact: bool = False
 
 
+def _extremes(bounds: Sequence[Bound],
+              quantity: str = "t") -> tuple[Optional[int], Optional[int]]:
+    """Max of the lower and min of the upper values stated for quantity."""
+    lows = [b.value for b in bounds if b.quantity == quantity and b.kind == "lower"]
+    ups = [b.value for b in bounds if b.quantity == quantity and b.kind == "upper"]
+    return (max(lows) if lows else None), (min(ups) if ups else None)
+
+
 @dataclass(frozen=True)
 class BoundsReport:
     graph_id: str
     bounds: tuple[Bound, ...]
 
     def lower(self, quantity: str = "t") -> Optional[int]:
-        vals = [b.value for b in self.bounds if b.quantity == quantity and b.kind == "lower"]
-        return max(vals) if vals else None
+        return _extremes(self.bounds, quantity)[0]
 
     def upper(self, quantity: str = "t") -> Optional[int]:
-        vals = [b.value for b in self.bounds if b.quantity == quantity and b.kind == "upper"]
-        return min(vals) if vals else None
+        return _extremes(self.bounds, quantity)[1]
 
     def exact_value(self, quantity: str = "t") -> Optional[int]:
-        lo, up = self.lower(quantity), self.upper(quantity)
+        lo, up = _extremes(self.bounds, quantity)
         return lo if lo is not None and lo == up else None
 
     def is_consistent(self) -> bool:
         for q in ("t", "t_e", "t_s"):
-            lo, up = self.lower(q), self.upper(q)
+            lo, up = _extremes(self.bounds, q)
             if lo is not None and up is not None and lo > up:
                 return False
         return True
@@ -130,12 +142,18 @@ def _pair(quantity: str, value: int, source: str) -> list[Bound]:
     ]
 
 
-def _central_binomial_x(n: int) -> Optional[int]:
-    """x with n = C(x, floor(x/2)), if n is a central binomial coefficient."""
-    x = 1
-    while comb(x, x // 2) < n:
-        x += 1
-    return x if comb(x, x // 2) == n else None
+def _interval(bounds: Sequence[Bound]) -> list[Bound]:
+    """The "interval" pair when a list's own lower and upper values meet."""
+    lo, up = _extremes(bounds)
+    return _pair("t", lo, "interval") if lo == up else []
+
+
+def _central_binomial(n: int) -> list[Bound]:
+    """n = C(x, floor(x/2)) with x >= 4 needs x + 1 ground points."""
+    x = t1(n)
+    if x >= 4 and comb(x, x // 2) == n:
+        return [Bound("t", "lower", x + 1, "central-binomial")]
+    return []
 
 
 # -- paths and cycles -------------------------------------------------------
@@ -150,69 +168,40 @@ def _short_ground_floor(n: int) -> Optional[int]:
     return None
 
 
-def _path_interval(n: int) -> tuple[int, int]:
-    lo = t1(n)
-    x = _central_binomial_x(n)
-    if x is not None and x >= 4:
-        lo = max(lo, x + 1)
-    floor = _short_ground_floor(n)
-    if floor is not None:
-        lo = max(lo, floor)
-    up = cycle_cff_rows(n)
-    if n <= 10:
-        up = min(up, 6)  # explicit ten-block witness on six points
-    return lo, up
-
-
-def _cycle_interval(n: int) -> tuple[int, int]:
-    lo, _ = _path_interval(n)  # a path is a subgraph of the cycle
-    return lo, cycle_cff_rows(n)
-
-
-def _path_bounds(n: int) -> list[Bound]:
-    out: list[Bound] = [Bound("t", "lower", t1(n), "trivial-sperner")]
-    x = _central_binomial_x(n)
-    if x is not None and x >= 4:
-        out.append(Bound("t", "lower", x + 1, "central-binomial"))
+# Wheels and Hamming graphs read these lists again, so keep one copy per n.
+@lru_cache(maxsize=256)
+def _path_bounds(n: int) -> tuple[Bound, ...]:
+    out = [Bound("t", "lower", t1(n), "trivial-sperner")]
+    out += _central_binomial(n)
     floor = _short_ground_floor(n)
     if floor is not None:
         out.append(Bound("t", "lower", floor, "short-ground-lemma"))
     out.append(Bound("t", "upper", cycle_cff_rows(n), "gray-cycle"))
     if n <= 10:
         out.append(Bound("t", "upper", 6, "explicit-path10"))
-    lo, up = _path_interval(n)
-    if lo == up:
-        out.append(Bound("t", "lower", lo, "interval", exact=True))
-        out.append(Bound("t", "upper", up, "interval", exact=True))
-    return out
+    return tuple(out + _interval(out))
 
 
-def _cycle_bounds(n: int) -> list[Bound]:
-    lo_path, _ = _path_interval(n)
+@lru_cache(maxsize=256)
+def _cycle_bounds(n: int) -> tuple[Bound, ...]:
     out = [
         Bound("t", "lower", t1(n), "trivial-sperner"),
-        Bound("t", "lower", lo_path, "path-subgraph"),
+        # a path is a subgraph of the cycle
+        Bound("t", "lower", _extremes(_path_bounds(n))[0], "path-subgraph"),
         Bound("t", "upper", cycle_cff_rows(n), "gray-cycle"),
     ]
-    x = _central_binomial_x(n)
-    if x is not None and x >= 4:
-        out.append(Bound("t", "lower", x + 1, "central-binomial"))
-    lo, up = _cycle_interval(n)
-    if lo == up:
-        out.append(Bound("t", "lower", lo, "interval", exact=True))
-        out.append(Bound("t", "upper", up, "interval", exact=True))
-    return out
+    out += _central_binomial(n)
+    return tuple(out + _interval(out))
 
 
 def _wheel_bounds(n: int) -> list[Bound]:
     """Wheel on n vertices: hub plus a rim cycle of length n-1."""
     rim = n - 1
-    rim_lo, rim_up = _cycle_interval(rim)
-    next_lo, _ = _cycle_interval(n)
+    rim_lo, rim_up = _extremes(_cycle_bounds(rim))
     out = [
         Bound("t", "lower", t1(rim) + 1, "universal-vertex-lower"),
         Bound("t", "lower", rim_lo, "rim-subgraph"),
-        Bound("t", "lower", next_lo, "hamilton-cycle"),
+        Bound("t", "lower", _extremes(_cycle_bounds(n))[0], "hamilton-cycle"),
         Bound("t", "upper", rim_up + 1, "universal-vertex-upper"),
     ]
     # When the rim value is exact and sits one above its Sperner floor, the
@@ -238,9 +227,7 @@ def _matching_bounds(n: int) -> list[Bound]:
         Bound("t", "lower", t1(n), "trivial-sperner"),
         Bound("t", "upper", t1(m) + 2, "pendant-two-rows"),
     ]
-    x = _central_binomial_x(n)
-    if x is not None and x >= 4:
-        out.append(Bound("t", "lower", x + 1, "central-binomial"))
+    out += _central_binomial(n)
     if m >= 2:
         out += _pair("t_e", t1(m), "disjoint-edge-ecff-exact")
         if doubling_increment(m) == 2:
@@ -289,86 +276,22 @@ def _bipartite_bounds(n1: int, n2: int) -> list[Bound]:
         Bound("t", "lower", t1(n), "trivial-sperner"),
         Bound("t", "upper", t1(n1) + t1(n2), "coloring-construction"),
     ]
-    x = _central_binomial_x(n)
-    if x is not None and x >= 4:
-        out.append(Bound("t", "lower", x + 1, "central-binomial"))
+    out += _central_binomial(n)
     out += _pair("t_s", t1(2), "sperner-chromatic")
     return out
 
 
 def _hamming_bounds(dims: tuple[int, ...]) -> list[Bound]:
     n = math.prod(dims)
-    cyc_lo, _ = _cycle_interval(n) if n >= 3 else (None, None)
     out = [
         Bound("t", "lower", t1(n), "trivial-sperner"),
         Bound("t", "upper", sum(dims), "gray-transversal"),
     ]
-    if cyc_lo is not None:
-        out.append(Bound("t", "lower", cyc_lo, "hamilton-cycle"))
-    x = _central_binomial_x(n)
-    if x is not None and x >= 4:
-        out.append(Bound("t", "lower", x + 1, "central-binomial"))
+    if n >= 3:
+        out.append(Bound("t", "lower", _extremes(_cycle_bounds(n))[0], "hamilton-cycle"))
+    out += _central_binomial(n)
     out += _pair("t_s", t1(max(dims)), "sperner-chromatic")
     return out
-
-
-def _known_chi(name: str, args: tuple[int, ...]) -> Optional[int]:
-    if name == "path":
-        return 2
-    if name == "cycle":
-        return 2 if args[0] % 2 == 0 else 3
-    if name in ("star", "bipartite", "matching"):
-        return 2
-    if name == "complete":
-        return args[0]
-    if name == "wheel":
-        n = args[0]
-        if n == 3:
-            return 3
-        return 3 if (n - 1) % 2 == 0 else 4
-    if name == "windmill":
-        return args[0]
-    if name == "sperner":
-        z = args[0]
-        return comb(z, z // 2)
-    if name == "hamming":
-        return max(args)
-    return None
-
-
-_TAG_RE = re.compile(r"^([a-z]+)\(([0-9,]+)\)$")
-
-
-def _parse_tag(tag: Optional[str]) -> Optional[tuple[str, tuple[int, ...]]]:
-    if not tag:
-        return None
-    m = _TAG_RE.match(tag)
-    if not m:
-        inner = None
-        if tag.startswith("universal(") and tag.endswith(")"):
-            inner = _parse_tag(tag[len("universal("):-1])
-        return ("universal", inner) if inner else None
-    return m.group(1), tuple(int(x) for x in m.group(2).split(","))
-
-
-def _single_edge_component(g: Graph) -> bool:
-    """Does g have a connected component that is exactly one edge?"""
-    seen = [False] * g.n
-    for s in range(g.n):
-        if seen[s] or g.degree(s) == 0:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in g.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        if len(comp) == 2:
-            return True
-    return False
 
 
 def bounds_for(g: Graph) -> BoundsReport:
@@ -377,12 +300,13 @@ def bounds_for(g: Graph) -> BoundsReport:
     Family-tagged graphs get their family's menu; untagged simple graphs get
     the trivial bounds, the minimum-degree relations between the full and
     edge-only quantities, and the chromatic Sperner value when the exact
-    coloring solver can reach the graph.
+    coloring solver can reach the graph.  Graphs with fewer than three
+    non-isolated vertices get an empty report.
     """
     graph_id = g.family or f"graph(n={g.n},m={len(g.edges)})"
-    parsed = _parse_tag(g.family)
+    name, args = parse_family(g.family) or (None, None)
 
-    if parsed and parsed[0] == "loops" and not g.edges:
+    if name == "loops" and not g.edges:
         b = _pair("t", t1(g.n), "loops-exact") + _pair("t_e", t1(g.n), "loops-exact")
         return BoundsReport(graph_id, tuple(b))
 
@@ -390,16 +314,13 @@ def bounds_for(g: Graph) -> BoundsReport:
         return BoundsReport(graph_id, ())
 
     if g.isolated_vertices:
-        stripped, _ = g.without_isolated()
-        if stripped.n < 3:
+        if g.n - len(g.isolated_vertices) < 3:
             return BoundsReport(graph_id, ())
-        inner = bounds_for(stripped)
-        return BoundsReport(graph_id, inner.bounds)
+        stripped, _ = g.without_isolated()
+        return BoundsReport(graph_id, bounds_for(stripped).bounds)
 
     n = g.n
     out: list[Bound] = []
-    name_args = parsed if parsed else (None, None)
-    name, args = name_args
 
     if name == "universal":
         inner_name, inner_args = args
@@ -412,17 +333,17 @@ def bounds_for(g: Graph) -> BoundsReport:
             out += _complete_bounds(inner_args[0] + 1)
         else:
             name = None
+    elif (name == "path" and n == 2) or (name == "wheel" and n == 3):
+        out += _complete_bounds(n)
     elif name == "path":
         out += _path_bounds(n)
         out += _pair("t_s", t1(2), "sperner-chromatic")
     elif name == "cycle":
         out += _cycle_bounds(n)
-        out += _pair("t_s", t1(_known_chi("cycle", args)), "sperner-chromatic")
-    elif name == "wheel" and n == 3:
-        out += _complete_bounds(3)
+        out += _pair("t_s", t1(2 + n % 2), "sperner-chromatic")  # chi(C_n)
     elif name == "wheel":
         out += _wheel_bounds(n)
-        out += _pair("t_s", t1(_known_chi("wheel", args)), "sperner-chromatic")
+        out += _pair("t_s", t1(4 - n % 2), "sperner-chromatic")  # chi(W_n)
     elif name == "star":
         out += _star_bounds(n)
     elif name == "complete":
@@ -432,44 +353,38 @@ def bounds_for(g: Graph) -> BoundsReport:
     elif name == "matching":
         out += _matching_bounds(n)
     elif name == "windmill":
-        k = args[0]
+        k, blades = args
         if k == 2:
             out += _star_bounds(n)
+        elif blades == 1:  # a single blade is K_k
+            out += _complete_bounds(k)
         else:
-            out += _windmill_bounds(*args)
+            out += _windmill_bounds(k, blades)
     elif name == "sperner":
         out += _pair("t_s", args[0], "sperner-graph-exact")
-        if not g.isolated_vertices:
-            out.append(Bound("t", "lower", t1(n), "trivial-sperner"))
+        out.append(Bound("t", "lower", t1(n), "trivial-sperner"))
     elif name == "hamming":
         out += _hamming_bounds(args)
 
-    generic = name is None
-    if generic:
+    if name is None:
         out.append(Bound("t", "lower", t1(n), "trivial-sperner"))
         if n >= 3:
             v, exact = t2_upper(n)
             out.append(Bound("t", "upper", v, "trivial-two-disjunct", exact=False))
-        x = _central_binomial_x(n)
-        if x is not None and x >= 4:
-            out.append(Bound("t", "lower", x + 1, "central-binomial"))
+        out += _central_binomial(n)
         if n <= 16:
-            try:
-                out += _pair("t_s", t1(chromatic_number(g)), "sperner-chromatic")
-            except Exception:
-                pass
+            out += _pair("t_s", t1(chromatic_number(g)), "sperner-chromatic")
 
     # Minimum-degree relations between the full and edge-only quantities.
-    t_lo = max((b.value for b in out if b.quantity == "t" and b.kind == "lower"), default=None)
-    t_up = min((b.value for b in out if b.quantity == "t" and b.kind == "upper"), default=None)
-    has_te = any(b.quantity == "t_e" for b in out)
-    if not has_te and g.edges:
+    if not any(b.quantity == "t_e" for b in out):
+        t_lo, t_up = _extremes(out)
         if t_up is not None:
             out.append(Bound("t_e", "upper", t_up, "ecff-below-cff"))
         if t_lo is not None:
             if g.min_degree() >= 2:
                 out.append(Bound("t_e", "lower", t_lo, "min-degree-two"))
-            elif not _single_edge_component(g):
+            elif not any(g.degree(u) == g.degree(v) == 1 for u, v in g.edges):
+                # no component is a single edge
                 out.append(Bound("t_e", "lower", t_lo - 1, "pendant-one-row"))
             else:
                 out.append(Bound("t_e", "lower", t_lo - 2, "pendant-two-rows"))

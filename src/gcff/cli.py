@@ -19,7 +19,7 @@ from . import constructions, graycode
 from .bounds import bounds_for
 from .core import IncidenceMatrix, find_violation
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import Graph, cycle, make_family
+from .graphs import Graph, cycle, make_family, parse_family
 from .sperner import optimal_1cff
 from .solver import DEFAULT_BUDGET, exact_t
 
@@ -36,33 +36,23 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _parse_tag_args(tag: Optional[str]) -> Optional[tuple[str, list[int]]]:
-    if not tag or "(" not in tag or not tag.endswith(")"):
-        return None
-    name, _, rest = tag.partition("(")
-    try:
-        return name, [int(x) for x in rest[:-1].split(",")]
-    except ValueError:
-        return None
-
-
 def _construct(g: Graph, method: str) -> tuple[IncidenceMatrix, str]:
     """Build a CFF for g; returns (matrix, method actually used)."""
-    parsed = _parse_tag_args(g.family)
-    name = parsed[0] if parsed else None
-    args = parsed[1] if parsed else []
+    name, args = parse_family(g.family) or (None, ())
 
     if method == "auto":
-        if name in ("path", "cycle", "hamming"):
+        if name == "loops":
+            return optimal_1cff(g.n), "optimal-1cff"
+        if g.n < 3:  # the family constructions need three vertices
+            method = "coloring"
+        elif name in ("path", "cycle", "hamming"):
             method = "gray"
         elif name == "star" or (name == "windmill" and args[0] == 2):
             method = "star"
-        elif name in ("windmill",):
+        elif name == "windmill" and args[1] >= 2:
             method = "windmill"
         elif name == "wheel" and g.n >= 5:
             method = "universal"
-        elif name == "loops":
-            return optimal_1cff(g.n), "optimal-1cff"
         else:
             method = "coloring"
 
@@ -75,7 +65,7 @@ def _construct(g: Graph, method: str) -> tuple[IncidenceMatrix, str]:
 
             from .core import SetSystem, matrix_from_sets
 
-            radices = tuple(args)
+            radices = args
             blocks = tuple(
                 graycode.word_to_subset(radices, w)
                 for w in iproduct(*(range(m) for m in radices))

@@ -2,12 +2,14 @@
 
 Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
 paths and cycles are numbered in traversal order.  Generated graphs carry a
-`family` tag such as "cycle(8)" so downstream bound computations can
-recognize them.
+`family` tag such as "cycle(8)" or "universal(cycle(8))" so downstream bound
+computations and constructions can recognize them; `parse_family` is the one
+reader of those tags.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -268,6 +270,27 @@ _FAMILIES = {
     "friendship": (friendship, 1),
     "loops": (loops_graph, 1),
 }
+
+
+_TAG_RE = re.compile(r"([a-z]+)\(([0-9]+(?:,[0-9]+)*)\)")
+
+
+def parse_family(tag: Optional[str]) -> Optional[tuple]:
+    """Read a family tag written by the generators above.
+
+    "windmill(3,4)" gives ("windmill", (3, 4)) and "universal(cycle(8))"
+    gives ("universal", ("cycle", (8,))).  Untagged graphs, "file" and any
+    other form give None.
+    """
+    if not tag:
+        return None
+    if tag.startswith("universal(") and tag.endswith(")"):
+        inner = parse_family(tag[len("universal("):-1])
+        return ("universal", inner) if inner else None
+    m = _TAG_RE.fullmatch(tag)
+    if m is None:
+        return None
+    return m.group(1), tuple(int(x) for x in m.group(2).split(","))
 
 
 def make_family(spec: str) -> Graph:

@@ -22,6 +22,7 @@ from gcff.graphs import (
     windmill,
 )
 from gcff.graycode import cycle_cff_rows, path_cycle_cff
+from gcff.solver import exact_t
 from gcff.sperner import doubling_increment, t1
 
 # Printed small-n values: (value, exact?) per family; non-exact cells print
@@ -201,6 +202,22 @@ class TestFamilyBounds:
         g = Graph(6, cycle(4).edges)  # C_4 plus two isolated vertices
         rep = bounds_for(g)
         assert rep.upper("t") == bounds_for(cycle(4)).upper("t")
+
+
+class TestDegenerateFamilyMembers:
+    def test_path2_is_k2(self):
+        assert bounds_for(path(2)).exact_value("t") == 2
+        res = exact_t(path(2))
+        assert (res.status, res.t_min) == ("found", 2)
+
+    def test_single_blade_windmill_is_complete(self):
+        for k in range(3, 7):
+            rep, ref = bounds_for(windmill(k, 1)), bounds_for(complete(k))
+            assert (rep.lower("t"), rep.upper("t")) == (ref.lower("t"), ref.upper("t")), k
+
+    def test_edgeless_graphs_have_empty_report(self):
+        for g in (complete(1), sperner_graph(1), Graph(1), Graph(5)):
+            assert bounds_for(g).bounds == (), g
 
 
 class TestConsistencyAndCrossChecks:

@@ -49,7 +49,8 @@ class TestConstructVerify:
         specs = [("cycle:19", "auto"), ("wheel:8", "auto"), ("matching:8", "auto"),
                  ("hamming:2x2x3", "auto"), ("complete:5", "auto"),
                  ("cycle:16", "double"), ("bipartite:3,4", "coloring"),
-                 ("loops:7", "auto"), ("windmill:4,3", "auto")]
+                 ("loops:7", "auto"), ("windmill:4,3", "auto"),
+                 ("path:2", "auto"), ("windmill:3,1", "auto"), ("friendship:1", "auto")]
         for spec, method in specs:
             out = tmp_path / f"{spec.replace(':', '_').replace(',', '_')}.mat"
             assert run(["construct", spec, "--method", method,
@@ -84,6 +85,10 @@ class TestBoundsAndSolve:
         assert run(["solve", "path:5"]) == 0
         out = capsys.readouterr().out
         assert "t = 5" in out
+
+    def test_solve_edgeless(self, capsys):
+        assert run(["solve", "complete:1"]) == 0
+        assert "t = 1" in capsys.readouterr().out
 
     def test_solve_json(self, capsys):
         assert run(["solve", "matching:8", "--property", "ecff",

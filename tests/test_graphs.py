@@ -8,6 +8,7 @@ import pytest
 
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
+    _FAMILIES,
     Graph,
     add_universal_vertex,
     cartesian_product,
@@ -22,6 +23,7 @@ from gcff.graphs import (
     loops_graph,
     make_family,
     matching,
+    parse_family,
     path,
     sperner_graph,
     star,
@@ -143,6 +145,52 @@ class TestFileAndSpec:
         for spec in ("nope:3", "cycle", "cycle:x", "bipartite:3"):
             with pytest.raises(InvalidInputError):
                 make_family(spec)
+
+
+def _rebuild(parsed) -> Graph:
+    name, args = parsed
+    if name == "universal":
+        return add_universal_vertex(_rebuild(args))
+    if name == "hamming":
+        return hamming(args)
+    if name == "sperner":
+        return sperner_graph(*args)
+    return _FAMILIES[name][0](*args)
+
+
+class TestParseFamily:
+    SAMPLE_ARGS = {"path": (5,), "cycle": (7,), "star": (4,), "wheel": (6,),
+                   "complete": (5,), "bipartite": (2, 3), "matching": (6,),
+                   "windmill": (3, 4), "friendship": (4,), "loops": (3,)}
+
+    def test_every_generator_round_trips(self):
+        assert self.SAMPLE_ARGS.keys() == _FAMILIES.keys()
+        graphs = [fn(*self.SAMPLE_ARGS[name]) for name, (fn, _) in _FAMILIES.items()]
+        graphs += [hamming([2, 2, 3]), hamming([4]), sperner_graph(3),
+                   add_universal_vertex(star(5)),
+                   add_universal_vertex(add_universal_vertex(cycle(5)))]
+        for g in graphs:
+            parsed = parse_family(g.family)
+            assert parsed is not None, g.family
+            assert _rebuild(parsed) == g, g.family
+
+    def test_parsed_values(self):
+        assert parse_family("windmill(3,4)") == ("windmill", (3, 4))
+        assert parse_family(friendship(2).family) == ("windmill", (3, 2))
+        assert parse_family("universal(universal(cycle(5)))") == \
+            ("universal", ("universal", ("cycle", (5,))))
+
+    def test_untagged_and_unknown_forms(self):
+        untagged = [
+            Graph(3, frozenset({(0, 1)})),
+            Graph.from_text("2 1\n0 1\n"),
+            cartesian_product(path(2), path(3)),
+            add_universal_vertex(Graph(2, frozenset({(0, 1)}))),
+        ]
+        for g in untagged:
+            assert parse_family(g.family) is None
+        for tag in ("file", "universal(file)", "cycle(8", "cycle()", "cycle(8,,1)"):
+            assert parse_family(tag) is None, tag
 
 
 class TestExactSolvers:
