@@ -387,6 +387,6 @@ def bounds_for(g: Graph) -> BoundsReport:
                 # no component is a single edge
                 out.append(Bound("t_e", "lower", t_lo - 1, "pendant-one-row"))
             else:
-                out.append(Bound("t_e", "lower", t_lo - 2, "pendant-two-rows"))
+                out.append(Bound("t_e", "lower", max(t_lo - 2, 1), "pendant-two-rows"))
 
     return BoundsReport(graph_id, tuple(out))

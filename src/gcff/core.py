@@ -3,14 +3,16 @@
 A family of n subsets of the ground set [1, t] is stored column-wise: column
 j is a t-bit integer whose bit i (0-based) is set iff ground element i+1
 belongs to block j.  Columns are indexed by graph vertices 0..n-1, in label
-order.  Keeping each column in one machine word makes every containment test
-a single AND/compare, which is what the exhaustive solver lives on.
+order.  Every containment test is `IncidenceMatrix.inside(u)`, which ORs the
+rows outside row set u (row i is an n-bit integer, bit j = entry (i, j)):
+t - |u| big-integer ORs instead of a scan over the n columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, repeat
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError
@@ -52,8 +54,27 @@ class IncidenceMatrix:
         """Entry in row `row` (0-based) and the column of vertex `col`."""
         return (self.cols[col] >> row) & 1
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The dual set system: bit j of row i is entry (i, j)."""
+        # t-digit column strings, last column first; digit k of each, read
+        # across them, spells row t-1-k in binary
+        s = "".join(map(format, reversed(self.cols), repeat(f"0{self.t}b")))
+        return tuple([int(s[k::self.t], 2) for k in range(self.t - 1, -1, -1)])
+
+    def inside(self, u: int) -> int:
+        """Columns whose block lies inside row set u, as bits of an int: those
+        absent from every row outside u."""
+        rows, outside = self.rows, 0
+        rest = ((1 << self.t) - 1) & ~u
+        while rest:
+            low = rest & -rest
+            outside |= rows[low.bit_length() - 1]
+            rest ^= low
+        return ((1 << len(self.cols)) - 1) & ~outside
+
     def row_string(self, row: int) -> str:
-        return "".join(str((c >> row) & 1) for c in self.cols)
+        return format(self.rows[row], f"0{self.n}b")[::-1]
 
     def column_weight(self, col: int) -> int:
         return bin(self.cols[col]).count("1")
@@ -80,15 +101,11 @@ class IncidenceMatrix:
             raise InvalidInputError(f"bad header {lines[0]!r}") from None
         if len(lines) != t + 1:
             raise InvalidInputError(f"expected {t} matrix rows, got {len(lines) - 1}")
-        cols = [0] * n
-        for i, line in enumerate(lines[1:]):
-            row = line.strip()
+        rows = [line.strip() for line in lines[1:]]
+        for i, row in enumerate(rows):
             if len(row) != n or set(row) - {"0", "1"}:
                 raise InvalidInputError(f"row {i + 1} is not {n} characters of 0/1: {row!r}")
-            for j, ch in enumerate(row):
-                if ch == "1":
-                    cols[j] |= 1 << i
-        return cls(t, tuple(cols))
+        return cls(t, tuple(int("".join(bits)[::-1], 2) for bits in zip(*rows)))
 
     @classmethod
     def from_rows(cls, rows: list[str]) -> "IncidenceMatrix":
@@ -190,11 +207,7 @@ def is_coverfree_for_edge(m: IncidenceMatrix, a: int, b: int) -> bool:
     _check_vertex(m, b)
     if a == b:
         raise InvalidInputError("cover test needs a proper edge, got a loop")
-    u = m.cols[a] | m.cols[b]
-    for v, c in enumerate(m.cols):
-        if v != a and v != b and (c & ~u) == 0:
-            return False
-    return True
+    return not m.inside(m.cols[a] | m.cols[b]) & ~(1 << a | 1 << b)
 
 
 def find_sperner_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
@@ -209,18 +222,16 @@ def find_sperner_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
 
 def find_cover_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
     _check_graph(m, g)
-    cols = m.cols
+    cols, inside = m.cols, m.inside
     for a, b in g.edges:
-        u = cols[a] | cols[b]
-        for v, c in enumerate(cols):
-            if v != a and v != b and (c & ~u) == 0:
-                return Violation("cover", (a, b), v)
+        hit = inside(cols[a] | cols[b]) & ~(1 << a | 1 << b)
+        if hit:
+            return Violation("cover", (a, b), (hit & -hit).bit_length() - 1)
     # A loop on v forbids any other column from being contained in column v.
     for v in g.loops:
-        cv = cols[v]
-        for w, c in enumerate(cols):
-            if w != v and (c & ~cv) == 0:
-                return Violation("loop", (v, v), w)
+        hit = inside(cols[v]) & ~(1 << v)
+        if hit:
+            return Violation("loop", (v, v), (hit & -hit).bit_length() - 1)
     return None
 
 
@@ -254,13 +265,11 @@ def is_d_disjunct(m: IncidenceMatrix, d: int) -> bool:
     if d >= m.n:
         raise InvalidInputError(f"d={d} must be smaller than the column count {m.n}")
     cols = m.cols
-    idx = range(m.n)
-    for chosen in combinations(idx, d):
-        u = 0
+    for chosen in combinations(range(m.n), d):
+        u = mask = 0
         for j in chosen:
             u |= cols[j]
-        chosen_set = set(chosen)
-        for v in idx:
-            if v not in chosen_set and (cols[v] & ~u) == 0:
-                return False
+            mask |= 1 << j
+        if m.inside(u) & ~mask:
+            return False
     return True

@@ -64,8 +64,6 @@ def half_subsets(t: int):
 
 def optimal_1cff(n: int) -> IncidenceMatrix:
     """Minimum-ground 1-disjunct matrix: first n half-size subsets of [1, t1(n)]."""
-    if n < 2:
-        raise InvalidInputError(f"need n >= 2, got {n}")
     t = t1(n)
     cols = tuple(islice(half_subsets(t), n))
     return IncidenceMatrix(t, cols)

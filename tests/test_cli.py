@@ -49,7 +49,7 @@ class TestConstructVerify:
         specs = [("cycle:19", "auto"), ("wheel:8", "auto"), ("matching:8", "auto"),
                  ("hamming:2x2x3", "auto"), ("complete:5", "auto"),
                  ("cycle:16", "double"), ("bipartite:3,4", "coloring"),
-                 ("loops:7", "auto"), ("windmill:4,3", "auto"),
+                 ("loops:7", "auto"), ("loops:1", "auto"), ("windmill:4,3", "auto"),
                  ("path:2", "auto"), ("windmill:3,1", "auto"), ("friendship:1", "auto")]
         for spec, method in specs:
             out = tmp_path / f"{spec.replace(':', '_').replace(',', '_')}.mat"
@@ -89,6 +89,14 @@ class TestBoundsAndSolve:
     def test_solve_edgeless(self, capsys):
         assert run(["solve", "complete:1"]) == 0
         assert "t = 1" in capsys.readouterr().out
+
+    def test_solve_single_edge_ecff(self, capsys):
+        # one edge: no third column exists, so one row suffices
+        for spec in ("complete:2", "path:2", "matching:2"):
+            assert run(["solve", spec, "--property", "ecff",
+                        "--format", "json-lines"]) == 0, spec
+            rec = json.loads(capsys.readouterr().out.splitlines()[0])
+            assert (rec["status"], rec["t_min"]) == ("found", 1), spec
 
     def test_solve_json(self, capsys):
         assert run(["solve", "matching:8", "--property", "ecff",

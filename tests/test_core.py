@@ -1,5 +1,6 @@
 """Incidence matrices, set systems, and the verification predicates."""
 
+import json
 import random
 from itertools import combinations
 
@@ -261,3 +262,120 @@ class TestSpecInvariants:
         for _ in range(200):
             m = random_matrix(rng, 4, 5)
             assert is_g_cff(m, g) == is_d_disjunct(m, 1)
+
+
+# The column scans that `IncidenceMatrix.inside` replaced, kept as the oracle:
+# each tests "column c lies inside union u" one column at a time.
+
+def scan_sperner_violation(m, g):
+    for a, b in g.edges:
+        ca, cb = m.cols[a], m.cols[b]
+        if not (ca & ~cb) or not (cb & ~ca):
+            return Violation("sperner", (a, b))
+    return None
+
+
+def scan_cover_violation(m, g):
+    cols = m.cols
+    for a, b in g.edges:
+        u = cols[a] | cols[b]
+        for v, c in enumerate(cols):
+            if v != a and v != b and (c & ~u) == 0:
+                return Violation("cover", (a, b), v)
+    for v in g.loops:
+        for w, c in enumerate(cols):
+            if w != v and (c & ~cols[v]) == 0:
+                return Violation("loop", (v, v), w)
+    return None
+
+
+def scan_violation(m, g, prop):
+    if prop == "sperner":
+        return scan_sperner_violation(m, g)
+    cover = scan_cover_violation(m, g)
+    if prop == "ecff" or cover is not None:
+        return cover
+    return scan_sperner_violation(m, g)
+
+
+def scan_coverfree_for_edge(m, a, b):
+    u = m.cols[a] | m.cols[b]
+    return not any(v not in (a, b) and (c & ~u) == 0 for v, c in enumerate(m.cols))
+
+
+def scan_d_disjunct(m, d):
+    for chosen in combinations(range(m.n), d):
+        u = 0
+        for j in chosen:
+            u |= m.cols[j]
+        if any(v not in chosen and (m.cols[v] & ~u) == 0 for v in range(m.n)):
+            return False
+    return True
+
+
+def random_graph(rng, n) -> Graph:
+    """Edges and loops at random densities; sparse draws leave isolated vertices."""
+    p_edge, p_loop = rng.random(), rng.random() * 0.3
+    edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < p_edge)
+    loops = frozenset(v for v in range(n) if rng.random() < p_loop)
+    return Graph(n, edges, loops)
+
+
+class TestInsideMatchesColumnScan:
+    def test_rows_are_the_transpose(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            t = rng.choice([1, 2, 5, 8, GROUND_CAP])
+            n = rng.randrange(1, 40)
+            m = IncidenceMatrix(t, tuple(rng.randrange(1 << t) for _ in range(n)))
+            assert all(
+                (m.rows[i] >> j) & 1 == m.entry(i, j) for i in range(t) for j in range(m.n)
+            )
+
+    def test_random_matrices_and_graphs(self):
+        rng = random.Random(31)
+        seen = {"cover": 0, "loop": 0, "sperner": 0, None: 0}
+        for _ in range(3000):
+            n = rng.randrange(1, 11)
+            t = rng.choice([1, 2, 3, 4, 5, 6, 8, GROUND_CAP])
+            # sparse columns and repeats make containments common
+            pool = [rng.randrange(1 << t) & rng.randrange(1 << t) for _ in range(4)]
+            cols = tuple(
+                rng.choice(pool) if rng.random() < 0.3 else rng.randrange(1 << t)
+                for _ in range(n)
+            )
+            m, g = IncidenceMatrix(t, cols), random_graph(rng, n)
+            for prop in ("cff", "ecff", "sperner"):
+                expected = scan_violation(m, g, prop)
+                assert find_violation(m, g, prop) == expected, (m, g, prop)
+                seen[expected and expected.kind] += 1
+            for a, b in g.edges:
+                assert is_coverfree_for_edge(m, a, b) == scan_coverfree_for_edge(m, a, b)
+            for d in (1, 2):
+                if d < n:
+                    assert is_d_disjunct(m, d) == scan_d_disjunct(m, d), (m, d)
+        assert min(seen.values()) > 100, seen
+
+    def test_planted_violation_at_scale(self, tmp_path, capsys):
+        from gcff.cli import main
+        from gcff.graphs import make_family
+
+        spec, out = "path:20000", tmp_path / "p.mat"
+        assert main(["construct", spec, "--output", str(out)]) == 0
+        g = make_family(spec)
+        m = IncidenceMatrix.from_text(out.read_text())
+        # Replace column b of the first edge (a, b) the scan visits by the
+        # union of its neighbours, so that edge covers column b + 1.
+        a, b = next((a, b) for a, b in g.edges if b + 1 < g.n)
+        cols = list(m.cols)
+        cols[b] = cols[a] | cols[b + 1]
+        bad = IncidenceMatrix(m.t, tuple(cols))
+        out.write_text(bad.to_text())
+        expected = scan_violation(bad, g, "cff")
+        assert expected is not None
+        capsys.readouterr()
+        assert main(["verify", spec, str(out), "--format", "json-lines"]) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["violation"] == {
+            "kind": expected.kind, "edge": list(expected.edge), "column": expected.column,
+        }
