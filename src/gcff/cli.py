@@ -3,7 +3,9 @@ families on graphs, plus batch regeneration of the reference small-case
 table and the figure matrices.
 
 Exit codes: 0 success/verified, 1 property failure, 2 input error,
-3 budget exceeded.
+3 budget exceeded.  `solve` stops at a default budget of 10^6 search nodes
+(`--budget`), so a search too large for it, such as `solve complete:40`,
+exits 3 after about 20 s instead of searching for most of an hour.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
+
+import numpy as np
 
 from . import constructions, graycode
 from .bounds import bounds_for
@@ -28,6 +32,10 @@ EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+#: `gcff solve` node budget: about 20 s on K_40, whose t = 11 tree is far
+#: larger.  Nodes, not seconds, so that verdicts are deterministic.
+SOLVE_BUDGET = 10 ** 6
+
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
@@ -36,79 +44,58 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _construct(g: Graph, method: str) -> tuple[IncidenceMatrix, str]:
-    """Build a CFF for g; returns (matrix, method actually used)."""
+def _constructions(g: Graph) -> list[tuple[str, Callable[[], IncidenceMatrix]]]:
+    """The constructions that apply to g, as (method, build) pairs in the
+    order `auto` tries them.  `double` and `catalog` come after the coloring
+    fallback, so only an explicit --method reaches them."""
     name, args = parse_family(g.family) or (None, ())
+    n = g.n
+    family = []
+    if name == "loops":
+        family.append(("optimal-1cff", lambda: optimal_1cff(n)))
+    if name in ("path", "cycle"):
+        family.append(("gray", lambda: graycode.path_cycle_cff(n)))
+    if name == "hamming":
+        # transversal blocks in the graph's lexicographic vertex order
+        family.append(("gray", lambda: graycode.transversal_matrix(
+            args, np.indices(args).reshape(len(args), -1).T)))
+    if name == "star" or (name == "windmill" and args[0] == 2):
+        family.append(("star", lambda: constructions.star_cff(n)))
+    if name == "windmill" and args[0] >= 3 and args[1] >= 2:
+        family.append(("windmill", lambda: _windmill(*args)))
+    if name == "wheel" and n >= 5:
+        rim = n - 1
+        family.append(("universal", lambda: constructions.add_universal(
+            graycode.path_cycle_cff(rim), cycle(rim))))
+    fallback = [] if g.loops else [("coloring", lambda: constructions.from_coloring(g))]
+    # below three vertices coloring goes first: path_cycle_cff and star_cff refuse n < 3
+    table = fallback + family if n < 3 else family + fallback
+    if name in ("path", "cycle") and n % 2 == 0 and n >= 6:
+        doubler = constructions.double_cycle if name == "cycle" else constructions.double_path
+        table.append(("double", lambda: doubler(graycode.path_cycle_cff(n // 2))))
+    if (name, n) in (("matching", 8), ("path", 10)):
+        entry = "E8" if name == "matching" else "P10"
+        table.append(("catalog", lambda: constructions.catalog(entry)[1]))
+    return table
 
-    if method == "auto":
-        if name == "loops":
-            return optimal_1cff(g.n), "optimal-1cff"
-        if g.n < 3:  # the family constructions need three vertices
-            method = "coloring"
-        elif name in ("path", "cycle", "hamming"):
-            method = "gray"
-        elif name == "star" or (name == "windmill" and args[0] == 2):
-            method = "star"
-        elif name == "windmill" and args[1] >= 2:
-            method = "windmill"
-        elif name == "wheel" and g.n >= 5:
-            method = "universal"
-        else:
-            method = "coloring"
 
-    if method == "gray":
-        if name == "path" or name == "cycle":
-            return graycode.path_cycle_cff(g.n), "gray"
-        if name == "hamming":
-            # transversal blocks in the graph's lexicographic vertex order
-            from itertools import product as iproduct
+def _windmill(k: int, blades: int) -> IncidenceMatrix:
+    if not constructions.inner_identity_optimal(k):
+        print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
+    return constructions.windmill_cff(k, blades)
 
-            from .core import SetSystem, matrix_from_sets
 
-            radices = args
-            blocks = tuple(
-                graycode.word_to_subset(radices, w)
-                for w in iproduct(*(range(m) for m in radices))
-            )
-            return matrix_from_sets(SetSystem(sum(radices), blocks)), "gray"
-        raise InvalidInputError("gray construction applies to path:, cycle:, hamming:")
-    if method == "star":
-        if name == "star":
-            return constructions.star_cff(g.n), "star"
-        if name == "windmill" and args[0] == 2:
-            return constructions.star_cff(g.n), "star"
-        raise InvalidInputError("star construction applies to star: graphs")
-    if method == "windmill":
-        if name == "windmill" and args[0] >= 3:
-            m = constructions.windmill_cff(args[0], args[1])
-            if not constructions.inner_identity_optimal(args[0]):
-                print(
-                    f"note: identity inner block may be suboptimal for k={args[0]}",
-                    file=sys.stderr,
-                )
-            return m, "windmill"
-        raise InvalidInputError("windmill construction applies to windmill:k,n with k >= 3")
-    if method == "universal":
-        if name == "wheel" and g.n >= 5:
-            rim = g.n - 1
-            base = graycode.path_cycle_cff(rim)
-            return constructions.add_universal(base, cycle(rim)), "universal"
-        raise InvalidInputError("universal construction applies to wheel:n with n >= 5")
-    if method == "double":
-        if name in ("path", "cycle") and g.n % 2 == 0 and g.n >= 6:
-            half, _ = _construct(make_family(f"{name}:{g.n // 2}"), "auto")
-            doubler = constructions.double_cycle if name == "cycle" else constructions.double_path
-            return doubler(half), "double"
-        raise InvalidInputError("double construction applies to path:/cycle: with even n >= 6")
-    if method == "catalog":
-        if name == "matching" and g.n == 8:
-            return constructions.catalog("E8")[1], "catalog"
-        if name == "path" and g.n == 10:
-            return constructions.catalog("P10")[1], "catalog"
-        raise InvalidInputError("catalog has entries for matching:8 and path:10")
-    if method == "coloring":
-        return constructions.from_coloring(g), "coloring"
-    raise InvalidInputError(f"unknown method {method!r}")
+def _construct(g: Graph, method: str) -> tuple[IncidenceMatrix, str]:
+    """Build a CFF for g by the named method, or for `auto` by the first
+    construction that applies; returns (matrix, method actually used)."""
+    table = _constructions(g)
+    for used, build in table:
+        if method in ("auto", used):
+            return build(), used
+    names = ", ".join(used for used, _ in table) or "none"
+    raise InvalidInputError(
+        f"method {method} does not apply to {g.family or 'this graph'} (applicable: {names})"
+    )
 
 
 def cmd_construct(args) -> int:
@@ -184,8 +171,10 @@ def cmd_solve(args) -> int:
             print(f"no matrix up to t_max for {args.graph} ({args.property}); "
                   f"exhausted {list(res.searched_exhaustively)}")
         else:
-            print(f"budget exceeded after {res.nodes_explored} nodes "
-                  f"(exhausted {list(res.searched_exhaustively)})")
+            level = res.floor + len(res.searched_exhaustively)
+            print(f"budget exceeded at t = {level} after {res.nodes_explored} nodes "
+                  f"(exhausted {list(res.searched_exhaustively)}); "
+                  f"rerun with a larger --budget")
     if res.witness is not None and args.output:
         Path(args.output).write_text(res.witness.to_text())
     elif res.witness is not None and not args.format == "json-lines":
@@ -328,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("graph")
     s.add_argument("--property", default="cff", choices=["cff", "ecff", "sperner"])
     s.add_argument("--tmax", type=int, default=None)
-    s.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    s.add_argument("--budget", type=int, default=SOLVE_BUDGET,
+                   help=f"search nodes before giving up with exit 3 (default {SOLVE_BUDGET:,})")
     s.add_argument("--output", help="write the witness matrix here")
     s.add_argument("--format", default="text", choices=["text", "json-lines"])
     s.set_defaults(fn=cmd_solve)

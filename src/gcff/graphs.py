@@ -59,10 +59,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v]) + (1 if v in self.loops else 0)
 
-    @property
-    def is_simple(self) -> bool:
-        return not self.loops
-
     @cached_property
     def isolated_vertices(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n) if self.degree(v) == 0)
@@ -70,18 +66,8 @@ class Graph:
     def min_degree(self) -> int:
         return min(self.degree(v) for v in range(self.n))
 
-    def max_degree(self) -> int:
-        return max(self.degree(v) for v in range(self.n))
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
-
-    def subgraph_of(self, other: "Graph") -> bool:
-        return (
-            self.n == other.n
-            and self.edges <= other.edges
-            and self.loops <= other.loops
-        )
 
     def without_isolated(self) -> tuple["Graph", tuple[int, ...]]:
         """Drop isolated vertices; also return the kept (old) vertex labels."""

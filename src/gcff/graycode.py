@@ -21,7 +21,7 @@ from math import prod
 
 import numpy as np
 
-from .core import IncidenceMatrix, SetSystem, matrix_from_sets
+from .core import GROUND_CAP, IncidenceMatrix, SetSystem
 from .errors import InvalidInputError, ResourceLimitError
 
 #: Refuse to materialize codes beyond this many words.
@@ -46,11 +46,6 @@ class MixedRadixCode:
     @property
     def is_full(self) -> bool:
         return len(self) == prod(self.radices)
-
-    def ranks(self) -> np.ndarray:
-        """Each word packed to its mixed-radix rank (most significant first)."""
-        strides = np.cumprod([*self.radices[1:], 1][::-1], dtype=np.int64)[::-1]
-        return self.array @ strides
 
 
 def _check_radices(radices: tuple[int, ...]) -> None:
@@ -138,15 +133,24 @@ def is_cyclic(code: MixedRadixCode) -> bool:
     return int(np.count_nonzero(a[0] != a[-1])) == 1 and is_gray(code)
 
 
-def _in_box(code: MixedRadixCode) -> bool:
-    """Is every digit below its radix?"""
-    return not (code.array >= np.array(code.radices, dtype=np.uint8)).any()
+def _in_box(radices: tuple[int, ...], words: np.ndarray) -> bool:
+    """Is every digit of the (N, k) array `words` below its radix?"""
+    return not (words >= np.array(radices, dtype=np.uint8)).any()
 
 
-def _distinct(code: MixedRadixCode) -> bool:
-    """Is no rank repeated?  Only for words in the radix box: an out-of-box
-    word has a rank that aliases some word of the box, or lies beyond it."""
-    return int(np.bincount(code.ranks()).max(initial=0)) <= 1
+def _distinct(radices: tuple[int, ...], words: np.ndarray) -> bool:
+    """Is no mixed-radix rank (most significant digit first) repeated?  Only
+    for words in the radix box: an out-of-box word has a rank that aliases
+    some word of the box, or lies beyond it."""
+    strides = np.cumprod([*radices[1:], 1][::-1], dtype=np.int64)[::-1]
+    return int(np.bincount(words @ strides).max(initial=0)) <= 1
+
+
+def _check_words(radices: tuple[int, ...], words: np.ndarray) -> None:
+    if not _in_box(radices, words):
+        raise InvalidInputError(f"code has a digit outside its radices {radices}")
+    if not _distinct(radices, words):
+        raise InvalidInputError("code words must be distinct")
 
 
 def is_permutation(code: MixedRadixCode) -> bool:
@@ -155,7 +159,8 @@ def is_permutation(code: MixedRadixCode) -> bool:
     That is: prod(radices) words, every digit below its radix, and no rank
     repeated.
     """
-    return len(code) == prod(code.radices) and _in_box(code) and _distinct(code)
+    r, a = code.radices, code.array
+    return len(code) == prod(r) and _in_box(r, a) and _distinct(r, a)
 
 
 def transversal_blocks(radices: tuple[int, ...]) -> list[frozenset[int]]:
@@ -179,13 +184,29 @@ def word_to_subset(radices: tuple[int, ...], word: Word) -> frozenset[int]:
 
 def to_set_system(code: MixedRadixCode) -> SetSystem:
     """The transversal subsets of the code's words, in code order."""
-    if not _in_box(code):
-        raise InvalidInputError(f"code has a digit outside its radices {code.radices}")
-    if not _distinct(code):
-        raise InvalidInputError("code words must be distinct")
+    _check_words(code.radices, code.array)
     t = sum(code.radices)
     blocks = tuple(word_to_subset(code.radices, w) for w in code.words)
     return SetSystem(t, blocks)
+
+
+def transversal_matrix(radices: tuple[int, ...], words) -> IncidenceMatrix:
+    """The transversal subsets of `words`, in order, as matrix columns.
+
+    `words` is an (N, k) array of non-negative digits over `radices`.  Column
+    j sets row offset_i + d_i for each digit d_i of word j, where offset_i is
+    the sum of the radices before i: the bitmask of word_to_subset.  Like
+    to_set_system, it rejects a digit outside its radix and a repeated word.
+    """
+    t = sum(radices)
+    # first: it keeps every radix below 256 for _in_box and every shift below 64
+    if t > GROUND_CAP:
+        raise InvalidInputError(f"ground set capped at {GROUND_CAP}, got t={t}")
+    words = np.asarray(words)
+    _check_words(radices, words)
+    rows = words.astype(np.uint64) + np.cumsum((0,) + radices[:-1], dtype=np.uint64)
+    cols = np.bitwise_or.reduce(np.uint64(1) << rows, axis=1)
+    return IncidenceMatrix(t, tuple(cols.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +309,8 @@ def path_cycle_cff(n: int) -> IncidenceMatrix:
         raise InvalidInputError("need n >= 3")
     if n <= 4:
         return IncidenceMatrix.identity(n)
-    return matrix_from_sets(to_set_system(cycle_code(n)))
+    code = cycle_code(n)
+    return transversal_matrix(code.radices, code.array)
 
 
 def hamming_maximal_check(code: MixedRadixCode, limit: int = 256) -> bool:
@@ -299,7 +321,7 @@ def hamming_maximal_check(code: MixedRadixCode, limit: int = 256) -> bool:
         raise InvalidInputError("maximality check needs a full code")
     if len(code) > limit:
         raise ResourceLimitError(f"maximality check capped at {limit} words")
-    m = matrix_from_sets(to_set_system(code))
+    m = transversal_matrix(code.radices, code.array)
     words = code.words
     # Every block takes one element per radix, so the blocks of a distance-1
     # pair are distinct k-sets and Sperner; such a pair is safe iff it covers

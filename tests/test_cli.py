@@ -2,10 +2,14 @@
 machine-readable output, and the reproduction batches."""
 
 import json
+from itertools import product
 
-from gcff.cli import main
-from gcff.core import IncidenceMatrix, is_g_cff
+import pytest
+
+from gcff.cli import build_parser, main
+from gcff.core import IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
 from gcff.graphs import make_family
+from gcff.graycode import word_to_subset
 
 
 def run(argv):
@@ -58,8 +62,51 @@ class TestConstructVerify:
             m = IncidenceMatrix.from_text(out.read_text())
             assert is_g_cff(m, make_family(spec)), spec
 
+    @pytest.mark.parametrize("spec, method, rows, note", [
+        ("path:2", "coloring", 2, False),
+        ("path:12", "gray", 7, False),
+        ("cycle:19", "gray", 9, False),
+        ("hamming:2x2x3", "gray", 7, False),
+        ("star:9", "star", 6, False),
+        ("windmill:2,5", "star", 5, False),
+        ("windmill:3,1", "coloring", 3, False),
+        ("windmill:3,4", "windmill", 7, False),
+        ("windmill:10,2", "windmill", 12, True),
+        ("wheel:4", "coloring", 4, False),
+        ("wheel:8", "universal", 7, False),
+        ("matching:8", "coloring", 8, False),
+        ("loops:1", "optimal-1cff", 1, False),
+        ("bipartite:3,4", "coloring", 7, False),
+    ])
+    def test_auto_takes_first_construction_that_applies(self, spec, method, rows,
+                                                         note, capsys):
+        assert run(["construct", spec]) == 0
+        err = capsys.readouterr().err
+        n = make_family(spec).n
+        assert f"{method}: {rows}x{n} matrix for " in err
+        assert ("note: identity inner block may be suboptimal" in err) == note
+
     def test_inapplicable_method(self):
-        assert run(["construct", "cycle:12", "--method", "star"]) == 2
+        for spec, method in [("cycle:12", "star"), ("path:2", "gray"),
+                             ("wheel:4", "universal"), ("windmill:3,1", "windmill"),
+                             ("path:7", "double"), ("loops:3", "coloring"),
+                             ("star:9", "gray"), ("cycle:12", "catalog")]:
+            assert run(["construct", spec, "--method", method]) == 2, (spec, method)
+
+    def test_hamming_columns_in_vertex_order(self, tmp_path):
+        # column j is the transversal block of the j-th word in lexicographic order
+        out = tmp_path / "h.mat"
+        assert run(["construct", "hamming:2x3x4", "--output", str(out)]) == 0
+        radices = (2, 3, 4)
+        blocks = tuple(word_to_subset(radices, w)
+                       for w in product(*(range(m) for m in radices)))
+        oracle = matrix_from_sets(SetSystem(sum(radices), blocks))
+        assert IncidenceMatrix.from_text(out.read_text()) == oracle
+
+    @pytest.mark.parametrize("spec", ["hamming:33x33", "hamming:300x2"])
+    def test_hamming_beyond_ground_cap(self, spec, capsys):
+        assert run(["construct", spec]) == 2
+        assert "ground set capped at 64" in capsys.readouterr().err
 
     def test_bad_spec(self):
         assert run(["construct", "heptagram:9"]) == 2
@@ -112,6 +159,16 @@ class TestBoundsAndSolve:
 
     def test_solve_budget_exit_code(self, capsys):
         assert run(["solve", "cycle:9", "--budget", "5"]) == 3
+
+    def test_solve_budget_names_level_and_nodes(self, capsys):
+        # the bounds floor for K_40 is 11; its t = 11 tree is far beyond the budget
+        assert run(["solve", "complete:40", "--budget", "20000"]) == 3
+        out = capsys.readouterr().out
+        assert "budget exceeded at t = 11 after 20001 nodes" in out
+        assert "rerun with a larger --budget" in out
+
+    def test_solve_default_budget(self):
+        assert build_parser().parse_args(["solve", "complete:40"]).budget == 10 ** 6
 
 
 class TestGray:

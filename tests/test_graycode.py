@@ -6,12 +6,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from gcff.core import is_g_cff
+from gcff.core import SetSystem, is_g_cff, matrix_from_sets
 from gcff.errors import InvalidInputError
 from gcff.graphs import cycle, path
 from gcff.graycode import (
     MixedRadixCode,
     cycle_cff_rows,
+    cycle_code,
     hamming_maximal_check,
     is_cyclic,
     is_gray,
@@ -22,6 +23,7 @@ from gcff.graycode import (
     shorten,
     to_set_system,
     transversal_blocks,
+    transversal_matrix,
     word_to_subset,
 )
 
@@ -161,6 +163,8 @@ class TestTransversalMap:
         code = MixedRadixCode((2, 2), np.array(words, dtype=np.uint8), "shortened")
         with pytest.raises(InvalidInputError):
             to_set_system(code)
+        with pytest.raises(InvalidInputError):
+            transversal_matrix(code.radices, code.array)
 
     def test_covering_lemma_on_full_codes(self):
         # consecutive pairs never cover a third block, up to 729-word codes
@@ -180,6 +184,36 @@ class TestTransversalMap:
                 for w in range(n):
                     if w != i and w != i + 1:
                         assert cols[w] & ~u, (code.radices, i, w)
+
+
+class TestTransversalMatrix:
+    """The numpy bitmask map against the set-system route as the oracle."""
+
+    def test_path_cycle_matches_set_system_route(self):
+        for n in [*range(5, 601), 1000, 2187, 4000, 6561, 20000]:
+            oracle = matrix_from_sets(to_set_system(cycle_code(n)))
+            assert path_cycle_cff(n) == oracle, n
+
+    @pytest.mark.parametrize("radices", [(2,), (2, 2), (2, 2, 3), (3, 3), (2, 3, 4),
+                                         (5, 3, 2), (2, 2, 2, 2, 2, 2), (31, 31)])
+    def test_lexicographic_words_match_word_to_subset(self, radices):
+        words = np.indices(radices).reshape(len(radices), -1).T
+        blocks = tuple(word_to_subset(radices, w)
+                       for w in product(*(range(m) for m in radices)))
+        oracle = matrix_from_sets(SetSystem(sum(radices), blocks))
+        assert transversal_matrix(radices, words) == oracle
+
+    def test_full_ground_set(self):
+        # 64 rows: the top row's bit is the sign bit of an int64
+        radices = (32, 32)
+        m = transversal_matrix(radices, [[31, 31], [0, 0]])
+        assert (m.t, m.cols) == (64, (1 << 63 | 1 << 31, 1 | 1 << 32))
+
+    @pytest.mark.parametrize("radices", [(33, 33), (300, 2)])
+    def test_ground_cap_before_arithmetic(self, radices):
+        words = np.indices(radices).reshape(len(radices), -1).T
+        with pytest.raises(InvalidInputError, match="ground set capped at 64"):
+            transversal_matrix(radices, words)
 
 
 class TestShorten:
