@@ -183,7 +183,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gray(args) -> int:
-    radices = [int(x) for x in args.radices.split(",")]
+    try:
+        radices = [int(x) for x in args.radices.split(",")]
+    except ValueError:
+        raise InvalidInputError(f"bad radix list {args.radices!r}") from None
     if args.kind == "modular":
         if len(set(radices)) != 1:
             raise InvalidInputError("modular codes need equal radices q,q,...,q")

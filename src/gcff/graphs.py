@@ -295,10 +295,11 @@ def make_family(spec: str) -> Graph:
             raise InvalidInputError(f"bad hamming dims {arg!r}") from None
         return hamming(dims)
     if name == "sperner":
-        return sperner_graph(int(arg))
-    if name not in _FAMILIES:
+        fn, arity = sperner_graph, 1
+    elif name in _FAMILIES:
+        fn, arity = _FAMILIES[name]
+    else:
         raise InvalidInputError(f"unknown graph family {name!r}")
-    fn, arity = _FAMILIES[name]
     try:
         args = [int(x) for x in arg.split(",")]
     except ValueError:

@@ -1,8 +1,12 @@
 """Exact exhaustive solver for minimum ground sizes.
 
-The search kernel (``engine``) assigns bitmask columns to vertices in
-descending-degree order with canonical-row symmetry breaking, filtering all
-2^t candidate columns of a depth at once as bits of one Python int.
+One builder, `_problem(g, prop, order)`, states a search instance as the
+kernel's `Problem` record, and `engine.walk` searches it: assigning bitmask
+columns to the vertices in the given order with canonical-row symmetry
+breaking, filtering all 2^t candidate columns of a depth at once as bits of
+one Python int.  `exists_cff` orders the vertices by descending degree;
+`longest_path_cff` walks the path on C(t, t//2) vertices in traversal order.
+Every witness either entry point returns is checked by `find_violation`.
 """
 
 from __future__ import annotations
@@ -10,12 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..core import IncidenceMatrix, find_violation
 from ..errors import InvalidInputError
-from ..graphs import Graph
-from .engine import EXHAUSTED, FOUND, search_exists, search_longest_path
+from ..graphs import Graph, path
+from .engine import Problem, walk
 
 #: Default node budget; "exhausted" is only ever claimed for completed trees.
 DEFAULT_BUDGET = 10 ** 9
@@ -46,39 +50,53 @@ class SolveResult:
     floor_source: str  # "bounds" | "caller" | "minimum"
 
 
-def _order_vertices(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _check_rows(t: int, least: int, what: str) -> None:
+    if not least <= t <= SEARCH_ROW_CAP:
+        raise InvalidInputError(f"{what} supports {least} <= t <= {SEARCH_ROW_CAP}, got {t}")
 
 
-def _build_problem(g: Graph, prop: str):
+def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
+    """The search record for the property on g, vertices taken in `order`."""
     if prop not in _QUANTITY:
         raise InvalidInputError(f"unknown property {prop!r}")
-    order = _order_vertices(g)
+    order = tuple(order)
     pos = {v: i for i, v in enumerate(order)}
-    prev_nbrs: list[tuple[int, ...]] = []
-    for i, v in enumerate(order):
-        prev_nbrs.append(tuple(sorted(pos[u] for u in g.adj[v] if pos[u] < i)))
-    loops = [order[i] in g.loops for i in range(g.n)]
-    need_sperner = prop in ("cff", "sperner")
-    need_cover = prop in ("cff", "ecff")
-
+    sperner = prop in ("cff", "sperner")
+    cover = prop in ("cff", "ecff")
     zero_ok, full_ok = [], []
-    for i, v in enumerate(order):
-        edge_avoiding_v = any(v not in e for e in g.edges) or any(
-            w != v for w in g.loops
-        )
-        z = True
-        f = True
-        if need_sperner and g.adj[v]:
-            z = f = False
-        if need_cover:
-            if edge_avoiding_v:
-                z = False
-            if (g.adj[v] and g.n >= 3) or (v in g.loops and g.n >= 2):
-                f = False
-        zero_ok.append(z)
-        full_ok.append(f)
-    return order, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok
+    for v in order:
+        linked, looped = bool(g.adj[v]), v in g.loops
+        # The empty and the full column are comparable to every column.
+        ends = not (sperner and linked)
+        # An empty column at v lies inside the union of any edge or loop
+        # that misses v.
+        missed = len(g.edges) - len(g.adj[v]) + len(g.loops) - looped
+        zero_ok.append(ends and not (cover and missed))
+        full_ok.append(ends and not (
+            cover and ((linked and g.n >= 3) or (looped and g.n >= 2))))
+    return Problem(
+        order=order,
+        prev_nbrs=tuple(tuple(sorted(pos[u] for u in g.adj[v] if pos[u] < i))
+                        for i, v in enumerate(order)),
+        loops=tuple(v in g.loops for v in order),
+        sperner=sperner,
+        cover=cover,
+        zero_ok=tuple(zero_ok),
+        full_ok=tuple(full_ok),
+    )
+
+
+def _witness(t: int, g: Graph, prop: str, order: Iterable[int],
+             cols: list[int]) -> IncidenceMatrix:
+    """The matrix giving vertex order[i] the column cols[i], checked on g."""
+    by_vertex = [0] * g.n
+    for v, c in zip(order, cols):
+        by_vertex[v] = c
+    witness = IncidenceMatrix(t, tuple(by_vertex))
+    bad = find_violation(witness, g, prop)
+    if bad is not None:
+        raise RuntimeError(f"solver produced an invalid witness: {bad}")
+    return witness
 
 
 def exists_cff(g: Graph, t: int, prop: str = "cff",
@@ -88,26 +106,11 @@ def exists_cff(g: Graph, t: int, prop: str = "cff",
     A "found" outcome carries a verified witness; "exhausted" is a proof of
     nonexistence at t rows.
     """
-    if t < 1 or t > SEARCH_ROW_CAP:
-        raise InvalidInputError(f"search supports 1 <= t <= {SEARCH_ROW_CAP}, got {t}")
-    order, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok = \
-        _build_problem(g, prop)
-    status, cols, nodes = search_exists(
-        t, g.n, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok,
-        budget,
-    )
-    if status == FOUND:
-        by_vertex = [0] * g.n
-        for i, v in enumerate(order):
-            by_vertex[v] = cols[i]
-        witness = IncidenceMatrix(t, tuple(by_vertex))
-        bad = find_violation(witness, g, prop)
-        if bad is not None:
-            raise RuntimeError(f"solver produced an invalid witness: {bad}")
-        return SearchOutcome("found", witness, nodes)
-    if status == EXHAUSTED:
-        return SearchOutcome("exhausted", None, nodes)
-    return SearchOutcome("budget-exceeded", None, nodes)
+    _check_rows(t, 1, "search")
+    problem = _problem(g, prop, sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
+    status, cols, nodes = walk(t, problem, budget)
+    witness = _witness(t, g, prop, problem.order, cols) if status == "found" else None
+    return SearchOutcome(status, witness, nodes)
 
 
 def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
@@ -142,24 +145,19 @@ def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
         raise InvalidInputError(f"t_max={t_max} below the starting point {floor}")
 
     begin = time.perf_counter()
+    status, t_min, witness = "exhausted", None, None
     total_nodes = 0
     exhausted: list[int] = []
     for t in range(floor, t_max + 1):
         outcome = exists_cff(g, t, prop, budget=budget - total_nodes)
         total_nodes += outcome.nodes
-        if outcome.status == "found":
-            return SolveResult(
-                "found", t, outcome.witness, total_nodes,
-                time.perf_counter() - begin, tuple(exhausted), floor, floor_source,
-            )
-        if outcome.status == "budget-exceeded":
-            return SolveResult(
-                "budget-exceeded", None, None, total_nodes,
-                time.perf_counter() - begin, tuple(exhausted), floor, floor_source,
-            )
+        if outcome.status != "exhausted":
+            status, witness = outcome.status, outcome.witness
+            t_min = t if status == "found" else None
+            break
         exhausted.append(t)
     return SolveResult(
-        "exhausted", None, None, total_nodes,
+        status, t_min, witness, total_nodes,
         time.perf_counter() - begin, tuple(exhausted), floor, floor_source,
     )
 
@@ -190,21 +188,17 @@ def longest_path_cff(t: int, budget: int = DEFAULT_BUDGET) -> LongestPathResult:
     """Largest n admitting a path-CFF on t ground rows, by complete search.
 
     The depth cap is the Sperner bound C(t, t//2); reaching it ends the
-    search early since no deeper assignment can exist.
+    search early since no deeper assignment can exist.  From t = 7 on the
+    tree is large and the budget may stop the search first; a
+    "budget-exceeded" result still carries the deepest verified assignment.
     """
-    if not 2 <= t <= 6:
-        raise InvalidInputError("longest-path search supports 2 <= t <= 6")
+    _check_rows(t, 2, "longest-path search")
     cap = comb(t, t // 2)
+    problem = _problem(path(cap), "cff", range(cap))
     begin = time.perf_counter()
-    status, depth, cols, nodes = search_longest_path(t, cap, budget)
+    status, cols, nodes = walk(t, problem, budget)
     wall = time.perf_counter() - begin
-    witness = None
-    if depth >= 2:
-        witness = IncidenceMatrix(t, tuple(cols))
-        from ..graphs import path
-
-        bad = find_violation(witness, path(depth), "cff")
-        if bad is not None:
-            raise RuntimeError(f"longest-path witness invalid: {bad}")
-    label = "complete" if status == EXHAUSTED else "budget-exceeded"
+    depth = len(cols)
+    witness = _witness(t, path(depth), "cff", problem.order, cols) if depth >= 2 else None
+    label = "budget-exceeded" if status == "budget-exceeded" else "complete"
     return LongestPathResult(label, depth, witness, nodes, wall)

@@ -14,15 +14,38 @@ rows to be exactly the lowest unused ones, so the used rows are always the
 lowest k and every row-permutation class is visited once.  Cover constraints
 are kept incrementally: each completed edge (and each loop) forbids, for all
 later columns, the subsets of its union.
+
+The one entry point is `walk(t, problem, budget)`.  A frozen `Problem` record
+states the instance depth by depth (vertex order, earlier neighbours, loops,
+which properties apply, whether the empty and the full column are allowed),
+and `walk` answers with the status strings of the solver's result types.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
-FOUND = 0
-EXHAUSTED = 1
-BUDGET = 2
+
+@dataclass(frozen=True)
+class Problem:
+    """One search instance, stated per depth of the walk.
+
+    Depth i assigns the column of vertex order[i].  prev_nbrs[i] holds the
+    depths of its neighbours assigned before it and loops[i] whether it has a
+    loop; zero_ok[i] and full_ok[i] say whether the empty and the full column
+    may go there.  sperner asks neighbouring columns to be incomparable, cover
+    asks no column to lie inside the union of an edge (or the column of a
+    loop) that misses its vertex.
+    """
+
+    order: tuple[int, ...]
+    prev_nbrs: tuple[tuple[int, ...], ...]
+    loops: tuple[bool, ...]
+    sperner: bool
+    cover: bool
+    zero_ok: tuple[bool, ...]
+    full_ok: tuple[bool, ...]
 
 
 @lru_cache(maxsize=None)
@@ -51,13 +74,18 @@ def _tables(t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     return tuple(sub), sup, tuple(canon)
 
 
-def _walk(t, n, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok,
-          budget):
+def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
     """Depth-first search over column assignments, lowest candidate first.
 
-    Returns (status, best, nodes): `best` is the deepest assignment reached,
-    all n columns when status is FOUND.
+    Returns (status, best, nodes): status is "found" once every depth has a
+    column, "exhausted" when the whole tree holds no such assignment, and
+    "budget-exceeded" when node budget + 1 was reached; `best` is the deepest
+    assignment reached, indexed by depth.
     """
+    prev_nbrs, loops = problem.prev_nbrs, problem.loops
+    zero_ok, full_ok = problem.zero_ok, problem.full_ok
+    need_sperner, need_cover = problem.sperner, problem.cover
+    n = len(problem.order)
     sub, sup, canon = _tables(t)
     top = 1 << ((1 << t) - 1)  # candidate bit of the full column
     cols = [0] * n
@@ -94,7 +122,7 @@ def _walk(t, n, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok,
 
         while not left[depth]:
             if depth == 0:
-                return EXHAUSTED, best, nodes
+                return "exhausted", best, nodes
             depth -= 1
         m = left[depth]
         low = m & -m
@@ -103,7 +131,7 @@ def _walk(t, n, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok,
 
         nodes += 1
         if nodes > budget:
-            return BUDGET, best, nodes
+            return "budget-exceeded", best, nodes
         cols[depth] = c
         used[depth + 1] = used[depth] | c
         if need_cover:
@@ -117,31 +145,4 @@ def _walk(t, n, prev_nbrs, loops, need_sperner, need_cover, zero_ok, full_ok,
         if depth > len(best):
             best = cols[:depth]
             if depth == n:
-                return FOUND, best, nodes
-
-
-def search_exists(t, n, prev_nbrs, loops, need_sperner, need_cover,
-                  zero_ok, full_ok, budget):
-    """First complete assignment, or proof by exhaustion that none exists.
-
-    Returns (status, cols-or-None, nodes); `cols` is indexed by position.
-    """
-    status, cols, nodes = _walk(t, n, prev_nbrs, loops, need_sperner,
-                                need_cover, zero_ok, full_ok, budget)
-    return status, cols if status == FOUND else None, nodes
-
-
-def search_longest_path(t, cap, budget):
-    """Deepest path-CFF assignment reachable on t rows, by complete search.
-
-    Position i is adjacent to position i-1 only.  Returns
-    (status, best_depth, best_cols, nodes); EXHAUSTED means the whole tree was
-    explored (or the cap was hit, which is equally conclusive).
-    """
-    prev_nbrs = [()] + [(i - 1,) for i in range(1, cap)]
-    never = [False] * cap
-    status, cols, nodes = _walk(t, cap, prev_nbrs, never, True, True,
-                                never, never, budget)
-    if status == FOUND:
-        status = EXHAUSTED
-    return status, len(cols), cols, nodes
+                return "found", best, nodes

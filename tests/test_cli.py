@@ -111,6 +111,10 @@ class TestConstructVerify:
     def test_bad_spec(self):
         assert run(["construct", "heptagram:9"]) == 2
 
+    def test_bad_sperner_argument(self, capsys):
+        assert run(["construct", "sperner:x"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestBoundsAndSolve:
     def test_bounds_text(self, capsys):
@@ -187,6 +191,11 @@ class TestGray:
 
     def test_modular_needs_equal_radices(self):
         assert run(["gray", "2,3", "--kind", "modular"]) == 2
+
+    @pytest.mark.parametrize("radices", ["2,x", "2,,3"])
+    def test_malformed_radix_list(self, radices, capsys):
+        assert run(["gray", radices]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestReproduce:

@@ -26,7 +26,7 @@ from gcff.solver import (
     exists_cff,
     longest_path_cff,
 )
-from gcff.solver import _build_problem
+from gcff.solver import _problem
 from gcff.solver import engine
 from gcff.sperner import t1
 
@@ -95,35 +95,87 @@ KERNEL_CASES = [
 ]
 
 
+def by_degree(g: Graph) -> list[int]:
+    """The vertex order of exists_cff: descending degree, then label."""
+    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+
+
 class TestKernelMatchesReference:
     """The bit-parallel kernel walks the reference kernel's tree in the same
     order: identical status, witness and node count, also when cut short."""
+
+    REF_STATUS = {reference_engine.FOUND: "found", reference_engine.EXHAUSTED: "exhausted",
+                  reference_engine.BUDGET: "budget-exceeded"}
 
     @pytest.mark.parametrize("budget", BUDGETS, ids=["uncut", "cut7", "cut40"])
     @pytest.mark.parametrize("g,t,prop", KERNEL_CASES,
                              ids=[f"{g.family}-t{t}-{p}" for g, t, p in KERNEL_CASES])
     def test_search_exists(self, g, t, prop, budget):
-        order, *problem = _build_problem(g, prop)
-        want = reference_engine.search_exists(t, g.n, *problem, budget)
-        assert engine.search_exists(t, g.n, *problem, budget) == want
+        problem = _problem(g, prop, by_degree(g))
+        status, cols, nodes = engine.walk(t, problem, budget)
+        want, want_cols, want_nodes = reference_engine.search_exists(
+            t, len(problem.order), problem.prev_nbrs, problem.loops, problem.sperner,
+            problem.cover, problem.zero_ok, problem.full_ok, budget)
+        assert (status, nodes) == (self.REF_STATUS[want], want_nodes)
+        assert (cols if status == "found" else None) == want_cols
         out = exists_cff(g, t, prop, budget=budget)
-        status = {0: "found", 1: "exhausted", 2: "budget-exceeded"}[want[0]]
-        assert (out.status, out.nodes) == (status, want[2])
-        if out.status == "found":
+        assert (out.status, out.nodes) == (status, nodes)
+        if status == "found":
             by_vertex = [0] * g.n
-            for i, v in enumerate(order):
-                by_vertex[v] = want[1][i]
+            for v, c in zip(problem.order, cols):
+                by_vertex[v] = c
             assert IncidenceMatrix(t, tuple(by_vertex)) == out.witness
 
     @pytest.mark.parametrize("budget", BUDGETS, ids=["uncut", "cut7", "cut40"])
-    @pytest.mark.parametrize("t", [3, 4, 5])
+    @pytest.mark.parametrize("t", [3, 4, 5, 6])
     def test_search_longest_path(self, t, budget):
         from math import comb
 
-        want = reference_engine.search_longest_path(t, comb(t, t // 2), budget)
-        assert engine.search_longest_path(t, comb(t, t // 2), budget) == want
+        cap = comb(t, t // 2)
+        problem = _problem(path(cap), "cff", range(cap))
+        status, cols, nodes = engine.walk(t, problem, budget)
+        want, depth, want_cols, want_nodes = reference_engine.search_longest_path(
+            t, len(problem.order), budget)
+        # reaching the cap ("found") is as conclusive as a full walk
+        assert (status == "budget-exceeded") == (want == reference_engine.BUDGET)
+        assert (len(cols), cols, nodes) == (depth, want_cols, want_nodes)
         res = longest_path_cff(t, budget)
-        assert (res.n_max, res.nodes_explored) == (want[1], want[3])
+        assert (res.n_max, res.nodes_explored) == (depth, nodes)
+        assert res.status == ("budget-exceeded" if status == "budget-exceeded" else "complete")
+
+
+class TestProblemRecord:
+    def test_end_columns_match_edge_scan(self):
+        """zero_ok/full_ok, read from degrees, equal the rule written as a
+        scan over every edge and loop."""
+        import random
+
+        rng = random.Random(5)
+        isolated = 0
+        for _ in range(200):
+            n = rng.randrange(1, 9)
+            p = rng.random()
+            edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < p)
+            loops = frozenset(v for v in range(n) if rng.random() < 0.25)
+            g = Graph(n, edges, loops)
+            isolated += len(g.isolated_vertices)
+            order = list(range(n))
+            rng.shuffle(order)
+            for prop in ("cff", "ecff", "sperner"):
+                problem = _problem(g, prop, order)
+                for i, v in enumerate(order):
+                    avoided = any(v not in e for e in g.edges) or any(w != v for w in g.loops)
+                    zero = full = True
+                    if prop in ("cff", "sperner") and g.adj[v]:
+                        zero = full = False
+                    if prop in ("cff", "ecff"):
+                        if avoided:
+                            zero = False
+                        if (g.adj[v] and g.n >= 3) or (v in g.loops and g.n >= 2):
+                            full = False
+                    assert (problem.zero_ok[i], problem.full_ok[i]) == (zero, full), \
+                        (n, sorted(edges), sorted(loops), prop, v)
+        assert isolated > 0
 
 
 class TestExactValues:
@@ -205,8 +257,14 @@ class TestLongestPath:
         assert (res.status, res.n_max) == ("complete", 10)
 
     def test_range_check(self):
-        with pytest.raises(InvalidInputError):
-            longest_path_cff(7)
+        for t in (1, SEARCH_ROW_CAP + 1):
+            with pytest.raises(InvalidInputError):
+                longest_path_cff(t)
+
+    def test_ground_seven_within_budget(self):
+        res = longest_path_cff(7, budget=10 ** 4)
+        assert res.status == "budget-exceeded"
+        assert res.n_max >= 2 and is_g_cff(res.witness, path(res.n_max))
 
 
 class TestBudgetsAndDeterminism:
