@@ -91,7 +91,10 @@ class Graph:
         head = lines[0].split()
         if len(head) != 2:
             raise InvalidInputError(f"bad header {lines[0]!r}, expected 'n m'")
-        n, m = int(head[0]), int(head[1])
+        try:
+            n, m = int(head[0]), int(head[1])
+        except ValueError:
+            raise InvalidInputError(f"bad header {lines[0]!r}, expected 'n m'") from None
         if len(lines) != m + 1:
             raise InvalidInputError(f"expected {m} edge lines, got {len(lines) - 1}")
         edges: set[tuple[int, int]] = set()
@@ -100,7 +103,10 @@ class Graph:
             parts = ln.split()
             if len(parts) != 2:
                 raise InvalidInputError(f"bad edge line {ln!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InvalidInputError(f"bad edge line {ln!r}") from None
             if u == v:
                 loops.add(u)
             else:

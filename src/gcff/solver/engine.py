@@ -15,6 +15,16 @@ lowest k and every row-permutation class is visited once.  Cover constraints
 are kept incrementally: each completed edge (and each loop) forbids, for all
 later columns, the subsets of its union.
 
+The per-depth work is stated once per call, in O(n + |E|): for each earlier
+neighbour j of a depth, the ranges of depths below j and between j and the
+depth, so the edge (j, depth) forbids the supersets of every other earlier
+column minus column j without testing w != j; and one mask for the end-column
+rules.  A loop at a depth forbids the supersets of every earlier column, read
+from a prefix up[d] kept as the walk descends.  The deepest assignment is
+copied once per record, on the first step back from it or at a budget stop,
+never on the way down, so a descent with no step back pays no O(depth) copy
+per node: solving a long path for the Sperner property is linear in n.
+
 The one entry point is `walk(t, problem, budget)`.  A frozen `Problem` record
 states the instance depth by depth (vertex order, earlier neighbours, loops,
 which properties apply, whether the empty and the full column are allowed),
@@ -83,54 +93,57 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
     assignment reached, indexed by depth.
     """
     prev_nbrs, loops = problem.prev_nbrs, problem.loops
-    zero_ok, full_ok = problem.zero_ok, problem.full_ok
     need_sperner, need_cover = problem.sperner, problem.cover
     n = len(problem.order)
     sub, sup, canon = _tables(t)
     top = 1 << ((1 << t) - 1)  # candidate bit of the full column
+    # Per depth: the candidates the end-column rules leave, and for each
+    # earlier neighbour j the depths below it and between it and this one.
+    ends = [(-1 if z else ~1) & (-1 if f else ~top)
+            for z, f in zip(problem.zero_ok, problem.full_ok)]
+    nbrs = [tuple((j, range(j), range(j + 1, d)) for j in nb)
+            for d, nb in enumerate(prev_nbrs)]
     cols = [0] * n
     used = [0] * (n + 1)
     forb = [0] * (n + 1)  # candidates inside a completed edge's or loop's union
+    up = [0] * (n + 1)  # up[d]: candidates containing one of the first d columns
     left = [0] * n  # candidates not yet tried at each depth
     best: list[int] = []
+    reach = 0  # deepest depth reached; best is cols[:reach] once left behind
     nodes = 0
     depth = 0
 
     while True:
-        m = canon[used[depth].bit_length()]
-        if not zero_ok[depth]:
-            m &= ~1
-        if not full_ok[depth]:
-            m &= ~top
-        nb = prev_nbrs[depth]
-        bad = 0
-        if need_sperner:
-            for j in nb:
-                cj = cols[j]
+        bad = forb[depth]
+        for j, before, after in nbrs[depth]:
+            cj = cols[j]
+            if need_sperner:
                 bad |= sub[cj] | sup[cj]
-        if need_cover:
-            bad |= forb[depth]
-            for j in nb:
-                cj = cols[j]
-                for w in range(depth):
-                    if w != j:
-                        bad |= sup[cols[w] & ~cj]
-            if loops[depth]:
-                for w in range(depth):
-                    bad |= sup[cols[w]]
-        left[depth] = m & ~bad
+            if need_cover:
+                keep = ~cj
+                for w in before:
+                    bad |= sup[cols[w] & keep]
+                for w in after:
+                    bad |= sup[cols[w] & keep]
+        if need_cover and loops[depth]:
+            bad |= up[depth]
+        m = canon[used[depth].bit_length()] & ends[depth] & ~bad
 
-        while not left[depth]:
+        while not m:
+            if depth == reach > len(best):
+                best = cols[:reach]
             if depth == 0:
                 return "exhausted", best, nodes
             depth -= 1
-        m = left[depth]
+            m = left[depth]
         low = m & -m
         left[depth] = m ^ low
         c = low.bit_length() - 1
 
         nodes += 1
         if nodes > budget:
+            if reach > len(best):
+                best = cols[:reach]
             return "budget-exceeded", best, nodes
         cols[depth] = c
         used[depth + 1] = used[depth] | c
@@ -141,8 +154,9 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
             if loops[depth]:
                 f |= sub[c]
             forb[depth + 1] = f
+            up[depth + 1] = up[depth] | sup[c]
         depth += 1
-        if depth > len(best):
-            best = cols[:depth]
+        if depth > reach:
+            reach = depth
             if depth == n:
-                return "found", best, nodes
+                return "found", cols, nodes

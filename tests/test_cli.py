@@ -171,6 +171,14 @@ class TestBoundsAndSolve:
         assert "budget exceeded at t = 11 after 20001 nodes" in out
         assert "rerun with a larger --budget" in out
 
+    @pytest.mark.parametrize("text", ["3 x\n0 1\n", "3 1\n0 z\n"],
+                             ids=["header", "edge"])
+    def test_solve_malformed_graph_file(self, text, tmp_path, capsys):
+        g = tmp_path / "g.txt"
+        g.write_text(text)
+        assert run(["solve", f"file:{g}"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_solve_default_budget(self):
         assert build_parser().parse_args(["solve", "complete:40"]).budget == 10 ** 6
 

@@ -1,7 +1,9 @@
 """Exact search: soundness against naive enumeration, equality with the
 reference kernel, small exact values, budgets, determinism."""
 
+import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -129,8 +131,6 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("budget", BUDGETS, ids=["uncut", "cut7", "cut40"])
     @pytest.mark.parametrize("t", [3, 4, 5, 6])
     def test_search_longest_path(self, t, budget):
-        from math import comb
-
         cap = comb(t, t // 2)
         problem = _problem(path(cap), "cff", range(cap))
         status, cols, nodes = engine.walk(t, problem, budget)
@@ -142,6 +142,57 @@ class TestKernelMatchesReference:
         res = longest_path_cff(t, budget)
         assert (res.n_max, res.nodes_explored) == (depth, nodes)
         assert res.status == ("budget-exceeded" if status == "budget-exceeded" else "complete")
+
+    def test_random_sweep(self):
+        """Seeded instances from edgeless to complete, with loops and isolated
+        vertices, in a shuffled vertex order: every property, t <= 6, and
+        budgets from one node to uncut."""
+        rng = random.Random(8)
+        instances = 120
+        # the largest tree the reference walks to check an uncut search;
+        # larger ones are still checked at every cut budget
+        oracle_cap = 3000
+        checked = uncut = 0
+        for _ in range(instances):
+            n = rng.randrange(1, 12)
+            p = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0])
+            edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < p)
+            loops = frozenset(v for v in range(n) if rng.random() < 0.2)
+            prop = rng.choice(["cff", "ecff", "sperner"])
+            t = rng.randrange(1, 7)
+            order = list(range(n))
+            rng.shuffle(order)
+            problem = _problem(Graph(n, edges, loops), prop, order)
+            for budget in (1, 3, 7, 50, 400, oracle_cap):
+                want, want_cols, want_nodes = reference_engine.search_exists(
+                    t, n, problem.prev_nbrs, problem.loops, problem.sperner,
+                    problem.cover, problem.zero_ok, problem.full_ok, budget)
+                if budget == oracle_cap:
+                    if want == reference_engine.BUDGET:
+                        continue
+                    budget, uncut = 10 ** 9, uncut + 1
+                status, cols, nodes = engine.walk(t, problem, budget)
+                assert (status, cols if status == "found" else None, nodes) == \
+                    (self.REF_STATUS[want], want_cols, want_nodes), \
+                    (n, sorted(edges), sorted(loops), prop, t, order, budget)
+                checked += 1
+        assert uncut >= instances // 2 and checked > 5 * instances
+
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
+    def test_longest_path_budget_sweep(self, t):
+        """At every budget the deepest assignment returned is the reference's:
+        the first one reached at the deepest depth, not a later one."""
+        rng = random.Random(t)
+        cap = comb(t, t // 2)
+        problem = _problem(path(cap), "cff", range(cap))
+        # one seeded budget in each of eight log-spaced strata of [1, 2 * 10^4]
+        budgets = [round(20_000 ** ((k + rng.random()) / 8)) for k in range(8)]
+        for budget in budgets:
+            status, cols, nodes = engine.walk(t, problem, budget)
+            want, depth, want_cols, want_nodes = reference_engine.search_longest_path(
+                t, cap, budget)
+            assert (status == "budget-exceeded") == (want == reference_engine.BUDGET)
+            assert (len(cols), cols, nodes) == (depth, want_cols, want_nodes), budget
 
 
 class TestProblemRecord:
@@ -289,6 +340,13 @@ class TestBudgetsAndDeterminism:
         assert a.t_min == b.t_min
         assert a.nodes_explored == b.nodes_explored
         assert a.witness == b.witness
+
+    def test_long_straight_descent(self):
+        # a straight descent: one node per vertex and no step back
+        g = path(100_000)
+        out = exists_cff(g, 2, "sperner")
+        assert (out.status, out.nodes) == ("found", 100_000)
+        assert find_violation(out.witness, g, "sperner") is None
 
     def test_row_cap(self):
         with pytest.raises(InvalidInputError):
