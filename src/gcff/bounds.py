@@ -22,6 +22,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
+from .constructions import CATALOG
 from .errors import InvalidInputError
 from .graphs import Graph, chromatic_number, parse_family
 from .graycode import cycle_cff_rows
@@ -177,8 +178,10 @@ def _path_bounds(n: int) -> tuple[Bound, ...]:
     if floor is not None:
         out.append(Bound("t", "lower", floor, "short-ground-lemma"))
     out.append(Bound("t", "upper", cycle_cff_rows(n), "gray-cycle"))
-    if n <= 10:
-        out.append(Bound("t", "upper", 6, "explicit-path10"))
+    # a sub-path of a cataloged path witness is a witness
+    for g, rows in CATALOG.values():
+        if parse_family(g.family)[0] == "path" and n <= g.n:
+            out.append(Bound("t", "upper", len(rows), f"explicit-path{g.n}"))
     return tuple(out + _interval(out))
 
 

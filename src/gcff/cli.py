@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import constructions, graycode
-from .bounds import bounds_for
+from .bounds import bounds_for, t2_upper
 from .core import IncidenceMatrix, find_violation
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import Graph, cycle, make_family, parse_family
@@ -73,14 +73,17 @@ def _constructions(g: Graph) -> list[tuple[str, Callable[[], IncidenceMatrix]]]:
     if name in ("path", "cycle") and n % 2 == 0 and n >= 6:
         doubler = constructions.double_cycle if name == "cycle" else constructions.double_path
         table.append(("double", lambda: doubler(graycode.path_cycle_cff(n // 2))))
-    if (name, n) in (("matching", 8), ("path", 10)):
-        entry = "E8" if name == "matching" else "P10"
+    entry = next((key for key, (cg, _) in constructions.CATALOG.items()
+                  if cg.family == g.family), None)
+    if entry is not None:
         table.append(("catalog", lambda: constructions.catalog(entry)[1]))
     return table
 
 
 def _windmill(k: int, blades: int) -> IncidenceMatrix:
-    if not constructions.inner_identity_optimal(k):
+    # the identity inner block has k - 1 rows; say so when a 2-disjunct
+    # matrix on k - 1 columns is known to need fewer
+    if k >= 4 and t2_upper(k - 1)[0] < k - 1:
         print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
     return constructions.windmill_cff(k, blades)
 

@@ -9,13 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import (
-    IncidenceMatrix,
-    SetSystem,
-    is_d_disjunct,
-    is_g_cff,
-    matrix_from_sets,
-)
+from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
 from .graphs import Graph, chromatic_number, matching, path
 from .sperner import optimal_1cff
@@ -107,12 +101,6 @@ def double_path(m: IncidenceMatrix) -> IncidenceMatrix:
     return _double(m)
 
 
-def inner_identity_optimal(k: int) -> bool:
-    """Whether the identity inner block of the windmill construction already
-    meets the known minimum for 2-disjunct matrices (it does up to 8 columns)."""
-    return k - 1 <= 8
-
-
 def windmill_cff(k: int, n: int, inner: Optional[IncidenceMatrix] = None) -> IncidenceMatrix:
     """CFF for n copies of K_k glued at a hub.
 
@@ -166,26 +154,38 @@ def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
 # Cataloged explicit instances
 # ---------------------------------------------------------------------------
 
-_E8_BLOCKS = [
-    {1, 2}, {1, 3}, {1, 4}, {1, 5}, {2, 4}, {2, 5}, {3, 4}, {3, 5},
-]
-
-_P10_BLOCKS = [
-    {1, 2, 3}, {1, 2, 4}, {1, 2, 5}, {1, 5, 6}, {1, 3, 5},
-    {3, 4, 5}, {2, 3, 5}, {2, 3, 6}, {2, 4, 6}, {4, 5, 6},
-]
+#: Certified optimal instances: entry name -> (graph, matrix rows top row
+#: first, as `IncidenceMatrix.to_text` writes them).  A new witness is one
+#: entry.  The bounds layer reads path entries straight from this table: P_m
+#: on t rows gives t(P_n) <= t for every n <= m.
+CATALOG: dict[str, tuple[Graph, tuple[str, ...]]] = {
+    "E8": (matching(8), (
+        "11110000",
+        "10001100",
+        "01000011",
+        "00101010",
+        "00010101",
+    )),
+    "P10": (path(10), (
+        "1111100000",
+        "1110001110",
+        "1000111100",
+        "0100010011",
+        "0011111001",
+        "0001000111",
+    )),
+}
 
 
 def catalog(name: str) -> tuple[Graph, IncidenceMatrix]:
-    """Hand-listed optimal instances: the 5x8 matching-CFF and the 6x10 path-CFF."""
+    """A cataloged instance, re-verified on every read: the 5x8 matching-CFF
+    E8 and the 6x10 path-CFF P10."""
     key = name.strip().upper()
-    if key == "E8":
-        g = matching(8)
-        m = matrix_from_sets(SetSystem(5, tuple(frozenset(b) for b in _E8_BLOCKS)))
-    elif key == "P10":
-        g = path(10)
-        m = matrix_from_sets(SetSystem(6, tuple(frozenset(b) for b in _P10_BLOCKS)))
-    else:
+    if key not in CATALOG:
         raise InvalidInputError(f"unknown catalog entry {name!r}")
-    assert is_g_cff(m, g), f"catalog entry {name} failed verification"
+    g, rows = CATALOG[key]
+    m = IncidenceMatrix.from_rows(list(rows))
+    bad = find_violation(m, g, "cff")
+    if bad is not None:
+        raise RuntimeError(f"catalog entry {key} failed verification: {bad}")
     return g, m

@@ -45,11 +45,6 @@ class IncidenceMatrix:
     def n(self) -> int:
         return len(self.cols)
 
-    @property
-    def labels(self) -> range:
-        """Column labels: vertex ids, fixed to 0..n-1 in column order."""
-        return range(len(self.cols))
-
     def entry(self, row: int, col: int) -> int:
         """Entry in row `row` (0-based) and the column of vertex `col`."""
         return (self.cols[col] >> row) & 1
@@ -115,13 +110,6 @@ class IncidenceMatrix:
     @classmethod
     def identity(cls, n: int) -> "IncidenceMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
-
-    def stack(self, other: "IncidenceMatrix") -> "IncidenceMatrix":
-        """Vertical concatenation: self on top, other below."""
-        if self.n != other.n:
-            raise InvalidInputError("stacked matrices must have equal column counts")
-        cols = tuple(a | (b << self.t) for a, b in zip(self.cols, other.cols))
-        return IncidenceMatrix(self.t + other.t, cols)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations, product
+from functools import cached_property, reduce
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -49,12 +49,13 @@ class Graph:
                 raise InvalidInputError(f"bad loop vertex {v} for n={self.n}")
 
     @cached_property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        nbr: list[set[int]] = [set() for _ in range(self.n)]
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, in increasing order."""
+        nbr: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            nbr[u].add(v)
-            nbr[v].add(u)
-        return tuple(frozenset(s) for s in nbr)
+            nbr[u].append(v)
+            nbr[v].append(u)
+        return tuple(tuple(sorted(s)) for s in nbr)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v]) + (1 if v in self.loops else 0)
@@ -146,8 +147,6 @@ def wheel(n: int) -> Graph:
     """Hub 0 joined to a cycle 1..n-1.  n=3 degenerates to a triangle."""
     if n < 3:
         raise InvalidInputError("wheel needs n >= 3")
-    if n == 3:
-        return Graph(3, frozenset({(0, 1), (0, 2), (1, 2)}), family="wheel(3)")
     rim = {_norm_edge(i, i % (n - 1) + 1) for i in range(1, n)}
     hub = {(0, i) for i in range(1, n)}
     return Graph(n, frozenset(rim | hub), family=f"wheel({n})")
@@ -195,16 +194,8 @@ def hamming(dims: Iterable[int]) -> Graph:
     dims = tuple(dims)
     if not dims or any(d < 2 for d in dims):
         raise InvalidInputError("hamming graph needs every dimension >= 2")
-    words = list(product(*(range(d) for d in dims)))
-    index = {w: i for i, w in enumerate(words)}
-    edges: set[tuple[int, int]] = set()
-    for w in words:
-        for pos in range(len(dims)):
-            for d in range(w[pos] + 1, dims[pos]):
-                w2 = w[:pos] + (d,) + w[pos + 1:]
-                edges.add(_norm_edge(index[w], index[w2]))
-    tag = "hamming(" + ",".join(map(str, dims)) + ")"
-    return Graph(len(words), frozenset(edges), family=tag)
+    g = reduce(cartesian_product, map(complete, dims))
+    return Graph(g.n, g.edges, family="hamming(" + ",".join(map(str, dims)) + ")")
 
 
 def sperner_graph(z: int) -> Graph:
@@ -329,15 +320,14 @@ def _require_small_simple(g: Graph, what: str) -> None:
 
 
 def clique_number(g: Graph, with_witness: bool = False):
-    """Exact max clique by branch and bound on a degeneracy-style ordering."""
+    """Exact max clique by branch and bound, branching on the lowest
+    candidate vertex first."""
     _require_small_simple(g, "clique number")
     adj = [0] * g.n
     for u, v in g.edges:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     best = [0, 0]  # size, vertex mask
-
-    order = sorted(range(g.n), key=lambda v: -bin(adj[v]).count("1"))
 
     def grow(clique_mask: int, size: int, cand: int) -> None:
         if size + bin(cand).count("1") <= best[0]:
@@ -353,10 +343,7 @@ def clique_number(g: Graph, with_witness: bool = False):
             cand &= cand - 1
             grow(clique_mask | (1 << v), size + 1, cand & adj[v])
 
-    full = 0
-    for v in order:
-        full |= 1 << v
-    grow(0, 0, full)
+    grow(0, 0, (1 << g.n) - 1)
     if with_witness:
         witness = [v for v in range(g.n) if (best[1] >> v) & 1]
         return best[0], witness

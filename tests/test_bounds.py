@@ -4,7 +4,7 @@ from math import comb, prod
 
 import pytest
 
-from gcff.bounds import bounds_for, max_product_partition, t2_lower, t2_upper
+from gcff.bounds import Bound, bounds_for, max_product_partition, t2_lower, t2_upper
 from gcff.errors import InvalidInputError
 from gcff.graphs import (
     Graph,
@@ -143,6 +143,16 @@ class TestFamilyBounds:
     def test_wheel_from_universal_tag(self):
         g = add_universal_vertex(cycle(5))
         assert bounds_for(g).exact_value("t") == 6
+
+    def test_cataloged_p10_bounds_shorter_paths(self):
+        # a sub-path of the 6x10 path witness is a witness
+        for n in range(3, 21):
+            explicit = [b for b in bounds_for(path(n)).bounds
+                        if b.source == "explicit-path10"]
+            if n <= 10:
+                assert explicit == [Bound("t", "upper", 6, "explicit-path10")], n
+            else:
+                assert explicit == [], n
 
     def test_matching_brackets(self):
         rep8 = bounds_for(matching(8))

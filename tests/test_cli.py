@@ -49,6 +49,13 @@ class TestConstructVerify:
                     "--output", str(out)]) == 0
         assert run(["verify", "path:10", str(out)]) == 0
 
+    def test_catalog_e8_for_matching8(self, capsys):
+        # the catalog build binds the entry found for this graph, not the last one
+        assert run(["construct", "matching:8", "--method", "catalog"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "5 8\n11110000\n10001100\n01000011\n00101010\n00010101\n"
+        assert "catalog: 5x8 matrix for matching(8), verified" in err
+
     def test_every_emitted_matrix_reverifies(self, tmp_path):
         specs = [("cycle:19", "auto"), ("wheel:8", "auto"), ("matching:8", "auto"),
                  ("hamming:2x2x3", "auto"), ("complete:5", "auto"),
@@ -71,7 +78,8 @@ class TestConstructVerify:
         ("windmill:2,5", "star", 5, False),
         ("windmill:3,1", "coloring", 3, False),
         ("windmill:3,4", "windmill", 7, False),
-        ("windmill:10,2", "windmill", 12, True),
+        ("windmill:10,2", "windmill", 12, False),
+        ("windmill:11,2", "windmill", 13, True),
         ("wheel:4", "coloring", 4, False),
         ("wheel:8", "universal", 7, False),
         ("matching:8", "coloring", 8, False),

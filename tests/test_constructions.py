@@ -7,12 +7,12 @@ from itertools import combinations
 import pytest
 
 from gcff.constructions import (
+    CATALOG,
     add_universal,
     catalog,
     double_cycle,
     double_path,
     from_coloring,
-    inner_identity_optimal,
     star_cff,
     windmill_cff,
     with_isolated_vertices,
@@ -191,10 +191,6 @@ class TestWindmill:
                 assert m.t == t1(n) + inner_rows + 1
                 assert is_g_cff(m, windmill(k, n))
 
-    def test_inner_identity_optimality_flag(self):
-        assert inner_identity_optimal(9)
-        assert not inner_identity_optimal(10)
-
     def test_rejects_bad_inner(self):
         # a column contained in another is not even 1-disjunct
         bad = IncidenceMatrix(3, (1, 3, 4))
@@ -226,6 +222,12 @@ class TestCatalog:
     def test_unknown(self):
         with pytest.raises(InvalidInputError):
             catalog("E10")
+
+    def test_entry_is_reverified_on_read(self, monkeypatch):
+        # column 3 = {1,2} lies inside the union of edge (0,1)
+        monkeypatch.setitem(CATALOG, "P4", (path(4), ("1001", "0101", "0010")))
+        with pytest.raises(RuntimeError, match=r"P4 failed verification: column 3 covered"):
+            catalog("P4")
 
 
 class TestIsolatedVertices:
