@@ -2,8 +2,9 @@
 families on graphs, plus batch regeneration of the reference small-case
 table and the figure matrices.
 
-Exit codes: 0 success/verified, 1 property failure, 2 input error,
-3 budget exceeded.  `solve` stops at a default budget of 10^6 search nodes
+Exit codes: 0 success/verified, 1 property failure, 2 input error (a bad
+argument, or a file that cannot be read or written as text), 3 budget
+exceeded.  `solve` stops at a default budget of 10^6 search nodes
 (`--budget`), so a search too large for it, such as `solve complete:40`,
 exits 3 after about 20 s instead of searching for most of an hour.
 """
@@ -11,6 +12,7 @@ exits 3 after about 20 s instead of searching for most of an hour.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -292,7 +294,20 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: `parse_args` returns a fresh
+    namespace on every call, and no argument has a mutable default."""
     p = argparse.ArgumentParser(
         prog="gcff",
         description="Construct, verify, bound, and exactly solve cover-free families on graphs.",
@@ -323,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("graph")
     s.add_argument("--property", default="cff", choices=["cff", "ecff", "sperner"])
     s.add_argument("--tmax", type=int, default=None)
-    s.add_argument("--budget", type=int, default=SOLVE_BUDGET,
+    s.add_argument("--budget", type=_positive_int, default=SOLVE_BUDGET,
                    help=f"search nodes before giving up with exit 3 (default {SOLVE_BUDGET:,})")
     s.add_argument("--output", help="write the witness matrix here")
     s.add_argument("--format", default="text", choices=["text", "json-lines"])
@@ -339,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reproduce", help="regenerate the reference table and figure matrices")
     r.add_argument("what", choices=["table4", "figures"])
     r.add_argument("--outdir", default="reproduction")
-    r.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    r.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     r.set_defaults(fn=cmd_reproduce)
     return p
 
@@ -348,7 +363,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidInputError, ResourceLimitError, FileNotFoundError) as exc:
+    # OSError covers a missing file, a directory given as a file and an
+    # unwritable output; UnicodeDecodeError a binary file read as text
+    except (InvalidInputError, ResourceLimitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -243,3 +243,67 @@ class TestReproduce:
         assert code == 3
         report = (outdir / "table4.txt").read_text()
         assert "budget-exceeded" in report
+
+
+class TestFileErrors:
+    """A path that cannot be read or written as text is an input error (exit
+    2 with an `error:` line), not a traceback with the property-failure code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "path:5", "--output", "{dir}"],
+        ["verify", "path:5", "{dir}"],
+        ["verify", "path:5", "{binary}"],
+        ["bounds", "file:{dir}"],
+        ["solve", "file:{dir}"],
+        ["gray", "2,2", "--output", "{dir}"],
+        ["reproduce", "figures", "--outdir", "{binary}"],
+    ], ids=["construct-output-dir", "verify-dir", "verify-binary", "bounds-dir",
+            "solve-dir", "gray-output-dir", "reproduce-outdir-file"])
+    def test_exit_2(self, argv, tmp_path, capsys):
+        binary = tmp_path / "m.bin"
+        binary.write_bytes(bytes(range(256)))
+        argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestBudgetArgument:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "path:5", "--budget", "0"],
+        ["solve", "path:5", "--budget", "-1"],
+        ["solve", "path:5", "--budget", "x"],
+        ["reproduce", "table4", "--budget", "0"],
+    ])
+    def test_non_positive_budget_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """`main` builds its parser once; no call's arguments reach the next."""
+
+    def test_output_does_not_leak(self, tmp_path, capsys):
+        out = tmp_path / "p6.mat"
+        assert run(["construct", "path:6", "--output", str(out)]) == 0
+        written = out.read_text()
+        capsys.readouterr()
+        assert run(["construct", "path:6"]) == 0
+        assert capsys.readouterr().out == written
+
+    def test_format_does_not_leak(self, tmp_path, capsys):
+        out = tmp_path / "c8.mat"
+        assert run(["construct", "cycle:8", "--output", str(out)]) == 0
+        assert run(["verify", "cycle:8", str(out), "--format", "json-lines"]) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+        assert run(["verify", "cycle:8", str(out)]) == 0
+        assert capsys.readouterr().out == "cff holds for cycle:8 (6x8)\n"
+
+    def test_budget_does_not_leak(self, capsys):
+        assert run(["solve", "cycle:9", "--budget", "5"]) == 3
+        assert "budget exceeded" in capsys.readouterr().out
+        assert run(["solve", "cycle:9"]) == 0
+        assert "t = 6 for cycle:9" in capsys.readouterr().out
+        assert build_parser().parse_args(["solve", "complete:40"]).budget == 10 ** 6
+        assert build_parser() is build_parser()

@@ -313,6 +313,12 @@ def scan_d_disjunct(m, d):
     return True
 
 
+# The row counts `IncidenceMatrix.inside`'s tables of four rows must handle:
+# every t from one to three blocks, t not a multiple of four, and the top bit
+# at 64.
+TABLE_TS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, GROUND_CAP]
+
+
 def random_graph(rng, n) -> Graph:
     """Edges and loops at random densities; sparse draws leave isolated vertices."""
     p_edge, p_loop = rng.random(), rng.random() * 0.3
@@ -325,19 +331,38 @@ class TestInsideMatchesColumnScan:
     def test_rows_are_the_transpose(self):
         rng = random.Random(29)
         for _ in range(200):
-            t = rng.choice([1, 2, 5, 8, GROUND_CAP])
+            t = rng.choice(TABLE_TS)
             n = rng.randrange(1, 40)
             m = IncidenceMatrix(t, tuple(rng.randrange(1 << t) for _ in range(n)))
             assert all(
                 (m.rows[i] >> j) & 1 == m.entry(i, j) for i in range(t) for j in range(m.n)
             )
+            text = [f"{t} {n}"] + ["".join(str(m.entry(i, j)) for j in range(n))
+                                   for i in range(t)]
+            assert [m.row_string(i) for i in range(t)] == text[1:]
+            assert m.to_text() == "\n".join(text) + "\n"
+
+    def test_inside_matches_column_scan(self):
+        rng = random.Random(37)
+        for t in TABLE_TS:
+            full = (1 << t) - 1
+            for n in (1, 2, 3, 5, 9, 40, 130):
+                # sparse columns, so that many lie inside a random union
+                m = IncidenceMatrix(t, tuple(
+                    rng.randrange(1 << t) & rng.randrange(1 << t) & rng.randrange(1 << t)
+                    for _ in range(n)))
+                us = [0, full] + [rng.randrange(1 << t) for _ in range(20)]
+                us += [m.cols[rng.randrange(n)] | m.cols[rng.randrange(n)] for _ in range(20)]
+                for u in us:
+                    assert m.inside(u) == sum(
+                        1 << j for j, c in enumerate(m.cols) if c & ~u == 0), (m, u)
 
     def test_random_matrices_and_graphs(self):
         rng = random.Random(31)
         seen = {"cover": 0, "loop": 0, "sperner": 0, None: 0}
         for _ in range(3000):
             n = rng.randrange(1, 11)
-            t = rng.choice([1, 2, 3, 4, 5, 6, 8, GROUND_CAP])
+            t = rng.choice(TABLE_TS)
             # sparse columns and repeats make containments common
             pool = [rng.randrange(1 << t) & rng.randrange(1 << t) for _ in range(4)]
             cols = tuple(
