@@ -18,6 +18,8 @@ from itertools import combinations, repeat
 from operator import xor
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import InvalidInputError
 from .graphs import Graph
 
@@ -120,10 +122,22 @@ class IncidenceMatrix:
         if len(lines) != t + 1:
             raise InvalidInputError(f"expected {t} matrix rows, got {len(lines) - 1}")
         rows = [line.strip() for line in lines[1:]]
-        for i, row in enumerate(rows):
-            if len(row) != n or set(row) - {"0", "1"}:
-                raise InvalidInputError(f"row {i + 1} is not {n} characters of 0/1: {row!r}")
-        return cls(t, tuple(int("".join(bits)[::-1], 2) for bits in zip(*rows)))
+        # the first bad row is reported: rows before the first one of the wrong
+        # length or with a non-ASCII character are encoded, then scanned for
+        # bytes other than "0" and "1", which differ only in their last bit
+        good = next((i for i, row in enumerate(rows) if len(row) != n or not row.isascii()), t)
+        data = np.frombuffer("".join(rows[:good]).encode("ascii"), dtype=np.uint8)
+        bad = np.flatnonzero((data | 1) != ord("1"))
+        first = int(bad[0]) // n if len(bad) else good
+        if first < t:
+            raise InvalidInputError(f"row {first + 1} is not {n} characters of 0/1: {rows[first]!r}")
+        if t > GROUND_CAP:
+            raise InvalidInputError(f"ground set capped at {GROUND_CAP}, got t={t}")
+        # one array op per row over all columns: row i sets bit i
+        cols = np.zeros(n, dtype=np.uint64)
+        for i, row in enumerate(data.reshape(t, n) & 1):
+            cols |= row.astype(np.uint64) << np.uint64(i)
+        return cls(t, tuple(cols.tolist()))
 
     @classmethod
     def from_rows(cls, rows: list[str]) -> "IncidenceMatrix":

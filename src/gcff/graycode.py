@@ -8,8 +8,13 @@ F(D) = {offset_i + d_i + 1} of [1, sum(m_i)], picking one element from each
 radix block; the resulting k-uniform family is cover-free along the code
 order, which is exactly what a path (or, for cyclic codes, a cycle) needs.
 
-Codes are held as (N, k) uint8 arrays so that full sweeps over thousands of
-codes stay vectorized; the `words` view materializes tuples on demand.
+Codes are held digit-major: `array` has shape (N, k), one row per word, but
+its uint8 memory is Fortran-ordered, so the N values of each digit sit next to
+each other.  The predicates compare, count and rank a digit at a time, and with
+k small (at most 12 in the criterion-1 sweep) a word-major layout would run
+numpy's inner loops over a handful of bytes per word.  `MixedRadixCode` states
+the layout, and validates the array, once for every constructor; the `words`
+view materializes tuples on demand.
 """
 
 from __future__ import annotations
@@ -33,8 +38,12 @@ Word = tuple[int, ...]
 @dataclass(frozen=True, eq=False)
 class MixedRadixCode:
     radices: tuple[int, ...]
-    array: np.ndarray  # (N, k) uint8, one row per codeword
+    array: np.ndarray  # (N, k) uint8, one row per codeword, Fortran-ordered
     kind: str  # "reflected" | "modular" | "shortened"
+
+    def __post_init__(self) -> None:
+        _check_radices(self.radices)
+        object.__setattr__(self, "array", _digit_major(self.radices, self.array))
 
     def __len__(self) -> int:
         return self.array.shape[0]
@@ -53,8 +62,32 @@ def _check_radices(radices: tuple[int, ...]) -> None:
         raise InvalidInputError(f"every radix must be >= 2, got {radices}")
     if any(m > 255 for m in radices):
         raise InvalidInputError("radices beyond 255 are not supported")
-    if prod(radices) > MAX_WORDS:
-        raise ResourceLimitError(f"code would have {prod(radices)} words (cap {MAX_WORDS})")
+
+
+def _code_size(radices: tuple[int, ...]) -> int:
+    """Words in the full code over `radices`, refused beyond MAX_WORDS."""
+    _check_radices(radices)
+    n = prod(radices)
+    if n > MAX_WORDS:
+        raise ResourceLimitError(f"code would have {n} words (cap {MAX_WORDS})")
+    return n
+
+
+def _digit_major(radices: tuple[int, ...], words) -> np.ndarray:
+    """A digit-major uint8 copy of the (N, len(radices)) integer array `words`.
+
+    Digits must fit a byte; a digit at or above its radix is kept, for the
+    predicates to report.  The copy is the code's own, so later writes to
+    `words` do not reach it.
+    """
+    a = np.asarray(words)
+    if a.ndim != 2 or a.shape[1] != len(radices):
+        raise InvalidInputError(
+            f"words must form an (N, {len(radices)}) array, got shape {a.shape}")
+    if a.dtype.kind not in "ui" or (
+            a.dtype != np.uint8 and a.size and (a.min() < 0 or a.max() > 255)):
+        raise InvalidInputError("digits must be integers in 0..255")
+    return np.array(a, dtype=np.uint8, order="F")
 
 
 def hamming_distance(a: Word, b: Word) -> int:
@@ -65,30 +98,23 @@ def reflected(radices) -> MixedRadixCode:
     """Reflected Gray code: digit j prepends the tail forward if j is even,
     reversed if odd, so the first word is all zeros.
 
-    Built in place from the last digit up: the n-word tail code sits in the
-    first n rows, its reversal goes below it, the forward/reversed pair is
-    repeated by whole-row copies, and then the new digit's column is filled.
-    Columns left of that digit hold leftovers until their own digit is
-    filled.  Rows are copied as opaque k-byte items, which numpy moves in
-    one loop rather than one call per row.
+    Built one digit row at a time.  The words over radices[:i] cut the code
+    into c blocks of m * n words, m = radices[i]; in each block digit i takes
+    the values 0..m-1 for n words each, rising in even blocks and falling in
+    odd ones, because consecutive blocks differ in an earlier digit and
+    digit i holds still across their boundary.  So each row is written by
+    two broadcast assignments into its (c, m, n) view.
     """
     radices = tuple(int(m) for m in radices)
-    _check_radices(radices)
-    k = len(radices)
-    arr = np.empty((prod(radices), k), dtype=np.uint8)
-    rows = arr.view(np.dtype((np.void, k)))[:, 0]
-    n = 1  # words of the code over radices[i + 1:], held in arr[:n, i + 1:]
-    for i in range(k - 1, -1, -1):
-        m = radices[i]
-        rows[n:2 * n] = rows[n - 1::-1]
-        filled = 2 * n
-        while filled < m * n:
-            step = min(filled, m * n - filled)
-            rows[filled:filled + step] = rows[:step]
-            filled += step
-        arr[:m * n].reshape(m, n, k)[:, :, i] = np.arange(m, dtype=np.uint8)[:, None]
-        n *= m
-    return MixedRadixCode(radices, arr, "reflected")
+    digits = np.empty((len(radices), _code_size(radices)), dtype=np.uint8)
+    up = np.arange(max(radices), dtype=np.uint8)[:, None]
+    c = 1  # words of the code over radices[:i]
+    for row, m in zip(digits, radices):
+        blocks = row.reshape(c, m, -1)
+        blocks[0::2] = up[:m]
+        blocks[1::2] = up[m - 1::-1]
+        c *= m
+    return MixedRadixCode(radices, digits.T, "reflected")
 
 
 def modular(q: int, k: int) -> MixedRadixCode:
@@ -97,7 +123,7 @@ def modular(q: int, k: int) -> MixedRadixCode:
     if q < 2 or k < 1:
         raise InvalidInputError(f"need q >= 2 and k >= 1, got q={q}, k={k}")
     radices = (q,) * k
-    _check_radices(radices)
+    _code_size(radices)
     arr = np.arange(q, dtype=np.uint8).reshape(-1, 1)
     for _ in range(k - 1):
         n, w = arr.shape
@@ -134,22 +160,29 @@ def is_cyclic(code: MixedRadixCode) -> bool:
 
 
 def _in_box(radices: tuple[int, ...], words: np.ndarray) -> bool:
-    """Is every digit of the (N, k) array `words` below its radix?"""
+    """Is every digit of the (N, k) uint8 array `words` below its radix?"""
     return not (words >= np.array(radices, dtype=np.uint8)).any()
 
 
-def _distinct(radices: tuple[int, ...], words: np.ndarray) -> bool:
-    """Is no mixed-radix rank (most significant digit first) repeated?  Only
-    for words in the radix box: an out-of-box word has a rank that aliases
-    some word of the box, or lies beyond it."""
-    strides = np.cumprod([*radices[1:], 1][::-1], dtype=np.int64)[::-1]
-    return int(np.bincount(words @ strides).max(initial=0)) <= 1
+def _ranks(radices: tuple[int, ...], words: np.ndarray, dtype) -> np.ndarray:
+    """Mixed-radix ranks of in-box words (most significant digit first), by
+    Horner's rule over the digit rows.  Every partial rank is at most the
+    final one, so `dtype` need only hold the largest rank."""
+    rank = words[:, 0].astype(dtype)
+    for m, digits in zip(radices[1:], words.T[1:]):
+        rank *= m
+        rank += digits
+    return rank
 
 
 def _check_words(radices: tuple[int, ...], words: np.ndarray) -> None:
+    """Reject a digit outside its radix and a repeated word, in O(N log N):
+    the ranks are sorted, not counted over the radix box."""
     if not _in_box(radices, words):
         raise InvalidInputError(f"code has a digit outside its radices {radices}")
-    if not _distinct(radices, words):
+    # int64 holds every rank below 2^63; beyond that they are Python ints
+    ranks = np.sort(_ranks(radices, words, np.int64 if prod(radices) <= 1 << 63 else object))
+    if not (ranks[1:] != ranks[:-1]).all():
         raise InvalidInputError("code words must be distinct")
 
 
@@ -160,7 +193,11 @@ def is_permutation(code: MixedRadixCode) -> bool:
     repeated.
     """
     r, a = code.radices, code.array
-    return len(code) == prod(r) and _in_box(r, a) and _distinct(r, a)
+    n = len(code)
+    # with n = prod(r) words in the box every rank is below n, so the smallest
+    # type that holds n - 1 holds them, and counting costs O(n)
+    return (n == prod(r) and _in_box(r, a)
+            and int(np.bincount(_ranks(r, a, np.min_scalar_type(n - 1))).max()) <= 1)
 
 
 def transversal_blocks(radices: tuple[int, ...]) -> list[frozenset[int]]:
@@ -193,19 +230,22 @@ def to_set_system(code: MixedRadixCode) -> SetSystem:
 def transversal_matrix(radices: tuple[int, ...], words) -> IncidenceMatrix:
     """The transversal subsets of `words`, in order, as matrix columns.
 
-    `words` is an (N, k) array of non-negative digits over `radices`.  Column
-    j sets row offset_i + d_i for each digit d_i of word j, where offset_i is
-    the sum of the radices before i: the bitmask of word_to_subset.  Like
+    `words` is an (N, k) integer array of digits over `radices`, read
+    digit-major like a code's array.  Column j sets row offset_i + d_i for
+    each digit d_i of word j, where offset_i is the sum of the radices before
+    i: the bitmask of word_to_subset, built one digit row at a time.  Like
     to_set_system, it rejects a digit outside its radix and a repeated word.
     """
     t = sum(radices)
-    # first: it keeps every radix below 256 for _in_box and every shift below 64
+    # first: it keeps every radix below 256 for _in_box, every shift below 64
+    # and prod(radices) below 2^63 for int64 ranks
     if t > GROUND_CAP:
         raise InvalidInputError(f"ground set capped at {GROUND_CAP}, got t={t}")
-    words = np.asarray(words)
+    words = _digit_major(radices, words)
     _check_words(radices, words)
-    rows = words.astype(np.uint64) + np.cumsum((0,) + radices[:-1], dtype=np.uint64)
-    cols = np.bitwise_or.reduce(np.uint64(1) << rows, axis=1)
+    cols = np.zeros(len(words), dtype=np.uint64)
+    for offset, digits in zip(np.cumsum((0,) + radices[:-1], dtype=np.uint64), words.T):
+        cols |= np.uint64(1) << (digits.astype(np.uint64) + offset)
     return IncidenceMatrix(t, tuple(cols.tolist()))
 
 

@@ -118,6 +118,29 @@ class TestTextFormat:
     def test_from_rows(self):
         assert IncidenceMatrix.from_rows(FIG6_ROWS) == fig6_matrix()
 
+    @pytest.mark.parametrize("text, message", [
+        ("1\n01\n", "bad header '1', expected 't n'"),
+        ("1 x\n01\n", "bad header '1 x'"),
+        ("2 2\n01\n", "expected 2 matrix rows, got 1"),
+        ("2 2\n01\n011\n", "row 2 is not 2 characters of 0/1: '011'"),
+        ("1 2\n0x\n", "row 1 is not 2 characters of 0/1: '0x'"),
+        ("1 2\n0\u00e9\n", "row 1 is not 2 characters of 0/1: '0\u00e9'"),
+        ("1 2\n0\u0661\n", "row 1 is not 2 characters of 0/1: '0\u0661'"),
+        ("2 2\n0x\n011\n", "row 1 is not 2 characters of 0/1: '0x'"),
+        ("3 2\n01\n10\n1x\n", "row 3 is not 2 characters of 0/1: '1x'"),
+        ("65 1\n" + "1\n" * 65, "ground set capped at 64, got t=65"),
+    ], ids=["short header", "non-integer header", "wrong row count", "wrong row length",
+            "non-0/1 character", "non-ASCII letter", "non-ASCII digit one",
+            "bad character before bad length", "bad character in the last row", "65 rows"])
+    def test_malformed_text_messages(self, text, message):
+        with pytest.raises(InvalidInputError) as err:
+            IncidenceMatrix.from_text(text)
+        assert str(err.value) == message
+
+    def test_all_64_rows_round_trip(self):
+        m = IncidenceMatrix(64, ((1 << 64) - 1, 1 << 63, 1, 0b1010 << 60))
+        assert IncidenceMatrix.from_text(m.to_text()) == m
+
 
 class TestEdgePredicates:
     def test_identity_edge_is_sperner(self):

@@ -2,11 +2,12 @@
 
 import random
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
 
-from gcff.core import SetSystem, is_g_cff, matrix_from_sets
+from gcff.core import GROUND_CAP, SetSystem, is_g_cff, matrix_from_sets
 from gcff.errors import InvalidInputError
 from gcff.graphs import cycle, path
 from gcff.graycode import (
@@ -65,6 +66,142 @@ class TestPredicatesOnBrokenCodes:
         assert (box_oracle(radices, words), gray_oracle(words), cyclic_oracle(words)) == want
         code = MixedRadixCode(radices, np.array(words, dtype=np.uint8), "shortened")
         assert (is_permutation(code), is_gray(code), is_cyclic(code)) == want
+
+
+class TestCodeRecord:
+    """MixedRadixCode validates its input and holds it digit-major."""
+
+    @pytest.mark.parametrize("radices, array", [
+        ((300,), np.zeros((1, 1), dtype=np.uint16)),
+        ((1, 2), np.zeros((1, 2), dtype=np.uint8)),
+        ((), np.zeros((1, 0), dtype=np.uint8)),
+        ((2, 2), np.zeros((4, 3), dtype=np.uint8)),
+        ((2, 2), np.zeros(4, dtype=np.uint8)),
+        ((2, 2), np.zeros((2, 2, 1), dtype=np.uint8)),
+        ((2, 2), np.array([[0, 0], [0, 0.5]])),
+        ((2, 2), np.array([[False, False], [False, True]])),
+        ((2, 2), np.array([[0, 0], [0, -1]])),
+        ((2, 2), np.array([[0, 0], [0, 256]])),
+    ], ids=["radix 300", "radix 1", "no radices", "three columns for two radices",
+            "1-D array", "3-D array", "float digits", "bool digits",
+            "negative digit", "digit 256"])
+    def test_rejects_malformed_input(self, radices, array):
+        with pytest.raises(InvalidInputError):
+            MixedRadixCode(radices, array, "shortened")
+
+    def test_digit_at_or_above_its_radix_is_kept_for_the_predicates(self):
+        code = MixedRadixCode((2, 2), np.array([[0, 0], [0, 1], [1, 1], [255, 1]]), "shortened")
+        assert code.words[-1] == (255, 1)
+        assert not is_permutation(code)
+        with pytest.raises(InvalidInputError, match="outside its radices"):
+            to_set_system(code)
+
+    @pytest.mark.parametrize("build", [
+        lambda: reflected((2, 3, 4)), lambda: reflected((5,)), lambda: modular(3, 4),
+        lambda: shorten(modular(3, 3), 2), lambda: shorten(reflected((2, 2, 3, 3)), 2),
+        lambda: cycle_code(100),
+        lambda: MixedRadixCode((2, 2), np.array([[0, 0], [0, 1], [1, 1]]), "shortened"),
+    ], ids=["reflected", "reflected one radix", "modular", "shortened modular",
+            "shortened reflected", "cycle code", "hand-built"])
+    def test_every_constructor_is_digit_major_uint8(self, build):
+        a = build().array
+        assert a.dtype == np.uint8 and a.ndim == 2 and a.flags.f_contiguous
+
+    def test_caller_writes_do_not_reach_the_code(self):
+        for source in (np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8),
+                       np.asfortranarray(np.array([[0, 0], [0, 1], [1, 1], [1, 0]],
+                                                  dtype=np.uint8))):
+            code = MixedRadixCode((2, 2), source, "shortened")
+            source[1] = (1, 1)
+            assert code.words == ((0, 0), (0, 1), (1, 1), (1, 0))
+            assert is_permutation(code) and is_cyclic(code)
+
+
+def _random_words(rng, radices, n):
+    """n words over `radices`, mostly a Gray walk, with seeded faults mixed in:
+    out-of-box digits, repeated words and steps that change two digits."""
+    word = [rng.randrange(m) for m in radices]
+    words = [tuple(word)]
+    while len(words) < n:
+        roll = rng.random()
+        i = rng.randrange(len(radices))
+        if roll < 0.05:
+            word[i] = rng.randrange(radices[i], 256)
+        elif roll < 0.1:
+            pass  # repeat the word: a step that changes zero digits
+        elif roll < 0.15 and len(radices) > 1:
+            j = (i + 1 + rng.randrange(len(radices) - 1)) % len(radices)
+            word[i] = (word[i] + 1) % radices[i]
+            word[j] = (word[j] + 1) % radices[j]
+        else:
+            word[i] = (word[i] + 1 + rng.randrange(radices[i] - 1)) % radices[i]
+        words.append(tuple(word))
+    return words
+
+
+def _layouts(words, k):
+    """The same words as a C-order, an F-order and a strided (N, k) array."""
+    c = np.array(words, dtype=np.uint8).reshape(len(words), k)
+    padded = np.full((2 * len(words), k + 3), 7, dtype=np.int64)
+    padded[::2, 1:k + 1] = c
+    return {"C": c, "F": np.asfortranarray(c), "strided": padded[::2, 1:k + 1]}
+
+
+def _random_codes():
+    rng = random.Random(2026)
+    for k in range(1, 13):
+        for _ in range(4):
+            radices = tuple(rng.choice((2, 2, 3, 4, 5, 7, 255)) if k < 3
+                            else rng.choice((2, 2, 3, 4, 5)) for _ in range(k))
+            for n in (1, 2, rng.randrange(3, 200)):
+                yield radices, _random_words(rng, radices, n)
+            if prod(radices) <= 512:
+                # full boxes, so that is_permutation also answers True
+                full = list(reflected(radices).words)
+                yield radices, full
+                rng.shuffle(full)
+                yield radices, full
+
+
+class TestLayoutMatchesOracles:
+    """On seeded random codes, in every memory layout, the predicates and the
+    word checks answer as the tuple-level oracles do."""
+
+    def test_predicates_and_word_checks(self):
+        seen = set()
+        for radices, words in _random_codes():
+            # the oracle lists the whole box, so ask it only when the count fits
+            want = (len(words) == prod(radices) and box_oracle(radices, words),
+                    gray_oracle(words), cyclic_oracle(words))
+            valid = (all(d < m for w in words for d, m in zip(w, radices))
+                     and len(set(words)) == len(words))
+            seen.add(want + (valid,))
+            for name, array in _layouts(words, len(radices)).items():
+                code = MixedRadixCode(radices, array, "shortened")
+                assert code.words == tuple(words), (radices, name)
+                got = (is_permutation(code), is_gray(code), is_cyclic(code))
+                assert got == want, (radices, name, words)
+                matrix_ok = sum(radices) <= GROUND_CAP
+                if valid:
+                    blocks = to_set_system(code)
+                    if matrix_ok:
+                        assert transversal_matrix(radices, array) == matrix_from_sets(blocks)
+                else:
+                    with pytest.raises(InvalidInputError):
+                        to_set_system(code)
+                    if matrix_ok:
+                        with pytest.raises(InvalidInputError, match="outside|distinct"):
+                            transversal_matrix(radices, array)
+        # every verdict occurs, each way round
+        for i in range(4):
+            assert {v[i] for v in seen} == {False, True}
+
+    def test_permutation_ranks_beyond_16_bits(self):
+        code = reflected((2,) * 17)
+        assert is_permutation(code) and is_cyclic(code)
+        array = code.array.copy()
+        array[-1] = array[0]
+        assert not is_permutation(MixedRadixCode(code.radices, array, "shortened"))
 
 
 class TestReflected:
@@ -165,6 +302,28 @@ class TestTransversalMap:
             to_set_system(code)
         with pytest.raises(InvalidInputError):
             transversal_matrix(code.radices, code.array)
+
+    @pytest.mark.parametrize("words, distinct", [
+        ([[0] * 32, [1] * 32, [0] * 31 + [1]], True),
+        ([[0] * 32, [1] * 32, [0] * 32], False),
+    ], ids=["distinct", "repeated"])
+    def test_word_checks_cost_the_words_not_the_box(self, words, distinct):
+        # 2^32 words in the box: counting ranks over it would need 32 GiB
+        radices = (2,) * 32
+        if distinct:
+            assert transversal_matrix(radices, words).n == 3
+        else:
+            with pytest.raises(InvalidInputError, match="distinct"):
+                transversal_matrix(radices, words)
+
+    def test_word_checks_exact_beyond_int64_ranks(self):
+        # 255^9 > 2^64: ranks 0 and 2^64 would wrap to one int64
+        radices = (255,) * 9
+        zero = (0,) * 9
+        far = tuple(2 ** 64 // 255 ** i % 255 for i in reversed(range(9)))
+        assert to_set_system(MixedRadixCode(radices, np.array([zero, far]), "shortened"))
+        with pytest.raises(InvalidInputError, match="distinct"):
+            to_set_system(MixedRadixCode(radices, np.array([zero, far, zero]), "shortened"))
 
     def test_covering_lemma_on_full_codes(self):
         # consecutive pairs never cover a third block, up to 729-word codes
