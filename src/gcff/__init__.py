@@ -11,7 +11,6 @@ from .core import (
     is_g_sperner,
     is_sperner_for_edge,
     matrix_from_sets,
-    sets_from_matrix,
 )
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import Graph, make_family
@@ -39,7 +38,6 @@ __all__ = [
     "is_sperner_for_edge",
     "make_family",
     "matrix_from_sets",
-    "sets_from_matrix",
     "bounds_for",
     "star_cff",
     "windmill_cff",

@@ -1,6 +1,6 @@
 """Theorem-backed lower/upper bounds for the minimum ground size of a
 cover-free family on a graph, plus the small-n table of 2-disjunct optima
-and the maximum-product partition function.
+behind the complete-graph bounds and the trivial upper bound t <= t(2, n).
 
 Each bound carries the quantity it constrains ("t" for the full property,
 "t_e" for the edge-only variant, "t_s" for the Sperner-only variant), a
@@ -24,9 +24,9 @@ from typing import Optional, Sequence
 
 from .constructions import CATALOG
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, parse_family
+from .graphs import Graph, parse_family
 from .graycode import cycle_cff_rows
-from .sperner import doubling_increment, t1
+from .sperner import doubling_increment, t1, t_s
 
 # ---------------------------------------------------------------------------
 # Known minimum ground sizes for 2-disjunct matrices with n columns.
@@ -74,21 +74,6 @@ def t2_lower(n: int) -> int:
         if exact and m <= n:
             best = max(best, v)
     return best
-
-
-def max_product_partition(m: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum product over integer partitions of m: all 3s with at most one
-    4 or one 2 (OEIS A000792)."""
-    if m < 2:
-        raise InvalidInputError("need m >= 2")
-    k, r = divmod(m, 3)
-    if r == 0:
-        parts = (3,) * k
-    elif r == 1:
-        parts = (3,) * (k - 1) + (4,)
-    else:
-        parts = (2,) + (3,) * k
-    return math.prod(parts), parts
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +351,7 @@ def bounds_for(g: Graph) -> BoundsReport:
     elif name == "sperner":
         out += _pair("t_s", args[0], "sperner-graph-exact")
         out.append(Bound("t", "lower", t1(n), "trivial-sperner"))
+        out.append(Bound("t", "upper", t2_upper(n)[0], "trivial-two-disjunct"))
     elif name == "hamming":
         out += _hamming_bounds(args)
 
@@ -376,7 +362,7 @@ def bounds_for(g: Graph) -> BoundsReport:
             out.append(Bound("t", "upper", v, "trivial-two-disjunct", exact=False))
         out += _central_binomial(n)
         if n <= 16:
-            out += _pair("t_s", t1(chromatic_number(g)), "sperner-chromatic")
+            out += _pair("t_s", t_s(g), "sperner-chromatic")
 
     # Minimum-degree relations between the full and edge-only quantities.
     if not any(b.quantity == "t_e" for b in out):

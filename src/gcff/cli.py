@@ -69,7 +69,9 @@ def _constructions(g: Graph) -> list[tuple[str, Callable[[], IncidenceMatrix]]]:
         rim = n - 1
         family.append(("universal", lambda: constructions.add_universal(
             graycode.path_cycle_cff(rim), cycle(rim))))
-    fallback = [] if g.loops else [("coloring", lambda: constructions.from_coloring(g))]
+    # a complete bipartite graph's sides are its 2-coloring, past the exact solver's reach
+    sides = [0] * args[0] + [1] * args[1] if name == "bipartite" else None
+    fallback = [] if g.loops else [("coloring", lambda: constructions.from_coloring(g, sides))]
     # below three vertices coloring goes first: path_cycle_cff and star_cff refuse n < 3
     table = fallback + family if n < 3 else family + fallback
     if name in ("path", "cycle") and n % 2 == 0 and n >= 6:

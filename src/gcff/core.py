@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, repeat
 from operator import xor
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,18 +41,14 @@ class IncidenceMatrix:
             raise InvalidInputError(f"ground set capped at {GROUND_CAP}, got t={self.t}")
         if not self.cols:
             raise InvalidInputError("need at least one column")
-        full = (1 << self.t) - 1
-        for j, c in enumerate(self.cols):
-            if c < 0 or c & ~full:
-                raise InvalidInputError(f"column {j} has bits outside rows 1..{self.t}")
+        # one pass each for the sign and the width; the loop only names the culprit
+        if min(self.cols) < 0 or max(self.cols).bit_length() > self.t:
+            j = next(j for j, c in enumerate(self.cols) if c < 0 or c.bit_length() > self.t)
+            raise InvalidInputError(f"column {j} has bits outside rows 1..{self.t}")
 
     @property
     def n(self) -> int:
         return len(self.cols)
-
-    def entry(self, row: int, col: int) -> int:
-        """Entry in row `row` (0-based) and the column of vertex `col`."""
-        return (self.cols[col] >> row) & 1
 
     @cached_property
     def tables(self) -> tuple[tuple[int, ...], ...]:
@@ -76,11 +72,6 @@ class IncidenceMatrix:
                            d, a & d, b & d, ab & d, cd, a & cd, b & cd, ab & cd))
         return tuple(tables)
 
-    @property
-    def rows(self) -> tuple[int, ...]:
-        """The dual set system: bit j of row i is entry (i, j)."""
-        return tuple(tab[0] ^ tab[1 << i] for tab in self.tables for i in range(4))[:self.t]
-
     def inside(self, u: int) -> int:
         """Columns whose block lies inside row set u, as bits of an int: those
         absent from every row outside u, one table lookup per block of rows."""
@@ -95,12 +86,6 @@ class IncidenceMatrix:
     def row_string(self, row: int) -> str:
         tab = self.tables[row >> 2]
         return format(tab[0] ^ tab[1 << (row & 3)], f"0{self.n}b")[::-1]
-
-    def column_weight(self, col: int) -> int:
-        return bin(self.cols[col]).count("1")
-
-    def restrict_columns(self, keep: Iterable[int]) -> "IncidenceMatrix":
-        return IncidenceMatrix(self.t, tuple(self.cols[j] for j in keep))
 
     def to_text(self) -> str:
         lines = [f"{self.t} {self.n}"]
@@ -170,13 +155,6 @@ class SetSystem:
 def matrix_from_sets(s: SetSystem) -> IncidenceMatrix:
     cols = tuple(sum(1 << (x - 1) for x in b) for b in s.blocks)
     return IncidenceMatrix(s.ground_size, cols)
-
-
-def sets_from_matrix(m: IncidenceMatrix) -> SetSystem:
-    blocks = tuple(
-        frozenset(i + 1 for i in range(m.t) if (c >> i) & 1) for c in m.cols
-    )
-    return SetSystem(m.t, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from .errors import InvalidInputError, ResourceLimitError
 
 #: Exact chromatic/clique solvers refuse larger instances.
 EXACT_VERTEX_LIMIT = 20
-#: Homomorphism search refuses |V(g)| * |V(h)| beyond this.
-HOM_PAIR_LIMIT = 2048
 
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
@@ -66,9 +64,6 @@ class Graph:
 
     def min_degree(self) -> int:
         return min(self.degree(v) for v in range(self.n))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
 
     def without_isolated(self) -> tuple["Graph", tuple[int, ...]]:
         """Drop isolated vertices; also return the kept (old) vertex labels."""
@@ -307,7 +302,7 @@ def make_family(spec: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Exact solvers: chromatic number, clique number, homomorphism
+# Exact solvers: chromatic number and clique number
 # ---------------------------------------------------------------------------
 
 def _require_small_simple(g: Graph, what: str) -> None:
@@ -415,35 +410,3 @@ def chromatic_number(g: Graph, with_witness: bool = False):
         k += 1
     return (best_k, best_colors) if with_witness else best_k
 
-
-def homomorphism_exists(g: Graph, h: Graph, with_witness: bool = False):
-    """Exact search for an edge-preserving map V(g) -> V(h)."""
-    if g.loops or h.loops:
-        raise InvalidInputError("homomorphism search is for simple graphs")
-    if g.n * h.n > HOM_PAIR_LIMIT:
-        raise ResourceLimitError(
-            f"homomorphism search limited to |V(g)|*|V(h)| <= {HOM_PAIR_LIMIT}"
-        )
-    gadj, hadj = g.adj, h.adj
-    # Assign high-degree vertices first; neighbors constrain later choices.
-    order = sorted(range(g.n), key=lambda v: -len(gadj[v]))
-    pos = {v: i for i, v in enumerate(order)}
-    image = [-1] * g.n
-
-    def assign(i: int) -> bool:
-        if i == g.n:
-            return True
-        v = order[i]
-        mapped_nbrs = [image[u] for u in gadj[v] if pos[u] < i]
-        for w in range(h.n):
-            if all(x in hadj[w] for x in mapped_nbrs):
-                image[v] = w
-                if assign(i + 1):
-                    return True
-                image[v] = -1
-        return False
-
-    found = assign(0)
-    if with_witness:
-        return found, (list(image) if found else None)
-    return found

@@ -200,16 +200,6 @@ def is_permutation(code: MixedRadixCode) -> bool:
             and int(np.bincount(_ranks(r, a, np.min_scalar_type(n - 1))).max()) <= 1)
 
 
-def transversal_blocks(radices: tuple[int, ...]) -> list[frozenset[int]]:
-    """The partition blocks P_i of [1, sum(radices)], one per radix."""
-    blocks = []
-    offset = 0
-    for m in radices:
-        blocks.append(frozenset(range(offset + 1, offset + m + 1)))
-        offset += m
-    return blocks
-
-
 def word_to_subset(radices: tuple[int, ...], word: Word) -> frozenset[int]:
     offset = 0
     out = []

@@ -8,7 +8,6 @@ arithmetic via math.comb.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
@@ -40,20 +39,6 @@ def doubling_increment(n: int) -> int:
         raise InvalidInputError(f"need n >= 2, got {n}")
     knee = nbar(nbar(n) + 1) // 2
     return 1 if n <= knee else 2
-
-
-@dataclass(frozen=True)
-class SpernerProfile:
-    """The closed-form quantities for one family size, bundled."""
-
-    n: int
-    t1: int
-    nbar: int
-    doubling_increment: int
-
-
-def profile(n: int) -> SpernerProfile:
-    return SpernerProfile(n, t1(n), nbar(n), doubling_increment(n))
 
 
 def half_subsets(t: int):

@@ -1,10 +1,10 @@
 """Theorem bounds, the 2-disjunct table, and max-product partitions."""
 
-from math import comb, prod
+from math import comb
 
 import pytest
 
-from gcff.bounds import Bound, bounds_for, max_product_partition, t2_lower, t2_upper
+from gcff.bounds import Bound, bounds_for, t2_lower, t2_upper
 from gcff.errors import InvalidInputError
 from gcff.graphs import (
     Graph,
@@ -77,32 +77,6 @@ class TestT2Table:
     def test_requires_three(self):
         with pytest.raises(InvalidInputError):
             t2_upper(2)
-
-
-class TestMaxProductPartition:
-    def test_known_values(self):
-        assert max_product_partition(9) == (27, (3, 3, 3))
-        assert max_product_partition(10) == (36, (3, 3, 4))
-        assert max_product_partition(11) == (54, (2, 3, 3, 3))
-
-    def test_brute_force_oracle(self):
-        def all_partitions(m, lo=1):
-            if m == 0:
-                yield ()
-                return
-            for first in range(lo, m + 1):
-                for rest in all_partitions(m - first, first):
-                    yield (first,) + rest
-
-        for m in range(2, 26):
-            best = max(prod(p) for p in all_partitions(m))
-            value, parts = max_product_partition(m)
-            assert value == best
-            assert sum(parts) == m and prod(parts) == value
-
-    def test_requires_two(self):
-        with pytest.raises(InvalidInputError):
-            max_product_partition(1)
 
 
 class TestTable4Regression:
@@ -194,6 +168,15 @@ class TestFamilyBounds:
     def test_sperner_graph_ts(self):
         rep = bounds_for(sperner_graph(3))
         assert rep.exact_value("t_s") == 3
+
+    def test_sperner_graph_t_upper_is_trivial_two_disjunct(self):
+        # t(2, n) on the 2^z - 2 vertices left once the empty and full sets go
+        for z, upper in zip(range(3, 7), (6, 11, 15, 17)):
+            rep = bounds_for(sperner_graph(z))
+            assert rep.is_consistent(), z
+            assert rep.upper("t") == upper, z
+        rep = bounds_for(sperner_graph(3))
+        assert rep.lower("t") <= exact_t(sperner_graph(3)).t_min == 5 <= rep.upper("t")
 
     def test_ts_chromatic(self):
         assert bounds_for(cycle(9)).exact_value("t_s") == t1(3)

@@ -85,6 +85,8 @@ class TestConstructVerify:
         ("matching:8", "coloring", 8, False),
         ("loops:1", "optimal-1cff", 1, False),
         ("bipartite:3,4", "coloring", 7, False),
+        # past the exact chromatic solver's 20 vertices: the sides are the coloring
+        ("bipartite:15,10", "coloring", 11, False),
     ])
     def test_auto_takes_first_construction_that_applies(self, spec, method, rows,
                                                          note, capsys):

@@ -21,7 +21,6 @@ from gcff.core import (
     is_g_sperner,
     is_sperner_for_edge,
     matrix_from_sets,
-    sets_from_matrix,
 )
 from gcff.errors import InvalidInputError
 from gcff.graphs import Graph, complete, cycle, loops_graph, path, star
@@ -53,6 +52,11 @@ def all_two_subsets_matrix() -> IncidenceMatrix:
     return matrix_from_sets(SetSystem(4, blocks))
 
 
+def blocks_of(m: IncidenceMatrix) -> tuple[frozenset[int], ...]:
+    """Each column read back as its block of ground elements 1..t."""
+    return tuple(frozenset(i + 1 for i in range(m.t) if (c >> i) & 1) for c in m.cols)
+
+
 def random_matrix(rng, t, n) -> IncidenceMatrix:
     return IncidenceMatrix(t, tuple(rng.randrange(1, 1 << t) for _ in range(n)))
 
@@ -65,30 +69,22 @@ class TestConversions:
     def test_two_subsets_have_column_weight_two(self):
         m = all_two_subsets_matrix()
         assert (m.t, m.n) == (4, 6)
-        assert all(m.column_weight(j) == 2 for j in range(6))
+        assert all(c.bit_count() == 2 for c in m.cols)
 
     def test_fig6_blocks_give_fig6_matrix(self):
         m = fig6_matrix()
         assert [m.row_string(i) for i in range(6)] == FIG6_ROWS
 
-    def test_sets_from_identity(self):
-        s = sets_from_matrix(IncidenceMatrix.identity(3))
-        assert list(s.blocks) == [frozenset({1}), frozenset({2}), frozenset({3})]
-
-    def test_sets_from_all_ones(self):
-        m = IncidenceMatrix(2, (3, 3))
-        assert list(sets_from_matrix(m).blocks) == [frozenset({1, 2})] * 2
-
     def test_fig6_round_trip(self):
         m = fig6_matrix()
-        assert [set(b) for b in sets_from_matrix(m).blocks] == FIG6_BLOCKS
-        assert matrix_from_sets(sets_from_matrix(m)) == m
+        assert [set(b) for b in blocks_of(m)] == FIG6_BLOCKS
+        assert matrix_from_sets(SetSystem(m.t, blocks_of(m))) == m
 
     def test_random_round_trips(self):
         rng = random.Random(7)
         for _ in range(50):
             m = random_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 7))
-            assert matrix_from_sets(sets_from_matrix(m)) == m
+            assert matrix_from_sets(SetSystem(m.t, blocks_of(m))) == m
 
     def test_out_of_range_element_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -97,6 +93,16 @@ class TestConversions:
     def test_ground_cap(self):
         with pytest.raises(InvalidInputError):
             IncidenceMatrix(GROUND_CAP + 1, (1,))
+
+    @pytest.mark.parametrize("t, cols, message", [
+        (3, (1, 2, -1, 4, -5), "column 2 has bits outside rows 1..3"),
+        (3, (7, 0, 5, 8, 1, 16), "column 3 has bits outside rows 1..3"),
+        (64, (1, 1 << 64, 0), "column 1 has bits outside rows 1..64"),
+    ], ids=["negative column", "over-wide column in the middle", "bit 65"])
+    def test_column_outside_rows_names_the_first(self, t, cols, message):
+        with pytest.raises(InvalidInputError) as err:
+            IncidenceMatrix(t, cols)
+        assert str(err.value) == message
 
 
 class TestTextFormat:
@@ -357,10 +363,7 @@ class TestInsideMatchesColumnScan:
             t = rng.choice(TABLE_TS)
             n = rng.randrange(1, 40)
             m = IncidenceMatrix(t, tuple(rng.randrange(1 << t) for _ in range(n)))
-            assert all(
-                (m.rows[i] >> j) & 1 == m.entry(i, j) for i in range(t) for j in range(m.n)
-            )
-            text = [f"{t} {n}"] + ["".join(str(m.entry(i, j)) for j in range(n))
+            text = [f"{t} {n}"] + ["".join(str((m.cols[j] >> i) & 1) for j in range(n))
                                    for i in range(t)]
             assert [m.row_string(i) for i in range(t)] == text[1:]
             assert m.to_text() == "\n".join(text) + "\n"

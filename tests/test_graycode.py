@@ -23,7 +23,6 @@ from gcff.graycode import (
     reflected,
     shorten,
     to_set_system,
-    transversal_blocks,
     transversal_matrix,
     word_to_subset,
 )
@@ -265,16 +264,11 @@ class TestTransversalMap:
         assert word_to_subset(radices, (0, 0, 0)) == frozenset({1, 3, 5})
         assert word_to_subset(radices, (1, 0, 0)) == frozenset({2, 3, 5})
 
-    def test_partition_blocks(self):
-        assert transversal_blocks((3, 3, 3)) == [
-            frozenset({1, 2, 3}), frozenset({4, 5, 6}), frozenset({7, 8, 9})
-        ]
-
     def test_blocks_are_transversal_k_subsets(self):
         code = reflected((2, 3, 2))
         s = to_set_system(code)
         assert s.ground_size == 7
-        parts = transversal_blocks(code.radices)
+        parts = [frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({6, 7})]
         for b in s.blocks:
             assert len(b) == 3
             assert all(len(b & p) == 1 for p in parts)

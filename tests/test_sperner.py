@@ -149,14 +149,3 @@ class TestGraphSperner:
     def test_star_ts(self):
         assert t_s(star(9)) == 2
 
-
-class TestProfile:
-    def test_bundles_match_components(self):
-        from gcff.sperner import profile
-
-        for n in (2, 4, 6, 7, 12, 100):
-            p = profile(n)
-            assert (p.n, p.t1, p.nbar) == (n, t1(n), nbar(n))
-            assert p.doubling_increment == doubling_increment(n)
-            assert comb(p.t1, p.t1 // 2) >= n > comb(p.t1 - 1, (p.t1 - 1) // 2)
-            assert p.nbar >= n
