@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # Convenience re-exports for the most common entry points.
 from .bounds import bounds_for  # noqa: E402
-from .constructions import star_cff, windmill_cff  # noqa: E402
+from .constructions import construct, star_cff, windmill_cff  # noqa: E402
 from .graycode import path_cycle_cff  # noqa: E402
 from .solver import exact_t, exists_cff, longest_path_cff  # noqa: E402
 from .sperner import optimal_1cff, t1  # noqa: E402
@@ -39,6 +39,7 @@ __all__ = [
     "make_family",
     "matrix_from_sets",
     "bounds_for",
+    "construct",
     "star_cff",
     "windmill_cff",
     "path_cycle_cff",

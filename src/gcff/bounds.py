@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .constructions import CATALOG
 from .errors import InvalidInputError
-from .graphs import Graph, parse_family
+from .graphs import EXACT_VERTEX_LIMIT, Graph, parse_family
 from .graycode import cycle_cff_rows
 from .sperner import doubling_increment, t1, t_s
 
@@ -361,7 +361,7 @@ def bounds_for(g: Graph) -> BoundsReport:
             v, exact = t2_upper(n)
             out.append(Bound("t", "upper", v, "trivial-two-disjunct", exact=False))
         out += _central_binomial(n)
-        if n <= 16:
+        if n <= EXACT_VERTEX_LIMIT:
             out += _pair("t_s", t_s(g), "sperner-chromatic")
 
     # Minimum-degree relations between the full and edge-only quantities.

@@ -1,6 +1,7 @@
 """Command-line front end: construct, verify, bound, and solve cover-free
 families on graphs, plus batch regeneration of the reference small-case
-table and the figure matrices.
+table and the figure matrices.  It only parses arguments, calls the library
+and prints; `gcff.constructions.construct` chooses and checks constructions.
 
 Exit codes: 0 success/verified, 1 property failure, 2 input error (a bad
 argument, or a file that cannot be read or written as text), 3 budget
@@ -17,16 +18,14 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
-import numpy as np
-
-from . import constructions, graycode
+from . import graycode
 from .bounds import bounds_for, t2_upper
+from .constructions import METHODS, construct
 from .core import IncidenceMatrix, find_violation
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import Graph, cycle, make_family, parse_family
-from .sperner import optimal_1cff
+from .graphs import make_family, parse_family
 from .solver import DEFAULT_BUDGET, exact_t
 
 EXIT_OK = 0
@@ -46,72 +45,14 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _constructions(g: Graph) -> list[tuple[str, Callable[[], IncidenceMatrix]]]:
-    """The constructions that apply to g, as (method, build) pairs in the
-    order `auto` tries them.  `double` and `catalog` come after the coloring
-    fallback, so only an explicit --method reaches them."""
-    name, args = parse_family(g.family) or (None, ())
-    n = g.n
-    family = []
-    if name == "loops":
-        family.append(("optimal-1cff", lambda: optimal_1cff(n)))
-    if name in ("path", "cycle"):
-        family.append(("gray", lambda: graycode.path_cycle_cff(n)))
-    if name == "hamming":
-        # transversal blocks in the graph's lexicographic vertex order
-        family.append(("gray", lambda: graycode.transversal_matrix(
-            args, np.indices(args).reshape(len(args), -1).T)))
-    if name == "star" or (name == "windmill" and args[0] == 2):
-        family.append(("star", lambda: constructions.star_cff(n)))
-    if name == "windmill" and args[0] >= 3 and args[1] >= 2:
-        family.append(("windmill", lambda: _windmill(*args)))
-    if name == "wheel" and n >= 5:
-        rim = n - 1
-        family.append(("universal", lambda: constructions.add_universal(
-            graycode.path_cycle_cff(rim), cycle(rim))))
-    # a complete bipartite graph's sides are its 2-coloring, past the exact solver's reach
-    sides = [0] * args[0] + [1] * args[1] if name == "bipartite" else None
-    fallback = [] if g.loops else [("coloring", lambda: constructions.from_coloring(g, sides))]
-    # below three vertices coloring goes first: path_cycle_cff and star_cff refuse n < 3
-    table = fallback + family if n < 3 else family + fallback
-    if name in ("path", "cycle") and n % 2 == 0 and n >= 6:
-        doubler = constructions.double_cycle if name == "cycle" else constructions.double_path
-        table.append(("double", lambda: doubler(graycode.path_cycle_cff(n // 2))))
-    entry = next((key for key, (cg, _) in constructions.CATALOG.items()
-                  if cg.family == g.family), None)
-    if entry is not None:
-        table.append(("catalog", lambda: constructions.catalog(entry)[1]))
-    return table
-
-
-def _windmill(k: int, blades: int) -> IncidenceMatrix:
-    # the identity inner block has k - 1 rows; say so when a 2-disjunct
-    # matrix on k - 1 columns is known to need fewer
-    if k >= 4 and t2_upper(k - 1)[0] < k - 1:
-        print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
-    return constructions.windmill_cff(k, blades)
-
-
-def _construct(g: Graph, method: str) -> tuple[IncidenceMatrix, str]:
-    """Build a CFF for g by the named method, or for `auto` by the first
-    construction that applies; returns (matrix, method actually used)."""
-    table = _constructions(g)
-    for used, build in table:
-        if method in ("auto", used):
-            return build(), used
-    names = ", ".join(used for used, _ in table) or "none"
-    raise InvalidInputError(
-        f"method {method} does not apply to {g.family or 'this graph'} (applicable: {names})"
-    )
-
-
 def cmd_construct(args) -> int:
     g = make_family(args.graph)
-    m, used = _construct(g, args.method)
-    bad = find_violation(m, g, "cff")
-    if bad is not None:
-        print(f"internal error: construction failed verification: {bad}", file=sys.stderr)
-        return EXIT_PROPERTY
+    m, used = construct(g, args.method)
+    # a windmill's identity inner block has k - 1 rows; say so when a
+    # 2-disjunct matrix on k - 1 columns is known to need fewer
+    k = parse_family(g.family)[1][0] if used == "windmill" else 0
+    if k >= 4 and t2_upper(k - 1)[0] < k - 1:
+        print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
     _emit(m.to_text(), args.output)
     print(f"{used}: {m.t}x{m.n} matrix for {g.family or args.graph}, verified", file=sys.stderr)
     return EXIT_OK
@@ -230,10 +171,7 @@ _FIGURES = [
 def _reproduce_figures(outdir: Path) -> list[str]:
     lines = []
     for fname, fam, n in _FIGURES:
-        g = make_family(f"{fam}:{n}")
-        m = graycode.path_cycle_cff(n)
-        if find_violation(m, g, "cff") is not None:
-            raise RuntimeError(f"{fname}: construction failed verification")
+        m, _ = construct(make_family(f"{fam}:{n}"), "gray")
         (outdir / fname).write_text(m.to_text())
         lines.append(f"{fname}: {m.t}x{m.n} cycle-CFF, verified")
     return lines
@@ -319,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="build a verified CFF matrix for a graph")
     c.add_argument("graph", help="graph spec, e.g. cycle:12, star:9, windmill:3,4")
     c.add_argument("--method", default="auto",
-                   choices=["auto", "coloring", "star", "windmill", "universal",
-                            "double", "gray", "catalog"])
+                   choices=("auto",) + METHODS)
     c.add_argument("--output", help="write the matrix here instead of stdout")
     c.set_defaults(fn=cmd_construct)
 

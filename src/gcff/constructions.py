@@ -1,4 +1,6 @@
-"""Explicit cover-free-family constructions beyond the Gray-code route.
+"""Explicit cover-free-family constructions, and `construct`, which owns the
+method table: the names in `METHODS`, which graphs each applies to, and the
+order `auto` tries them in.  Every matrix `construct` returns is checked.
 
 Layout conventions shared with the graph generators: hub vertices occupy
 column 0, clique/leaf columns follow in vertex order, and stacked blocks
@@ -9,9 +11,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, matching, path
+from .graphs import Graph, chromatic_number, cycle, matching, parse_family, path
+from .graycode import path_cycle_cff, transversal_matrix
 from .sperner import optimal_1cff
 
 
@@ -87,8 +92,6 @@ def _double(m: IncidenceMatrix) -> IncidenceMatrix:
 def double_cycle(m: IncidenceMatrix) -> IncidenceMatrix:
     """From a C_n-CFF to a C_2n-CFF: [A | reversed A] over two marker rows
     that split the old columns from the new."""
-    from .graphs import cycle
-
     if not is_g_cff(m, cycle(m.n)):
         raise InvalidInputError("input matrix fails cycle-CFF verification")
     return _double(m)
@@ -189,3 +192,52 @@ def catalog(name: str) -> tuple[Graph, IncidenceMatrix]:
     if bad is not None:
         raise RuntimeError(f"catalog entry {key} failed verification: {bad}")
     return g, m
+
+
+# ---------------------------------------------------------------------------
+# Choosing a construction
+# ---------------------------------------------------------------------------
+
+#: The methods `construct` knows, in the order `auto` tries them.  `double`
+#: and `catalog` follow the coloring fallback, so only an explicit method reaches them.
+METHODS = ("optimal-1cff", "gray", "star", "windmill", "universal", "coloring", "double", "catalog")
+
+
+def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
+    """Build a g-CFF by the named method, or for `auto` by the first
+    construction that applies; return (matrix, method used).  The matrix is
+    checked with `find_violation` first, and RuntimeError names a method
+    whose matrix fails; InvalidInputError names the methods that apply."""
+    name, args = parse_family(g.family) or (None, ())
+    n = g.n
+    # a complete bipartite graph's sides are its 2-coloring, past the exact solver's reach
+    sides = [0] * args[0] + [1] * args[1] if name == "bipartite" else None
+    entry = next((key for key, (cg, _) in CATALOG.items() if cg.family == g.family), None)
+    table = [
+        ("optimal-1cff", name == "loops", lambda: optimal_1cff(n)),
+        ("gray", name in ("path", "cycle"), lambda: path_cycle_cff(n)),
+        # transversal blocks in the graph's lexicographic vertex order
+        ("gray", name == "hamming", lambda: transversal_matrix(
+            args, np.indices(args).reshape(len(args), -1).T)),
+        ("star", name == "star" or (name == "windmill" and args[0] == 2), lambda: star_cff(n)),
+        ("windmill", name == "windmill" and args[0] >= 3 and args[1] >= 2, lambda: windmill_cff(*args)),
+        ("universal", name == "wheel" and n >= 5,
+         lambda: add_universal(path_cycle_cff(n - 1), cycle(n - 1))),
+        ("coloring", not g.loops, lambda: from_coloring(g, sides)),
+        ("double", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
+         lambda: (double_cycle if name == "cycle" else double_path)(path_cycle_cff(n // 2))),
+        ("catalog", entry is not None, lambda: catalog(entry)[1]),
+    ]
+    if n < 3:  # coloring goes first: path_cycle_cff and star_cff refuse n < 3
+        table.sort(key=lambda row: row[0] != "coloring")
+    for used, applies, build in table:
+        if applies and method in ("auto", used):
+            m = build()
+            bad = find_violation(m, g, "cff")
+            if bad is not None:
+                raise RuntimeError(f"construction {used} failed verification: {bad}")
+            return m, used
+    names = ", ".join(used for used, applies, _ in table if applies) or "none"
+    raise InvalidInputError(
+        f"method {method} does not apply to {g.family or 'this graph'} (applicable: {names})"
+    )

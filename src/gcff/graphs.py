@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations
+from math import prod
 from typing import Iterable, Optional
 
 from .errors import InvalidInputError, ResourceLimitError
@@ -184,13 +185,19 @@ def loops_graph(n: int) -> Graph:
 def hamming(dims: Iterable[int]) -> Graph:
     """Cartesian product of complete graphs; tuples adjacent iff Hamming distance 1.
 
-    Vertex order is lexicographic over the digit tuples.
+    Vertex order is lexicographic over the digit tuples, so v is joined to
+    v + a*place whenever the digit of size d at that place is below d - a.
     """
     dims = tuple(dims)
     if not dims or any(d < 2 for d in dims):
         raise InvalidInputError("hamming graph needs every dimension >= 2")
-    g = reduce(cartesian_product, map(complete, dims))
-    return Graph(g.n, g.edges, family="hamming(" + ",".join(map(str, dims)) + ")")
+    n = place = prod(dims)
+    edges: set[tuple[int, int]] = set()
+    for d in dims:
+        place //= d
+        for v in range(n):
+            edges.update((v, v + a * place) for a in range(1, d - v // place % d))
+    return Graph(n, frozenset(edges), family="hamming(" + ",".join(map(str, dims)) + ")")
 
 
 def sperner_graph(z: int) -> Graph:
@@ -219,21 +226,6 @@ def add_universal_vertex(g: Graph) -> Graph:
     edges.update((0, v + 1) for v in range(g.n))
     tag = f"universal({g.family})" if g.family else None
     return Graph(g.n + 1, frozenset(edges), family=tag)
-
-
-def cartesian_product(g1: Graph, g2: Graph) -> Graph:
-    """Vertex (a,b) is numbered a*|V(g2)| + b."""
-    if g1.loops or g2.loops:
-        raise InvalidInputError("cartesian product needs simple graphs")
-    n2 = g2.n
-    edges: set[tuple[int, int]] = set()
-    for a in range(g1.n):
-        for u, v in g2.edges:
-            edges.add(_norm_edge(a * n2 + u, a * n2 + v))
-    for u, v in g1.edges:
-        for b in range(n2):
-            edges.add(_norm_edge(u * n2 + b, v * n2 + b))
-    return Graph(g1.n * n2, frozenset(edges))
 
 
 _FAMILIES = {

@@ -183,6 +183,11 @@ class TestFamilyBounds:
         assert bounds_for(complete(12)).exact_value("t_s") == t1(12)
         assert bounds_for(wheel(8)).exact_value("t_s") == t1(4)
 
+    def test_ts_untagged_up_to_the_chromatic_solver_limit(self):
+        g = Graph(18, cycle(18).edges)  # an untagged even cycle: chi = 2
+        assert g.family is None
+        assert bounds_for(g).exact_value("t_s") == t1(2) == 2
+
     def test_generic_graph_sources(self):
         g = Graph(5, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)}))
         rep = bounds_for(g)

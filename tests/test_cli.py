@@ -1,12 +1,14 @@
 """Command-line pipelines: construct/verify round trips, exit codes,
 machine-readable output, and the reproduction batches."""
 
+import argparse
 import json
 from itertools import product
 
 import pytest
 
 from gcff.cli import build_parser, main
+from gcff.constructions import METHODS
 from gcff.core import IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
 from gcff.graphs import make_family
 from gcff.graycode import word_to_subset
@@ -95,6 +97,19 @@ class TestConstructVerify:
         n = make_family(spec).n
         assert f"{method}: {rows}x{n} matrix for " in err
         assert ("note: identity inner block may be suboptimal" in err) == note
+
+    def test_method_choices_are_the_construction_table(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["construct"]._actions if a.dest == "method")
+        assert tuple(method.choices) == ("auto",) + METHODS
+
+    def test_named_method_reported_by_auto_is_accepted(self, capsys):
+        # auto names the method it used, and that name works as --method
+        assert run(["construct", "loops:5"]) == 0
+        assert "optimal-1cff: 4x5 matrix" in capsys.readouterr().err
+        assert run(["construct", "loops:5", "--method", "optimal-1cff"]) == 0
+        assert "optimal-1cff: 4x5 matrix for loops(5), verified" in capsys.readouterr().err
 
     def test_inapplicable_method(self):
         for spec, method in [("cycle:12", "star"), ("path:2", "gray"),

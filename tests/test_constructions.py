@@ -6,10 +6,13 @@ from itertools import combinations
 
 import pytest
 
+from gcff import constructions
 from gcff.constructions import (
     CATALOG,
+    METHODS,
     add_universal,
     catalog,
+    construct,
     double_cycle,
     double_path,
     from_coloring,
@@ -25,6 +28,7 @@ from gcff.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    make_family,
     matching,
     path,
     star,
@@ -228,6 +232,25 @@ class TestCatalog:
         monkeypatch.setitem(CATALOG, "P4", (path(4), ("1001", "0101", "0010")))
         with pytest.raises(RuntimeError, match=r"P4 failed verification: column 3 covered"):
             catalog("P4")
+
+
+class TestConstruct:
+    SPECS = {"optimal-1cff": "loops:5", "gray": "hamming:2x3", "star": "windmill:2,4",
+             "windmill": "friendship:3", "universal": "wheel:8", "coloring": "bipartite:3,4",
+             "double": "path:12", "catalog": "matching:8"}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_method_builds(self, method):
+        g = make_family(self.SPECS[method])
+        m, used = construct(g, method)
+        assert used == method
+        assert is_g_cff(m, g)
+
+    def test_failed_check_raises_naming_the_method(self, monkeypatch):
+        # equal columns: each lies inside the union of any edge's columns
+        monkeypatch.setattr(constructions, "star_cff", lambda n: IncidenceMatrix(1, (1,) * n))
+        with pytest.raises(RuntimeError, match=r"construction star failed verification"):
+            construct(star(5))
 
 
 class TestIsolatedVertices:

@@ -1,7 +1,7 @@
 """Graph family generators and the small exact solvers."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -11,7 +11,6 @@ from gcff.graphs import (
     _FAMILIES,
     Graph,
     add_universal_vertex,
-    cartesian_product,
     chromatic_number,
     clique_number,
     complete,
@@ -103,21 +102,17 @@ class TestGenerators:
         assert stripped.n == 2 and kept == (0, 1)
 
 
-class TestCartesianProduct:
-    def test_k2_square_k2_is_c4(self):
-        g = cartesian_product(complete(2), complete(2))
-        assert g.n == 4 and len(g.edges) == 4
-        assert all(len(g.adj[v]) == 2 for v in range(4))
-
-    def test_cube(self):
-        g = cartesian_product(cartesian_product(complete(2), complete(2)), complete(2))
-        assert (g.n, len(g.edges)) == (8, 12)
-        assert g.edges == hamming([2, 2, 2]).edges
-
-    def test_k3_square_k3_regularity(self):
-        g = cartesian_product(complete(3), complete(3))
-        assert g.n == 9
-        assert all(len(g.adj[v]) == 4 for v in range(9))
+class TestHamming:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 3), (5,), (2, 3, 4), (4, 3, 2),
+                                      (3, 2, 2, 2), (2, 2, 2, 2, 2)],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    def test_edges_are_the_word_pairs_at_distance_one(self, dims):
+        words = list(product(*(range(d) for d in dims)))
+        oracle = frozenset((i, j) for i, j in combinations(range(len(words)), 2)
+                           if sum(a != b for a, b in zip(words[i], words[j])) == 1)
+        g = hamming(dims)
+        assert (g.n, g.edges, g.loops) == (len(words), oracle, frozenset())
+        assert parse_family(g.family) == ("hamming", dims)
 
 
 class TestFileAndSpec:
@@ -180,7 +175,6 @@ class TestParseFamily:
         untagged = [
             Graph(3, frozenset({(0, 1)})),
             Graph.from_text("2 1\n0 1\n"),
-            cartesian_product(path(2), path(3)),
             add_universal_vertex(Graph(2, frozenset({(0, 1)}))),
         ]
         for g in untagged:
