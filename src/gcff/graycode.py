@@ -43,7 +43,10 @@ class MixedRadixCode:
 
     def __post_init__(self) -> None:
         _check_radices(self.radices)
-        object.__setattr__(self, "array", _digit_major(self.radices, self.array))
+        array = _digit_major(self.radices, self.array)
+        # read-only, so an in-place write cannot leave the cached words stale
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
 
     def __len__(self) -> int:
         return self.array.shape[0]

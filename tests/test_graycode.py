@@ -115,6 +115,14 @@ class TestCodeRecord:
             assert code.words == ((0, 0), (0, 1), (1, 1), (1, 0))
             assert is_permutation(code) and is_cyclic(code)
 
+    def test_code_array_is_read_only(self):
+        # a write would leave the cached words stale
+        code = reflected((2, 3))
+        assert code.words[0] == (0, 0)
+        with pytest.raises(ValueError):
+            code.array[0, 0] = 1
+        assert code.words[0] == (0, 0) and code.array[0].tolist() == [0, 0]
+
 
 def _random_words(rng, radices, n):
     """n words over `radices`, mostly a Gray walk, with seeded faults mixed in:

@@ -195,6 +195,32 @@ class TestKernelMatchesReference:
             assert (len(cols), cols, nodes) == (depth, want_cols, want_nodes), budget
 
 
+MEMO_CASES = [(complete(7), 6), (cycle(8), 5), (wheel(8), 6), (path(10), 6)]
+
+
+class TestMemoMatchesReference:
+    """Trees with isomorphic subtrees, which the kernel's memo counts once
+    instead of walking: the reference walks every one of them."""
+
+    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.family}-t{t}" for g, t in MEMO_CASES])
+    def test_uncut_and_cut(self, g, t):
+        problem = _problem(g, "cff", by_degree(g))
+        args = (t, len(problem.order), problem.prev_nbrs, problem.loops, problem.sperner,
+                problem.cover, problem.zero_ok, problem.full_ok)
+        # seeded budgets in six strata of [1, min(tree, 4000)]; on these trees
+        # they stop the walk both inside a subtree the memo skips uncut and
+        # after one, and the cap keeps the reference's walks short
+        uncut = reference_engine.search_exists(*args, 10 ** 9)
+        span = min(uncut[2], 4000)
+        rng = random.Random(100 * t + g.n)
+        budgets = [1 + round(span * (k + rng.random()) / 6) for k in range(6)]
+        runs = [(10 ** 9, uncut)] + [(b, reference_engine.search_exists(*args, b)) for b in budgets]
+        for budget, (want, want_cols, want_nodes) in runs:
+            status, cols, nodes = engine.walk(t, problem, budget)
+            assert (status, cols if status == "found" else None, nodes) == \
+                (TestKernelMatchesReference.REF_STATUS[want], want_cols, want_nodes), budget
+
+
 class TestProblemRecord:
     def test_end_columns_match_edge_scan(self):
         """zero_ok/full_ok, read from degrees, equal the rule written as a
@@ -286,6 +312,22 @@ class TestExactValues:
         assert res.floor_source == "bounds"
         assert res.floor == 6 and res.t_min == 6
         assert res.searched_exhaustively == ()
+
+
+class TestNodeCounts:
+    """Tree sizes as regression values: the memo skips isomorphic subtrees
+    but still counts every node of them."""
+
+    @pytest.mark.parametrize("g,t,nodes", [
+        (complete(9), 8, 761_360), (cycle(10), 6, 57_412), (path(11), 6, 57_526),
+    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(11)-t6"])
+    def test_exhausted_tree_size(self, g, t, nodes):
+        out = exists_cff(g, t)
+        assert (out.status, out.nodes) == ("exhausted", nodes)
+
+    def test_longest_path_tree_size(self):
+        res = longest_path_cff(6)
+        assert (res.status, res.n_max, res.nodes_explored) == ("complete", 10, 57_526)
 
 
 class TestLongestPath:
