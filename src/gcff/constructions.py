@@ -78,8 +78,11 @@ def add_universal(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
         raise InvalidInputError("universal extension needs a simple graph with no isolated vertex")
     if not is_g_cff(m, g):
         raise InvalidInputError("input matrix fails g-CFF verification")
-    cols = [1 << m.t] + [c for c in m.cols]
-    return IncidenceMatrix(m.t + 1, tuple(cols))
+    return _universal(m)
+
+
+def _universal(m: IncidenceMatrix) -> IncidenceMatrix:
+    return IncidenceMatrix(m.t + 1, (1 << m.t, *m.cols))
 
 
 def _double(m: IncidenceMatrix) -> IncidenceMatrix:
@@ -215,20 +218,21 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
     entry = next((key for key, (cg, _) in CATALOG.items() if cg.family == g.family), None)
     table = [
         ("optimal-1cff", name == "loops", lambda: optimal_1cff(n)),
-        ("gray", name in ("path", "cycle"), lambda: path_cycle_cff(n)),
+        ("gray", name in ("path", "cycle") and n >= 3, lambda: path_cycle_cff(n)),
         # transversal blocks in the graph's lexicographic vertex order
         ("gray", name == "hamming", lambda: transversal_matrix(
             args, np.indices(args).reshape(len(args), -1).T)),
-        ("star", name == "star" or (name == "windmill" and args[0] == 2), lambda: star_cff(n)),
+        ("star", (name == "star" or (name == "windmill" and args[0] == 2)) and n >= 3,
+         lambda: star_cff(n)),
         ("windmill", name == "windmill" and args[0] >= 3 and args[1] >= 2, lambda: windmill_cff(*args)),
-        ("universal", name == "wheel" and n >= 5,
-         lambda: add_universal(path_cycle_cff(n - 1), cycle(n - 1))),
+        # the wheel's own check below covers every rim edge and rim column
+        ("universal", name == "wheel" and n >= 5, lambda: _universal(path_cycle_cff(n - 1))),
         ("coloring", not g.loops, lambda: from_coloring(g, sides)),
         ("double", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
          lambda: (double_cycle if name == "cycle" else double_path)(path_cycle_cff(n // 2))),
         ("catalog", entry is not None, lambda: catalog(entry)[1]),
     ]
-    if n < 3:  # coloring goes first: path_cycle_cff and star_cff refuse n < 3
+    if n < 3:  # auto reports coloring for every loopless graph this small, hamming:2 too
         table.sort(key=lambda row: row[0] != "coloring")
     for used, applies, build in table:
         if applies and method in ("auto", used):

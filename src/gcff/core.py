@@ -3,17 +3,17 @@
 A family of n subsets of the ground set [1, t] is stored column-wise: column
 j is a t-bit integer whose bit i (0-based) is set iff ground element i+1
 belongs to block j.  Columns are indexed by graph vertices 0..n-1, in label
-order.  Every containment test is `IncidenceMatrix.inside(u)`.  It reads one
-table per block of four rows (row i is an n-bit integer, bit j = entry (i, j);
-each table holds, for every subset of its block, the columns absent from all
-rows of that subset), so it costs one lookup and one big-integer AND per block,
-ceil(t / 4) in all, instead of a scan over the n columns.
+order.  Every containment test is `IncidenceMatrix.inside(u)`, or its loop
+inlined in the edge scan of `find_cover_violation`.  It reads one table per
+block of eight rows (row i is an n-bit integer, bit j = entry (i, j); each
+table holds, for every subset of its block, the columns absent from all rows
+of that subset), so it costs one lookup and one big-integer AND per block,
+ceil(t / 8) in all, instead of a scan over the n columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, repeat
 from operator import xor
 from typing import Optional
@@ -25,6 +25,24 @@ from .graphs import Graph
 
 #: Columns must fit in one machine word.
 GROUND_CAP = 64
+
+
+class _cached:
+    """`functools.cached_property` without the lock that Python 3.11 takes on
+    each first access: the value goes into the instance's __dict__, which
+    later lookups read before this (non-data) descriptor."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -50,12 +68,14 @@ class IncidenceMatrix:
     def n(self) -> int:
         return len(self.cols)
 
-    @cached_property
+    @_cached
     def tables(self) -> tuple[tuple[int, ...], ...]:
-        """One table per block of four rows (the last padded with empty rows):
+        """One table per block of eight rows (the last padded with empty rows):
         entry s of table k holds, as bits of an n-bit int, the columns absent
-        from every row 4k + i with bit i of s set.  Entry 0 is every column,
-        and row 4k + i is entry 0 XOR entry 1 << i."""
+        from every row 8k + i with bit i of s set.  Entry 0 is every column,
+        and row 8k + i is entry 0 XOR entry 1 << i.  Each table is the product
+        of two tables of four rows, entry lo + 16 hi = lo & hi; a last block of
+        at most four rows keeps its 16-entry table of four rows."""
         t, full = self.t, (1 << len(self.cols)) - 1
         # Each column as "0b1" and its t complemented digits (XOR with
         # 2^(t+1) - 1 flips them and sets the bit above), last column first;
@@ -66,26 +86,31 @@ class IncidenceMatrix:
         absent = [int(s[step - 1 - i::step], 2) for i in range(t)]
         absent += [full] * (-t % 4)
         tables = []
-        for a, b, c, d in zip(*[iter(absent)] * 4):
+        for k, (a, b, c, d) in enumerate(zip(*[iter(absent)] * 4)):
             ab, cd = a & b, c & d
-            tables.append((full, a, b, ab, c, a & c, b & c, ab & c,
-                           d, a & d, b & d, ab & d, cd, a & cd, b & cd, ab & cd))
+            quad = (full, a, b, ab, c, a & c, b & c, ab & c,
+                    d, a & d, b & d, ab & d, cd, a & cd, b & cd, ab & cd)
+            if k & 1:  # the upper half of a block of eight: pair it with the lower
+                los = tables.pop()
+                quad = tuple([lo & hi for hi in quad for lo in los])
+            tables.append(quad)
         return tuple(tables)
 
     def inside(self, u: int) -> int:
         """Columns whose block lies inside row set u, as bits of an int: those
         absent from every row outside u, one table lookup per block of rows."""
-        # ~u is negative, so shifting it keeps ones above row t: those index
-        # the padded rows of the last block, which exclude no column
-        inside, rest = -1, ~u
+        # only rows below t index the tables: a last table of four rows has
+        # 16 entries, and the padded rows of a last table of eight exclude
+        # no column
+        inside, rest = -1, ~u & ((1 << self.t) - 1)
         for tab in self.tables:
-            inside &= tab[rest & 15]
-            rest >>= 4
+            inside &= tab[rest & 255]
+            rest >>= 8
         return inside
 
     def row_string(self, row: int) -> str:
-        tab = self.tables[row >> 2]
-        return format(tab[0] ^ tab[1 << (row & 3)], f"0{self.n}b")[::-1]
+        tab = self.tables[row >> 3]
+        return format(tab[0] ^ tab[1 << (row & 7)], f"0{self.n}b")[::-1]
 
     def to_text(self) -> str:
         lines = [f"{self.t} {self.n}"]
@@ -225,17 +250,23 @@ def find_sperner_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
 
 def find_cover_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
     _check_graph(m, g)
-    cols, inside = m.cols, m.inside
-    # The columns inside an edge's union always include its own two, so
+    cols, tables, rows = m.cols, m.tables, (1 << m.t) - 1
+    first, tables = tables[0], tables[1:]
+    # `inside` inlined: the rows outside an edge's union index the tables.
+    # The columns inside the union always include the edge's own two, so
     # counting bits finds a violation without masking them out first.
     for a, b in g.edges:
-        hit = inside(cols[a] | cols[b])
+        rest = (cols[a] | cols[b]) ^ rows
+        hit = first[rest & 255]
+        for tab in tables:
+            rest >>= 8
+            hit &= tab[rest & 255]
         if hit.bit_count() > 2:
             hit &= ~(1 << a | 1 << b)
             return Violation("cover", (a, b), (hit & -hit).bit_length() - 1)
     # A loop on v forbids any other column from being contained in column v.
     for v in g.loops:
-        hit = inside(cols[v])
+        hit = m.inside(cols[v])
         if hit.bit_count() > 1:
             hit &= ~(1 << v)
             return Violation("loop", (v, v), (hit & -hit).bit_length() - 1)

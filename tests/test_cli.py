@@ -111,12 +111,18 @@ class TestConstructVerify:
         assert run(["construct", "loops:5", "--method", "optimal-1cff"]) == 0
         assert "optimal-1cff: 4x5 matrix for loops(5), verified" in capsys.readouterr().err
 
-    def test_inapplicable_method(self):
-        for spec, method in [("cycle:12", "star"), ("path:2", "gray"),
-                             ("wheel:4", "universal"), ("windmill:3,1", "windmill"),
-                             ("path:7", "double"), ("loops:3", "coloring"),
-                             ("star:9", "gray"), ("cycle:12", "catalog")]:
+    def test_inapplicable_method(self, capsys):
+        # the message lists the methods that can build the graph; below three
+        # vertices that is coloring alone
+        for spec, method, applicable in [
+                ("cycle:12", "star", "gray, coloring, double"), ("path:2", "gray", "coloring"),
+                ("path:2", "double", "coloring"), ("star:2", "star", "coloring"),
+                ("wheel:4", "universal", "coloring"), ("windmill:3,1", "windmill", "coloring"),
+                ("path:7", "double", "gray, coloring"), ("loops:3", "coloring", "optimal-1cff"),
+                ("star:9", "gray", "star, coloring"),
+                ("cycle:12", "catalog", "gray, coloring, double")]:
             assert run(["construct", spec, "--method", method]) == 2, (spec, method)
+            assert f"(applicable: {applicable})" in capsys.readouterr().err, (spec, method)
 
     def test_hamming_columns_in_vertex_order(self, tmp_path):
         # column j is the transversal block of the j-th word in lexicographic order

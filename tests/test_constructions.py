@@ -252,6 +252,24 @@ class TestConstruct:
         with pytest.raises(RuntimeError, match=r"construction star failed verification"):
             construct(star(5))
 
+    @pytest.mark.parametrize("n", list(range(5, 41)) + [3001])
+    def test_wheel_is_the_checked_universal_extension(self, n):
+        # construct checks only the wheel; add_universal checks the rim first
+        assert construct(wheel(n), "universal") == (
+            add_universal(path_cycle_cff(n - 1), cycle(n - 1)), "universal")
+
+    # auto's answer for every family spec below three vertices
+    SMALL = {"path:2": ("coloring", (1, 2)), "star:2": ("coloring", (1, 2)),
+             "windmill:2,1": ("coloring", (1, 2)), "hamming:2": ("coloring", (1, 2)),
+             "complete:1": ("coloring", (1,)), "complete:2": ("coloring", (1, 2)),
+             "bipartite:1,1": ("coloring", (1, 2)), "matching:2": ("coloring", (1, 2)),
+             "loops:1": ("optimal-1cff", (0,)), "loops:2": ("optimal-1cff", (1, 2))}
+
+    @pytest.mark.parametrize("spec", SMALL)
+    def test_auto_below_three_vertices(self, spec):
+        m, used = construct(make_family(spec))
+        assert (used, m.cols) == self.SMALL[spec]
+
 
 class TestIsolatedVertices:
     def test_identity_plus_one(self):

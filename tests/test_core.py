@@ -342,10 +342,10 @@ def scan_d_disjunct(m, d):
     return True
 
 
-# The row counts `IncidenceMatrix.inside`'s tables of four rows must handle:
-# every t from one to three blocks, t not a multiple of four, and the top bit
-# at 64.
-TABLE_TS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 63, GROUND_CAP]
+# The row counts `IncidenceMatrix.inside`'s tables of eight rows must handle:
+# every t from one to three blocks, t not a multiple of four or eight, a last
+# block of at most four rows (its 16-entry table), and the top bit at 64.
+TABLE_TS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 63, GROUND_CAP]
 
 
 def random_graph(rng, n) -> Graph:
@@ -357,6 +357,12 @@ def random_graph(rng, n) -> Graph:
 
 
 class TestInsideMatchesColumnScan:
+    def test_tables_cached_outside_equality(self):
+        m, fresh = IncidenceMatrix(5, (1, 2, 4, 8, 16)), IncidenceMatrix(5, (1, 2, 4, 8, 16))
+        assert m.tables is m.tables and "tables" in vars(m)
+        assert m == fresh and hash(m) == hash(fresh) and "tables" not in vars(fresh)
+        assert [len(tab) for tab in IncidenceMatrix(20, (1,)).tables] == [256, 256, 16]
+
     def test_rows_are_the_transpose(self):
         rng = random.Random(29)
         for _ in range(200):
