@@ -21,6 +21,13 @@ from .errors import InvalidInputError, ResourceLimitError
 #: Exact chromatic/clique solvers refuse larger instances.
 EXACT_VERTEX_LIMIT = 20
 
+#: `make_family` refuses a spec whose graph would have more vertices plus
+#: edges (loops counted as edges) than this, before building anything.
+#: hamming:4x4x4x4x4x4x4x4 (851,968) and path:300000 (599,999) fit; building
+#: a graph of this size takes 1-2 s and about 300 MB, and verifying a matrix
+#: on it takes time quadratic in n.
+SPEC_SIZE_LIMIT = 10 ** 6
+
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -242,6 +249,37 @@ _FAMILIES = {
 }
 
 
+def _hamming_size(*dims: int) -> tuple[int, int]:
+    n = prod(dims)
+    return n, n * sum(d - 1 for d in dims) // 2
+
+
+#: (vertices, edges + loops) of each family from its spec arguments, so that
+#: `make_family` can refuse an oversized spec before building it.  Sperner
+#: graphs are absent: `sperner_graph` refuses z > 6 itself.
+_SIZES = {
+    "path": lambda n: (n, n - 1),
+    "cycle": lambda n: (n, n),
+    "star": lambda n: (n, n - 1),
+    "wheel": lambda n: (n, 2 * n - 2 if n > 3 else 3),
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "bipartite": lambda n1, n2: (n1 + n2, n1 * n2),
+    "matching": lambda n: (n, n // 2),
+    "windmill": lambda k, n: (n * (k - 1) + 1, n * (k * (k - 1) // 2)),
+    "friendship": lambda n: (2 * n + 1, 3 * n),
+    "loops": lambda n: (n, n),
+    "hamming": _hamming_size,
+}
+
+
+def _check_size(spec: str, n: int, m: int) -> None:
+    if n + m > SPEC_SIZE_LIMIT:
+        raise ResourceLimitError(
+            f"{spec} would have {n:,} vertices and {m:,} edges; graph specs are "
+            f"limited to {SPEC_SIZE_LIMIT:,} vertices plus edges"
+        )
+
+
 _TAG_RE = re.compile(r"([a-z]+)\(([0-9]+(?:,[0-9]+)*)\)")
 
 
@@ -271,25 +309,31 @@ def make_family(spec: str) -> Graph:
         raise InvalidInputError(f"graph spec {spec!r} needs the form family:args")
     if name == "file":
         with open(arg) as f:
-            return Graph.from_text(f.read())
+            g = Graph.from_text(f.read())
+        _check_size(spec, g.n, len(g.edges) + len(g.loops))
+        return g
     if name == "hamming":
         try:
-            dims = [int(x) for x in arg.lower().split("x")]
+            args = [int(x) for x in arg.lower().split("x")]
         except ValueError:
             raise InvalidInputError(f"bad hamming dims {arg!r}") from None
-        return hamming(dims)
-    if name == "sperner":
-        fn, arity = sperner_graph, 1
-    elif name in _FAMILIES:
-        fn, arity = _FAMILIES[name]
+        fn = lambda *dims: hamming(dims)  # noqa: E731
     else:
-        raise InvalidInputError(f"unknown graph family {name!r}")
-    try:
-        args = [int(x) for x in arg.split(",")]
-    except ValueError:
-        raise InvalidInputError(f"bad arguments {arg!r} for {name}") from None
-    if len(args) != arity:
-        raise InvalidInputError(f"{name} takes {arity} argument(s), got {len(args)}")
+        if name == "sperner":
+            fn, arity = sperner_graph, 1
+        elif name in _FAMILIES:
+            fn, arity = _FAMILIES[name]
+        else:
+            raise InvalidInputError(f"unknown graph family {name!r}")
+        try:
+            args = [int(x) for x in arg.split(",")]
+        except ValueError:
+            raise InvalidInputError(f"bad arguments {arg!r} for {name}") from None
+        if len(args) != arity:
+            raise InvalidInputError(f"{name} takes {arity} argument(s), got {len(args)}")
+    if name in _SIZES:
+        # arguments below zero are refused by the generator, not reported as a size
+        _check_size(spec, *_SIZES[name](*(max(a, 0) for a in args)))
     return fn(*args)
 
 

@@ -30,8 +30,14 @@ same earlier columns stay interchangeable and the tree holds isomorphic
 subtrees.  A memo that lives for one `walk` call counts each of them once, in
 the manner of isomorph rejection (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998).  Its key is the canonical form of a prefix
-of at most MEMO_DEPTH columns: the sizes of the intersections of every
-nonempty subset of its columns.  They give the size of every Venn region, and
+of at most MEMO_DEPTH columns, built from its row classes: a class is a set of
+used rows that lie in exactly the same prefix columns, and the classes are
+kept in a fixed order.  Each column appends, for every class of the shorter
+prefix in that order, how many of its rows the column holds, and then how
+many new rows it takes; the classes of the longer prefix are each class split
+into its rows inside and outside the column (empty parts dropped), followed
+by the new rows.  A column thus adds at most one field per used row, plus
+one.  Equal keys give equal class sizes for every pattern of membership, and
 the used rows are the lowest ones, so two prefixes with one key differ by a
 permutation of their used rows.  Every filter of the walk (sub, sup, canon,
 the end-column masks, forb, up) commutes with that permutation, so it maps
@@ -57,15 +63,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-#: Longest prefix, in columns, whose exhausted subtree the memo records.  A
-#: node above the limit pays for a key of 2^k - 1 fields, and longer prefixes
-#: repeat less often.  perfbench table4-proofs, 4-s runs on a 2-core host
-#: (no memo: wall_s 0.36-0.42 s, op_p50_ms median 0.93): limit 2 gave wall_s
-#: 0.18-0.20 s, 3 gave 0.13-0.15 s, 4 gave 0.11-0.13 s and 5 gave 0.15-0.16 s;
-#: op_p50_ms, set by small searches, had a median of 0.81 at 3 and 0.86 at 4
-#: (six runs each).  Three keeps both below the no-memo values with the
-#: smaller memo.
-MEMO_DEPTH = 3
+#: Longest prefix, in columns, whose exhausted subtree the memo records.  Each
+#: column adds to a node's key one field per row class plus one, and longer
+#: prefixes repeat less often.  Nodes walked for cycle:10 at t = 6 (tree size
+#: 57,412): 14,351 at limit 3, 11,208 at 4, 10,485 at 5 and 10,395 with no
+#: limit; for K_9 at t = 8 (761,360): 119,420, 59,508, 52,314 and 51,674.
+#: perfbench table4-proofs, 4-s runs on a 2-core host, seeds 1-6 each: wall_s
+#: 0.124-0.142 s at limit 3, 0.107-0.121 s at 4 and 0.114-0.127 s at 5, with
+#: op_p90_ms medians of 17.7, 14.6 and 15.5 and op_p50_ms medians of 0.79 at
+#: all three.  Beyond four columns the keys cost more than the few extra
+#: skips save.
+MEMO_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -145,13 +153,15 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
     nodes = 0
     depth = 0
     # Memo of exhausted subtrees, keyed by the canonical form of their prefix
-    # (see the module docstring).  For d <= MEMO_DEPTH, meets[d] holds the
-    # intersections of the nonempty subsets of cols[:d]; key[d] packs their
-    # sizes in fields of `width` bits after a leading 1, so keys of different
-    # prefix lengths differ; start[d] is the node count on entering depth d.
+    # (see the module docstring).  For d <= MEMO_DEPTH, classes[d] holds the
+    # row classes of cols[:d] as row masks, in order; key[d] packs the sizes the
+    # columns gave in fields of `width` bits after a leading 1.  The fields
+    # read so far fix the class sizes and so how many fields the next column
+    # adds, so keys of different prefix lengths differ; start[d] is the node
+    # count on entering depth d.
     memo_depth = MEMO_DEPTH
     memo: dict[int, int] = {}
-    meets: list[list[int]] = [[]] * (memo_depth + 1)
+    classes: list[list[int]] = [[]] * (memo_depth + 1)
     key = [1] * (memo_depth + 1)
     start = [0] * (memo_depth + 1)
     width = t.bit_length()
@@ -179,17 +189,24 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
                 best = cols[:reach]
             return "budget-exceeded", best, nodes
         if depth < memo_depth:
-            k = key[depth] << width | popcount(c)
-            fresh = [c]
-            for x in meets[depth]:
-                x &= c
-                fresh.append(x)
-                k = k << width | popcount(x)
+            k = key[depth]
+            parts = []
+            for x in classes[depth]:
+                y = x & c
+                k = k << width | popcount(y)
+                if y:
+                    parts.append(y)
+                if x != y:
+                    parts.append(x ^ y)
+            y = c & ~used[depth]
+            k = k << width | popcount(y)
             skip = memo.get(k)
             if skip is not None and nodes + skip <= budget:
                 nodes += skip  # an isomorphic copy of this subtree is exhausted
                 continue
-            meets[depth + 1] = meets[depth] + fresh
+            if y:
+                parts.append(y)
+            classes[depth + 1] = parts
             key[depth + 1] = k
             start[depth + 1] = nodes
         cols[depth] = c

@@ -43,8 +43,9 @@ def doubling_increment(n: int) -> int:
 
 def half_subsets(t: int):
     """All floor(t/2)-subsets of [1, t] in lexicographic order, as bitmasks."""
-    for combo in combinations(range(1, t + 1), t // 2):
-        yield sum(1 << (x - 1) for x in combo)
+    bits = [1 << i for i in range(t)]
+    for combo in combinations(range(t), t // 2):
+        yield sum(map(bits.__getitem__, combo))
 
 
 def optimal_1cff(n: int) -> IncidenceMatrix:

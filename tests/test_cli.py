@@ -290,6 +290,27 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestOversizedSpecs:
+    """A graph spec beyond the size limit is refused before anything is
+    built: exit 2 with an `error:` line, not a MemoryError or a hang."""
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "path:1000000000"],
+        ["verify", "path:1000000000", "{matrix}"],
+        ["bounds", "path:1000000000"],
+        ["construct", "star:100000000"],
+        ["bounds", "complete:100000"],
+        ["construct", "hamming:" + "x".join(["2"] * 33)],
+        ["solve", "cycle:1000000"],
+    ], ids=["construct-path", "verify-path", "bounds-path", "construct-star",
+            "bounds-complete", "construct-hamming", "solve-cycle"])
+    def test_exit_2(self, argv, tmp_path, capsys):
+        matrix = tmp_path / "m.mat"
+        matrix.write_text("1 1\n1\n")
+        assert run([a.format(matrix=matrix) for a in argv]) == 2
+        assert "limited to" in capsys.readouterr().err
+
+
 class TestBudgetArgument:
     @pytest.mark.parametrize("argv", [
         ["solve", "path:5", "--budget", "0"],

@@ -9,6 +9,8 @@ import pytest
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
     _FAMILIES,
+    _SIZES,
+    SPEC_SIZE_LIMIT,
     Graph,
     add_universal_vertex,
     chromatic_number,
@@ -136,6 +138,46 @@ class TestFileAndSpec:
         for spec in ("nope:3", "cycle", "cycle:x", "bipartite:3"):
             with pytest.raises(InvalidInputError):
                 make_family(spec)
+
+
+#: Specs far beyond SPEC_SIZE_LIMIT; building any of them would exhaust
+#: memory or run for minutes.
+OVERSIZED_SPECS = ["path:1000000000", "star:100000000", "complete:100000",
+                   "hamming:" + "x".join(["2"] * 33), "bipartite:1000,1000",
+                   "windmill:1000,1000", "loops:600000"]
+
+
+class TestSpecSizeLimit:
+    SMALL_ARGS = {
+        "path": [(2,), (3,), (9,)], "cycle": [(3,), (8,)], "star": [(2,), (7,)],
+        "wheel": [(3,), (4,), (5,), (9,)], "complete": [(1,), (2,), (6,)],
+        "bipartite": [(1, 1), (2, 5)], "matching": [(2,), (8,)],
+        "windmill": [(2, 1), (3, 4), (5, 3)], "friendship": [(1,), (4,)],
+        "loops": [(1,), (5,)],
+        "hamming": [(2,), (5,), (2, 3), (3, 3, 2), (4, 2, 2, 2)],
+    }
+
+    def test_size_formulas_match_built_graphs(self):
+        assert self.SMALL_ARGS.keys() == _SIZES.keys() == _FAMILIES.keys() | {"hamming"}
+        for name, cases in self.SMALL_ARGS.items():
+            for args in cases:
+                g = hamming(args) if name == "hamming" else _FAMILIES[name][0](*args)
+                assert _SIZES[name](*args) == (g.n, len(g.edges) + len(g.loops)), (name, args)
+
+    @pytest.mark.parametrize("spec", OVERSIZED_SPECS)
+    def test_oversized_spec_raises_before_building(self, spec):
+        with pytest.raises(ResourceLimitError, match="limited to"):
+            make_family(spec)
+
+    def test_large_inputs_in_use_fit(self):
+        for name, args in [("hamming", (4,) * 8), ("path", (300_000,)), ("wheel", (100_000,))]:
+            assert sum(_SIZES[name](*args)) <= SPEC_SIZE_LIMIT, (name, args)
+
+    def test_oversized_graph_file(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(f"{SPEC_SIZE_LIMIT} 1\n0 1\n")
+        with pytest.raises(ResourceLimitError):
+            make_family(f"file:{f}")
 
 
 def _rebuild(parsed) -> Graph:

@@ -195,30 +195,41 @@ class TestKernelMatchesReference:
             assert (len(cols), cols, nodes) == (depth, want_cols, want_nodes), budget
 
 
-MEMO_CASES = [(complete(7), 6), (cycle(8), 5), (wheel(8), 6), (path(10), 6)]
+MEMO_CASES = [(complete(7), 6), (cycle(8), 5), (wheel(8), 6), (path(10), 6), (complete(8), 7)]
 
 
 class TestMemoMatchesReference:
     """Trees with isomorphic subtrees, which the kernel's memo counts once
     instead of walking: the reference walks every one of them."""
 
-    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.family}-t{t}" for g, t in MEMO_CASES])
-    def test_uncut_and_cut(self, g, t):
+    @staticmethod
+    def check(g, t, budgets):
+        """The kernel equals the reference on (g, t) cut at each budget;
+        returns the size of the uncut tree."""
         problem = _problem(g, "cff", by_degree(g))
         args = (t, len(problem.order), problem.prev_nbrs, problem.loops, problem.sperner,
                 problem.cover, problem.zero_ok, problem.full_ok)
-        # seeded budgets in six strata of [1, min(tree, 4000)]; on these trees
-        # they stop the walk both inside a subtree the memo skips uncut and
-        # after one, and the cap keeps the reference's walks short
-        uncut = reference_engine.search_exists(*args, 10 ** 9)
-        span = min(uncut[2], 4000)
-        rng = random.Random(100 * t + g.n)
-        budgets = [1 + round(span * (k + rng.random()) / 6) for k in range(6)]
-        runs = [(10 ** 9, uncut)] + [(b, reference_engine.search_exists(*args, b)) for b in budgets]
-        for budget, (want, want_cols, want_nodes) in runs:
+        for budget in budgets:
+            want, want_cols, want_nodes = reference_engine.search_exists(*args, budget)
             status, cols, nodes = engine.walk(t, problem, budget)
             assert (status, cols if status == "found" else None, nodes) == \
                 (TestKernelMatchesReference.REF_STATUS[want], want_cols, want_nodes), budget
+        return nodes
+
+    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.family}-t{t}" for g, t in MEMO_CASES])
+    def test_uncut_and_cut(self, g, t):
+        # seeded budgets in six strata of [1, min(tree, 4000)]; on these trees
+        # they stop the walk both inside a subtree the memo skips uncut and
+        # after one, and the cap keeps the reference's walks short
+        span = min(self.check(g, t, [10 ** 9]), 4000)
+        rng = random.Random(100 * t + g.n)
+        self.check(g, t, [1 + round(span * (k + rng.random()) / 6) for k in range(6)])
+
+    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.family}-t{t}" for g, t in MEMO_CASES])
+    def test_every_early_budget(self, g, t):
+        """Each budget up to 150 nodes: the first skips of three- and
+        four-column prefixes lie there, so some budgets stop inside them."""
+        self.check(g, t, range(1, 151))
 
 
 class TestProblemRecord:
@@ -320,7 +331,8 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("g,t,nodes", [
         (complete(9), 8, 761_360), (cycle(10), 6, 57_412), (path(11), 6, 57_526),
-    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(11)-t6"])
+        (complete(8), 7, 13_858), (wheel(9), 6, 2_096),
+    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(11)-t6", "complete(8)-t7", "wheel(9)-t6"])
     def test_exhausted_tree_size(self, g, t, nodes):
         out = exists_cff(g, t)
         assert (out.status, out.nodes) == ("exhausted", nodes)

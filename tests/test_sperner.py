@@ -12,6 +12,7 @@ from gcff.graphs import Graph, complete, cycle, sperner_graph, star
 from gcff.sperner import (
     doubling_increment,
     g_sperner_witness,
+    half_subsets,
     nbar,
     optimal_1cff,
     t1,
@@ -77,6 +78,14 @@ class TestOptimal1CFF:
             m = optimal_1cff(n)
             assert m.t == t1(n)
             assert is_d_disjunct(m, 1)
+
+
+class TestHalfSubsets:
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_masks_in_lexicographic_order(self, t):
+        want = [sum(1 << (x - 1) for x in combo)
+                for combo in combinations(range(1, t + 1), t // 2)]
+        assert list(half_subsets(t)) == want
 
 
 class TestNbar:
