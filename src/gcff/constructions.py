@@ -15,13 +15,9 @@ import numpy as np
 
 from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, cycle, matching, parse_family, path
-from .graycode import path_cycle_cff, transversal_matrix
+from .graphs import Graph, chromatic_number, matching, parse_family, path
+from .graycode import path_cycle_cff, product_matrix
 from .sperner import optimal_1cff
-
-
-def _ones(t: int) -> int:
-    return (1 << t) - 1
 
 
 def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMatrix:
@@ -30,7 +26,9 @@ def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMa
     Each class of size n_i > 1 contributes an optimal 1-disjunct block on its
     own rows; singleton classes contribute one row with a single 1.  Without
     an explicit coloring the exact chromatic witness is used.  Classes are
-    laid out largest first, ties broken by lowest vertex id.
+    laid out largest first, ties broken by lowest vertex id.  The layout is a
+    product: each class's block gains a leading zero column, which every
+    vertex outside the class takes.
     """
     if g.loops:
         raise InvalidInputError("coloring construction needs a simple graph")
@@ -47,18 +45,12 @@ def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMa
         classes.setdefault(coloring[v], []).append(v)
     ordered = sorted(classes.values(), key=lambda vs: (-len(vs), min(vs)))
 
-    cols = [0] * g.n
-    row = 0
-    for vs in ordered:
-        if len(vs) == 1:
-            cols[vs[0]] |= 1 << row
-            row += 1
-            continue
-        block = optimal_1cff(len(vs))
-        for j, v in enumerate(sorted(vs)):
-            cols[v] |= block.cols[j] << row
-        row += block.t
-    return IncidenceMatrix(row, tuple(cols))
+    blocks, words = [], np.zeros((g.n, len(ordered)), dtype=np.uint32)
+    for i, vs in enumerate(ordered):
+        block = IncidenceMatrix.identity(1) if len(vs) == 1 else optimal_1cff(len(vs))
+        blocks.append(IncidenceMatrix(block.t, (0, *block.cols)))
+        words[vs, i] = range(1, len(vs) + 1)
+    return product_matrix(blocks, words)
 
 
 def star_cff(n: int) -> IncidenceMatrix:
@@ -66,10 +58,7 @@ def star_cff(n: int) -> IncidenceMatrix:
     plus one row that is 1 only at the hub."""
     if n < 3:
         raise InvalidInputError("star construction needs n >= 3")
-    leaves = optimal_1cff(n - 1)
-    t = leaves.t
-    cols = [1 << t] + [c for c in leaves.cols]
-    return IncidenceMatrix(t + 1, tuple(cols))
+    return _universal(optimal_1cff(n - 1))
 
 
 def add_universal(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
@@ -86,22 +75,23 @@ def _universal(m: IncidenceMatrix) -> IncidenceMatrix:
 
 
 def _double(m: IncidenceMatrix) -> IncidenceMatrix:
-    t = m.t
-    cols = [c | (1 << t) for c in m.cols]
-    cols += [c | (1 << (t + 1)) for c in reversed(m.cols)]
-    return IncidenceMatrix(t + 2, tuple(cols))
+    """[A | reversed A] over two marker rows: the product of (A, I_2) along
+    (0, 0), ..., (n-1, 0), (n-1, 1), ..., (0, 1), a Hamiltonian cycle of
+    K_2 x P_n.  So a P_n-CFF A becomes a C_2n-CFF."""
+    i = np.arange(m.n)
+    words = np.column_stack((np.r_[i, i[::-1]], np.repeat((0, 1), m.n)))
+    return product_matrix((m, IncidenceMatrix.identity(2)), words)
 
 
 def double_cycle(m: IncidenceMatrix) -> IncidenceMatrix:
-    """From a C_n-CFF to a C_2n-CFF: [A | reversed A] over two marker rows
-    that split the old columns from the new."""
-    if not is_g_cff(m, cycle(m.n)):
-        raise InvalidInputError("input matrix fails cycle-CFF verification")
-    return _double(m)
+    """From a P_n-CFF (a C_n-CFF is one) to a C_2n-CFF: [A | reversed A]
+    over two marker rows that split the old columns from the new."""
+    return double_path(m)
 
 
 def double_path(m: IncidenceMatrix) -> IncidenceMatrix:
-    """Same doubling for paths: a P_n-CFF becomes a P_2n-CFF."""
+    """Same doubling, read on paths: a P_n-CFF becomes a P_2n-CFF, since
+    P_2n lies inside C_2n."""
     if not is_g_cff(m, path(m.n)):
         raise InvalidInputError("input matrix fails path-CFF verification")
     return _double(m)
@@ -117,22 +107,16 @@ def windmill_cff(k: int, n: int, inner: Optional[IncidenceMatrix] = None) -> Inc
     if k < 3 or n < 2:
         raise InvalidInputError("windmill construction needs k >= 3, n >= 2")
     if inner is None:
-        inner = IncidenceMatrix.identity(2 if k == 3 else k - 1)
+        inner = IncidenceMatrix.identity(k - 1)
     if inner.n != k - 1:
         raise InvalidInputError(f"inner matrix needs {k - 1} columns, got {inner.n}")
     need_d = 1 if k == 3 else 2
     if not is_d_disjunct(inner, need_d):
         raise InvalidInputError(f"inner matrix is not {need_d}-disjunct")
 
-    blades = optimal_1cff(n)
-    t_a, t_m = blades.t, inner.t
-    cols = [0] * (n * (k - 1) + 1)
-    for i in range(n):
-        for j in range(k - 1):
-            v = 1 + i * (k - 1) + j
-            cols[v] = blades.cols[i] | (inner.cols[j] << t_a)
-    cols[0] = 1 << (t_a + t_m)
-    return IncidenceMatrix(t_a + t_m + 1, tuple(cols))
+    # blade i's member j is vertex 1 + i * (k - 1) + j: word (i, j) in lexicographic order
+    words = np.indices((n, k - 1)).reshape(2, -1).T
+    return _universal(product_matrix((optimal_1cff(n), inner), words))
 
 
 def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
@@ -149,7 +133,7 @@ def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
     next_col = 0
     for v in range(g.n):
         if v in isolated:
-            cols.append(_ones(m.t))
+            cols.append((1 << m.t) - 1)
         else:
             cols.append(m.cols[next_col])
             next_col += 1
@@ -213,23 +197,27 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
     whose matrix fails; InvalidInputError names the methods that apply."""
     name, args = parse_family(g.family) or (None, ())
     n = g.n
-    # a complete bipartite graph's sides are its 2-coloring, past the exact solver's reach
-    sides = [0] * args[0] + [1] * args[1] if name == "bipartite" else None
+    # colorings the family tag states, past the exact solver's reach
+    known = ([0] * args[0] + [1] * args[1] if name == "bipartite"
+             else [v % 2 for v in range(n)] if name == "matching"
+             else list(range(n)) if name == "complete" or name == "windmill" and args[1] == 1
+             else None)
     entry = next((key for key, (cg, _) in CATALOG.items() if cg.family == g.family), None)
     table = [
         ("optimal-1cff", name == "loops", lambda: optimal_1cff(n)),
         ("gray", name in ("path", "cycle") and n >= 3, lambda: path_cycle_cff(n)),
-        # transversal blocks in the graph's lexicographic vertex order
-        ("gray", name == "hamming", lambda: transversal_matrix(
-            args, np.indices(args).reshape(len(args), -1).T)),
+        # identity blocks in the graph's lexicographic vertex order
+        ("gray", name == "hamming", lambda: product_matrix(
+            tuple(map(IncidenceMatrix.identity, args)), np.indices(args).reshape(len(args), -1).T)),
         ("star", (name == "star" or (name == "windmill" and args[0] == 2)) and n >= 3,
          lambda: star_cff(n)),
         ("windmill", name == "windmill" and args[0] >= 3 and args[1] >= 2, lambda: windmill_cff(*args)),
         # the wheel's own check below covers every rim edge and rim column
         ("universal", name == "wheel" and n >= 5, lambda: _universal(path_cycle_cff(n - 1))),
-        ("coloring", not g.loops, lambda: from_coloring(g, sides)),
+        ("coloring", not g.loops, lambda: from_coloring(g, known)),
+        # the check below covers the half, as it does the wheel's rim
         ("double", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
-         lambda: (double_cycle if name == "cycle" else double_path)(path_cycle_cff(n // 2))),
+         lambda: _double(path_cycle_cff(n // 2))),
         ("catalog", entry is not None, lambda: catalog(entry)[1]),
     ]
     if n < 3:  # auto reports coloring for every loopless graph this small, hamming:2 too

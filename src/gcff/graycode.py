@@ -1,12 +1,17 @@
-"""Mixed-radix Gray codes and the transversal construction for path/cycle CFFs.
+"""Mixed-radix Gray codes, and the product of blocks along them that gives
+the path/cycle CFFs.
 
 A code over radices (m_1, ..., m_k) lists tuples of Z_{m_1} x ... x Z_{m_k}
 with consecutive tuples at Hamming distance one.  Reflected codes alternate
 the direction of the tail recursion; modular codes always increment one
-digit mod its radix.  Each codeword D maps to the transversal subset
-F(D) = {offset_i + d_i + 1} of [1, sum(m_i)], picking one element from each
-radix block; the resulting k-uniform family is cover-free along the code
-order, which is exactly what a path (or, for cyclic codes, a cycle) needs.
+digit mod its radix.  `product_matrix` gives word D the union of the columns
+B_i(d_i) of blocks B_1, ..., B_k, each block on its own rows; over identity
+blocks that is the paper's transversal subset {offset_i + d_i + 1}.  If each
+B_i is a G_i-CFF and no G_i has an isolated vertex, the product is a CFF of
+the Cartesian product G_1 x ... x G_k.  A Gray code over the blocks' column
+counts is a Hamiltonian path of P_{m_1} x ... x P_{m_k}, so path-CFF blocks
+along it give a path-CFF, and a cycle-CFF if the code is cyclic and the
+leading block is I_2.
 
 Codes are held digit-major: `array` has shape (N, k), one row per word, but
 its uint8 memory is Fortran-ordered, so the N values of each digit sit next to
@@ -76,21 +81,22 @@ def _code_size(radices: tuple[int, ...]) -> int:
     return n
 
 
-def _digit_major(radices: tuple[int, ...], words) -> np.ndarray:
-    """A digit-major uint8 copy of the (N, len(radices)) integer array `words`.
+def _digit_major(radices: tuple[int, ...], words, dtype=np.uint8) -> np.ndarray:
+    """A digit-major copy, of the unsigned `dtype`, of the (N, len(radices))
+    integer array `words`.
 
-    Digits must fit a byte; a digit at or above its radix is kept, for the
-    predicates to report.  The copy is the code's own, so later writes to
+    Digits must fit `dtype`; a digit at or above its radix is kept, for the
+    predicates to report.  The copy is the caller's own, so later writes to
     `words` do not reach it.
     """
     a = np.asarray(words)
     if a.ndim != 2 or a.shape[1] != len(radices):
         raise InvalidInputError(
             f"words must form an (N, {len(radices)}) array, got shape {a.shape}")
-    if a.dtype.kind not in "ui" or (
-            a.dtype != np.uint8 and a.size and (a.min() < 0 or a.max() > 255)):
-        raise InvalidInputError("digits must be integers in 0..255")
-    return np.array(a, dtype=np.uint8, order="F")
+    if a.dtype.kind not in "ui" or (a.dtype != dtype and a.size and (
+            a.min() < 0 or a.max() > np.iinfo(dtype).max)):
+        raise InvalidInputError(f"digits must be integers in 0..{np.iinfo(dtype).max}")
+    return np.array(a, dtype=dtype, order="F")
 
 
 def hamming_distance(a: Word, b: Word) -> int:
@@ -163,8 +169,8 @@ def is_cyclic(code: MixedRadixCode) -> bool:
 
 
 def _in_box(radices: tuple[int, ...], words: np.ndarray) -> bool:
-    """Is every digit of the (N, k) uint8 array `words` below its radix?"""
-    return not (words >= np.array(radices, dtype=np.uint8)).any()
+    """Is every digit of the (N, k) unsigned array `words` below its radix?"""
+    return not (words >= np.array(radices, dtype=words.dtype)).any()
 
 
 def _ranks(radices: tuple[int, ...], words: np.ndarray, dtype) -> np.ndarray:
@@ -220,25 +226,27 @@ def to_set_system(code: MixedRadixCode) -> SetSystem:
     return SetSystem(t, blocks)
 
 
-def transversal_matrix(radices: tuple[int, ...], words) -> IncidenceMatrix:
-    """The transversal subsets of `words`, in order, as matrix columns.
+def product_matrix(blocks, words) -> IncidenceMatrix:
+    """The product of `blocks` along `words`, as matrix columns.
 
-    `words` is an (N, k) integer array of digits over `radices`, read
-    digit-major like a code's array.  Column j sets row offset_i + d_i for
-    each digit d_i of word j, where offset_i is the sum of the radices before
-    i: the bitmask of word_to_subset, built one digit row at a time.  Like
-    to_set_system, it rejects a digit outside its radix and a repeated word.
+    `words` is an (N, k) integer array, one digit per block, read digit-major
+    like a code's array.  Column j stacks blocks[i].cols[d_i] for each digit
+    d_i of word j, block 0 on the first rows.  It rejects a digit outside
+    its block and a repeated word.
     """
-    t = sum(radices)
-    # first: it keeps every radix below 256 for _in_box, every shift below 64
-    # and prod(radices) below 2^63 for int64 ranks
+    radices = tuple(b.n for b in blocks)
+    t = sum(b.t for b in blocks)
+    # first, before any word is read: it keeps every shift below 64
     if t > GROUND_CAP:
         raise InvalidInputError(f"ground set capped at {GROUND_CAP}, got t={t}")
-    words = _digit_major(radices, words)
+    # the smallest type holding every radix: a block may have over 255 columns
+    words = _digit_major(radices, words, np.min_scalar_type(max(radices)))
     _check_words(radices, words)
     cols = np.zeros(len(words), dtype=np.uint64)
-    for offset, digits in zip(np.cumsum((0,) + radices[:-1], dtype=np.uint64), words.T):
-        cols |= np.uint64(1) << (digits.astype(np.uint64) + offset)
+    offset = 0
+    for block, digits in zip(blocks, words.T):
+        cols |= (np.array(block.cols, dtype=np.uint64) << np.uint64(offset)).take(digits)
+        offset += block.t
     return IncidenceMatrix(t, tuple(cols.tolist()))
 
 
@@ -335,15 +343,15 @@ def path_cycle_cff(n: int) -> IncidenceMatrix:
     """A C_n-CFF (hence also P_n-CFF) with the interval row count.
 
     n = 3, 4 use identity matrices; beyond that the cyclic code for the
-    interval containing n is shortened to n words and mapped through the
-    transversal bijection.
+    interval containing n is shortened to n words and taken as the product
+    of identity blocks, one per radix.
     """
     if n < 3:
         raise InvalidInputError("need n >= 3")
     if n <= 4:
         return IncidenceMatrix.identity(n)
     code = cycle_code(n)
-    return transversal_matrix(code.radices, code.array)
+    return product_matrix(tuple(map(IncidenceMatrix.identity, code.radices)), code.array)
 
 
 def hamming_maximal_check(code: MixedRadixCode, limit: int = 256) -> bool:
@@ -354,7 +362,7 @@ def hamming_maximal_check(code: MixedRadixCode, limit: int = 256) -> bool:
         raise InvalidInputError("maximality check needs a full code")
     if len(code) > limit:
         raise ResourceLimitError(f"maximality check capped at {limit} words")
-    m = transversal_matrix(code.radices, code.array)
+    m = product_matrix(tuple(map(IncidenceMatrix.identity, code.radices)), code.array)
     words = code.words
     # Every block takes one element per radix, so the blocks of a distance-1
     # pair are distinct k-sets and Sperner; such a pair is safe iff it covers

@@ -134,6 +134,20 @@ class TestConstructVerify:
         oracle = matrix_from_sets(SetSystem(sum(radices), blocks))
         assert IncidenceMatrix.from_text(out.read_text()) == oracle
 
+    # past the exact chromatic solver's 20 vertices, the family tag states the coloring
+    @pytest.mark.parametrize("spec, rows", [("matching:22", 12), ("complete:21", 21),
+                                            ("windmill:22,1", 22), ("complete:64", 64)])
+    def test_coloring_from_the_family_tag(self, spec, rows, tmp_path, capsys):
+        out = tmp_path / "m.mat"
+        assert run(["construct", spec, "--output", str(out)]) == 0
+        n = make_family(spec).n
+        assert f"coloring: {rows}x{n} matrix for " in capsys.readouterr().err
+        assert run(["verify", spec, str(out)]) == 0
+
+    def test_complete_beyond_ground_cap(self, capsys):
+        assert run(["construct", "complete:65"]) == 2
+        assert "ground set capped at 64" in capsys.readouterr().err
+
     @pytest.mark.parametrize("spec", ["hamming:33x33", "hamming:300x2"])
     def test_hamming_beyond_ground_cap(self, spec, capsys):
         assert run(["construct", spec]) == 2

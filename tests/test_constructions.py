@@ -3,6 +3,7 @@ windmill, catalog entries, isolated-vertex padding."""
 
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -20,7 +21,7 @@ from gcff.constructions import (
     windmill_cff,
     with_isolated_vertices,
 )
-from gcff.core import IncidenceMatrix, is_g_cff, is_g_disjunct, is_g_sperner
+from gcff.core import IncidenceMatrix, find_violation, is_g_cff, is_g_disjunct, is_g_sperner
 from gcff.errors import InvalidInputError
 from gcff.graphs import (
     Graph,
@@ -35,7 +36,7 @@ from gcff.graphs import (
     wheel,
     windmill,
 )
-from gcff.graycode import path_cycle_cff
+from gcff.graycode import is_cyclic, path_cycle_cff, product_matrix, reflected
 from gcff.sperner import t1
 
 
@@ -166,9 +167,63 @@ class TestDoubling:
         assert (m.t, m.n) == (8, 20)
         assert is_g_cff(m, path(20))
 
+    def test_path_cff_doubles_to_a_cycle(self):
+        # P10 is no C_10-CFF (column 1 lies inside the union of edge (0, 9)),
+        # but K_2 x P_10 holds C_20, so its double is a C_20-CFF; Gray needs 9 rows
+        _, p10 = catalog("P10")
+        assert not is_g_cff(p10, cycle(10))
+        m = double_cycle(p10)
+        assert (m.t, m.n) == (8, 20) and path_cycle_cff(20).t == 9
+        assert find_violation(m, cycle(20)) is None
+
     def test_rejects_non_cff(self):
         with pytest.raises(InvalidInputError):
             double_cycle(IncidenceMatrix(2, (1, 1, 2)))
+
+
+class TestProductLemma:
+    """Blocks that are P_m-CFFs, taken along a reflected Gray code over their
+    column counts, give a path-CFF on the sum of their rows; with a leading
+    I_2 block the code is cyclic and the product a cycle-CFF."""
+
+    @staticmethod
+    def pool():
+        _, p10 = catalog("P10")
+        return ([IncidenceMatrix.identity(m) for m in (2, 3, 4)]
+                + [path_cycle_cff(n) for n in range(5, 13)]
+                + [IncidenceMatrix(p10.t, p10.cols[:m]) for m in range(2, 11)])
+
+    def test_random_products_on_paths_and_cycles(self):
+        rng, pool = random.Random(17), self.pool()
+        cases = [(pool[-1],) * 4]  # P10^4: 10^4 columns on 24 rows
+        while len(cases) < 60:
+            blocks = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+            if prod(b.n for b in blocks) <= 10 ** 4:
+                cases.append(blocks)
+        for blocks in cases:
+            code = reflected(tuple(b.n for b in blocks))
+            m = product_matrix(blocks, code.array)
+            assert m.t == sum(b.t for b in blocks)
+            assert find_violation(m, path(m.n)) is None, [b.n for b in blocks]
+            closed = (IncidenceMatrix.identity(2),) + blocks
+            m = product_matrix(closed, reflected((2,) + code.radices).array)
+            assert find_violation(m, cycle(m.n)) is None, [b.n for b in blocks]
+
+    def test_the_two_value_digit_must_lead(self):
+        # reflected((10, 2, 10)) is cyclic, but its closing edge changes the
+        # P10 digit from 9 to 0, which P10 does not join
+        _, p10 = catalog("P10")
+        code = reflected((10, 2, 10))
+        assert is_cyclic(code)
+        m = product_matrix((p10, IncidenceMatrix.identity(2), p10), code.array)
+        assert find_violation(m, path(200)) is None
+        assert find_violation(m, cycle(200)).edge == (0, 199)
+
+    def test_digits_past_a_byte(self):
+        assert find_violation(windmill_cff(3, 300), windmill(3, 300)) is None
+        m = double_path(path_cycle_cff(300))
+        assert (m.t, m.n) == (path_cycle_cff(300).t + 2, 600)
+        assert find_violation(m, cycle(600)) is None
 
 
 class TestWindmill:

@@ -7,7 +7,7 @@ from math import prod
 import numpy as np
 import pytest
 
-from gcff.core import GROUND_CAP, SetSystem, is_g_cff, matrix_from_sets
+from gcff.core import GROUND_CAP, IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
 from gcff.errors import InvalidInputError
 from gcff.graphs import cycle, path
 from gcff.graycode import (
@@ -20,12 +20,18 @@ from gcff.graycode import (
     is_permutation,
     modular,
     path_cycle_cff,
+    product_matrix,
     reflected,
     shorten,
     to_set_system,
-    transversal_matrix,
     word_to_subset,
 )
+from gcff.sperner import optimal_1cff
+
+
+def transversal(radices, words):
+    """The paper's transversal map: the product of identity blocks."""
+    return product_matrix(tuple(map(IncidenceMatrix.identity, radices)), words)
 
 
 def gray_oracle(words) -> bool:
@@ -192,13 +198,13 @@ class TestLayoutMatchesOracles:
                 if valid:
                     blocks = to_set_system(code)
                     if matrix_ok:
-                        assert transversal_matrix(radices, array) == matrix_from_sets(blocks)
+                        assert transversal(radices, array) == matrix_from_sets(blocks)
                 else:
                     with pytest.raises(InvalidInputError):
                         to_set_system(code)
                     if matrix_ok:
                         with pytest.raises(InvalidInputError, match="outside|distinct"):
-                            transversal_matrix(radices, array)
+                            transversal(radices, array)
         # every verdict occurs, each way round
         for i in range(4):
             assert {v[i] for v in seen} == {False, True}
@@ -303,7 +309,7 @@ class TestTransversalMap:
         with pytest.raises(InvalidInputError):
             to_set_system(code)
         with pytest.raises(InvalidInputError):
-            transversal_matrix(code.radices, code.array)
+            transversal(code.radices, code.array)
 
     @pytest.mark.parametrize("words, distinct", [
         ([[0] * 32, [1] * 32, [0] * 31 + [1]], True),
@@ -313,10 +319,10 @@ class TestTransversalMap:
         # 2^32 words in the box: counting ranks over it would need 32 GiB
         radices = (2,) * 32
         if distinct:
-            assert transversal_matrix(radices, words).n == 3
+            assert transversal(radices, words).n == 3
         else:
             with pytest.raises(InvalidInputError, match="distinct"):
-                transversal_matrix(radices, words)
+                transversal(radices, words)
 
     def test_word_checks_exact_beyond_int64_ranks(self):
         # 255^9 > 2^64: ranks 0 and 2^64 would wrap to one int64
@@ -326,6 +332,11 @@ class TestTransversalMap:
         assert to_set_system(MixedRadixCode(radices, np.array([zero, far]), "shortened"))
         with pytest.raises(InvalidInputError, match="distinct"):
             to_set_system(MixedRadixCode(radices, np.array([zero, far, zero]), "shortened"))
+        # the same box from 1-row blocks of 255 equal columns, within the ground cap
+        blocks = (IncidenceMatrix(1, (1,) * 255),) * 9
+        assert product_matrix(blocks, [zero, far]).cols == (511, 511)
+        with pytest.raises(InvalidInputError, match="distinct"):
+            product_matrix(blocks, [zero, far, zero])
 
     def test_covering_lemma_on_full_codes(self):
         # consecutive pairs never cover a third block, up to 729-word codes
@@ -348,7 +359,8 @@ class TestTransversalMap:
 
 
 class TestTransversalMatrix:
-    """The numpy bitmask map against the set-system route as the oracle."""
+    """The product of identity blocks against the set-system route as the
+    oracle."""
 
     def test_path_cycle_matches_set_system_route(self):
         for n in [*range(5, 601), 1000, 2187, 4000, 6561, 20000]:
@@ -362,19 +374,45 @@ class TestTransversalMatrix:
         blocks = tuple(word_to_subset(radices, w)
                        for w in product(*(range(m) for m in radices)))
         oracle = matrix_from_sets(SetSystem(sum(radices), blocks))
-        assert transversal_matrix(radices, words) == oracle
+        assert transversal(radices, words) == oracle
 
     def test_full_ground_set(self):
         # 64 rows: the top row's bit is the sign bit of an int64
         radices = (32, 32)
-        m = transversal_matrix(radices, [[31, 31], [0, 0]])
+        m = transversal(radices, [[31, 31], [0, 0]])
         assert (m.t, m.cols) == (64, (1 << 63 | 1 << 31, 1 | 1 << 32))
 
-    @pytest.mark.parametrize("radices", [(33, 33), (300, 2)])
+    @pytest.mark.parametrize("radices", [(33, 33), (300,) * 6])
     def test_ground_cap_before_arithmetic(self, radices):
-        words = np.indices(radices).reshape(len(radices), -1).T
+        # 66 rows: two 33-row identities, or six 11-row blocks of 300 columns,
+        # whose digits do not fit a byte; each digit m lies outside its block,
+        # so the cap must be reported before any word is read
+        blocks = tuple(IncidenceMatrix.identity(m) if m <= GROUND_CAP else optimal_1cff(m)
+                       for m in radices)
+        words = [[m - 1 for m in radices], list(radices)]
         with pytest.raises(InvalidInputError, match="ground set capped at 64"):
-            transversal_matrix(radices, words)
+            product_matrix(blocks, words)
+
+
+class TestProductMatrix:
+    """Blocks other than identities: column j stacks blocks[i].cols[d_i],
+    block 0 on the lowest rows."""
+
+    def test_stacks_block_columns(self):
+        a, b = IncidenceMatrix(3, (3, 5, 6)), IncidenceMatrix(2, (1, 2))
+        m = product_matrix((a, b), [[2, 0], [0, 1], [1, 1]])
+        assert (m.t, m.cols) == (5, (6 | 1 << 3, 3 | 2 << 3, 5 | 2 << 3))
+
+    def test_digits_beyond_a_byte(self):
+        blades = optimal_1cff(300)
+        m = product_matrix((blades, IncidenceMatrix.identity(2)), [[299, 0], [256, 1]])
+        assert m.cols == (blades.cols[299] | 1 << blades.t, blades.cols[256] | 2 << blades.t)
+
+    @pytest.mark.parametrize("digit", [3, 4, 255, 300, 2 ** 32, -1])
+    def test_rejects_digit_outside_a_block(self, digit):
+        blocks = (IncidenceMatrix(3, (3, 5, 6)), IncidenceMatrix.identity(2))
+        with pytest.raises(InvalidInputError, match="outside|0\\.\\."):
+            product_matrix(blocks, np.array([[0, 0], [digit, 1]], dtype=np.int64))
 
 
 class TestShorten:
