@@ -7,11 +7,17 @@ Each bound carries the quantity it constrains ("t" for the full property,
 short source tag, and an exactness flag.  A report aggregates the menu of
 applicable theorems; consumers take max of lowers / min of uppers.
 
-Each theorem is stated once, as an entry in its family's bound list.  An
-interval is read from those lists by `_extremes`, never re-derived: the
-wheel and Hamming bounds read the path and cycle lists, and so does the
-"interval" entry, so a new path or cycle fact is one entry in
-`_path_bounds` or `_cycle_bounds`.
+Every simple graph G on n vertices, none isolated, has
+t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)).  `_family` states
+these once for every graph, tagged or not, after the family's own
+theorems, with the central-binomial floor; chi comes from the family tag,
+or from the exact coloring solver for an untagged graph it can reach.
+A graph that one family states under another's name (P_2, W_3, stars
+written as windmills or bipartite graphs, one-blade windmills, a universal
+vertex over a cycle or a complete graph) is renamed once, by `_alias`,
+before the dispatch.  `_family` caches each complete list, and the cycle,
+wheel and Hamming bounds read the path and cycle intervals from it, so a
+new fact is one entry in one list.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from typing import Optional, Sequence
 
 from .constructions import CATALOG
 from .errors import InvalidInputError
-from .graphs import EXACT_VERTEX_LIMIT, Graph, parse_family
+from .graphs import EXACT_VERTEX_LIMIT, Graph, chromatic_number, parse_family
 from .graycode import cycle_cff_rows
-from .sperner import doubling_increment, t1, t_s
+from .sperner import doubling_increment, t1
 
 # ---------------------------------------------------------------------------
 # Known minimum ground sizes for 2-disjunct matrices with n columns.
@@ -129,7 +135,10 @@ def _pair(quantity: str, value: int, source: str) -> list[Bound]:
 
 
 def _interval(bounds: Sequence[Bound]) -> list[Bound]:
-    """The "interval" pair when a list's own lower and upper values meet."""
+    """The "interval" pair when a list's lower and upper t values meet and
+    no exact entry on t says so already."""
+    if any(b.exact for b in bounds if b.quantity == "t"):
+        return []
     lo, up = _extremes(bounds)
     return _pair("t", lo, "interval") if lo == up else []
 
@@ -142,54 +151,42 @@ def _central_binomial(n: int) -> list[Bound]:
     return []
 
 
-# -- paths and cycles -------------------------------------------------------
+def _read(name: str, n: int) -> tuple[Optional[int], Optional[int]]:
+    """The t interval of the path or cycle on n vertices, from its full list."""
+    return _extremes(_family(name, (n,), n, None))
 
-def _short_ground_floor(n: int) -> Optional[int]:
-    """Lower bounds from the exhaustive short-ground lemmas: a path CFF on
-    4 ground points has at most 4 blocks, on 5 at most 6."""
-    if n >= 7:
-        return 6
+
+# -- family theorems --------------------------------------------------------
+
+def _path_bounds(n: int) -> list[Bound]:
+    out = [Bound("t", "upper", cycle_cff_rows(n), "gray-cycle")]
+    # the exhaustive short-ground lemmas: a path CFF on 4 ground points has
+    # at most 4 blocks, on 5 at most 6
     if n >= 5:
-        return 5
-    return None
-
-
-# Wheels and Hamming graphs read these lists again, so keep one copy per n.
-@lru_cache(maxsize=256)
-def _path_bounds(n: int) -> tuple[Bound, ...]:
-    out = [Bound("t", "lower", t1(n), "trivial-sperner")]
-    out += _central_binomial(n)
-    floor = _short_ground_floor(n)
-    if floor is not None:
-        out.append(Bound("t", "lower", floor, "short-ground-lemma"))
-    out.append(Bound("t", "upper", cycle_cff_rows(n), "gray-cycle"))
+        out.append(Bound("t", "lower", 6 if n >= 7 else 5, "short-ground-lemma"))
     # a sub-path of a cataloged path witness is a witness
     for g, rows in CATALOG.values():
         if parse_family(g.family)[0] == "path" and n <= g.n:
             out.append(Bound("t", "upper", len(rows), f"explicit-path{g.n}"))
-    return tuple(out + _interval(out))
+    return out
 
 
-@lru_cache(maxsize=256)
-def _cycle_bounds(n: int) -> tuple[Bound, ...]:
-    out = [
-        Bound("t", "lower", t1(n), "trivial-sperner"),
+def _cycle_bounds(n: int) -> list[Bound]:
+    return [
         # a path is a subgraph of the cycle
-        Bound("t", "lower", _extremes(_path_bounds(n))[0], "path-subgraph"),
+        Bound("t", "lower", _read("path", n)[0], "path-subgraph"),
         Bound("t", "upper", cycle_cff_rows(n), "gray-cycle"),
     ]
-    out += _central_binomial(n)
-    return tuple(out + _interval(out))
 
 
 def _wheel_bounds(n: int) -> list[Bound]:
     """Wheel on n vertices: hub plus a rim cycle of length n-1."""
     rim = n - 1
-    rim_lo, rim_up = _extremes(_cycle_bounds(rim))
+    rim_lo, rim_up = _read("cycle", rim)
     out = [
         Bound("t", "lower", t1(rim) + 1, "universal-vertex-lower"),
         Bound("t", "lower", rim_lo, "rim-subgraph"),
-        Bound("t", "lower", _extremes(_cycle_bounds(n))[0], "hamilton-cycle"),
+        Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle"),
         Bound("t", "upper", rim_up + 1, "universal-vertex-upper"),
     ]
     # When the rim value is exact and sits one above its Sperner floor, the
@@ -199,97 +196,113 @@ def _wheel_bounds(n: int) -> list[Bound]:
     return out
 
 
-# -- family dispatch --------------------------------------------------------
-
-def _star_bounds(n: int) -> list[Bound]:
-    out = _pair("t", t1(n - 1) + 1, "star-exact")
-    out += _pair("t_e", t1(n - 1), "star-ecff-exact")
-    out += _pair("t_s", t1(2), "sperner-chromatic")
-    out.append(Bound("t", "lower", t1(n), "trivial-sperner"))
-    return out
-
-
 def _matching_bounds(n: int) -> list[Bound]:
     m = n // 2
-    out = [
-        Bound("t", "lower", t1(n), "trivial-sperner"),
-        Bound("t", "upper", t1(m) + 2, "pendant-two-rows"),
-    ]
-    out += _central_binomial(n)
+    out = [Bound("t", "upper", t1(m) + 2, "pendant-two-rows")]
     if m >= 2:
         out += _pair("t_e", t1(m), "disjoint-edge-ecff-exact")
         if doubling_increment(m) == 2:
             out += _pair("t", t1(m) + 2, "doubling-gap-exact")
-    out += _pair("t_s", t1(2), "sperner-chromatic")
     return out
 
 
 def _windmill_bounds(k: int, n: int) -> list[Bound]:
-    total = n * (k - 1) + 1
-    out = [
-        Bound("t", "lower", t1(total), "trivial-sperner"),
-        Bound("t", "lower", t1((k - 1) * n) + 1, "star-subgraph"),
-    ]
+    """n >= 2 blades of K_k, k >= 3."""
+    out = [Bound("t", "lower", t1((k - 1) * n) + 1, "star-subgraph")]
     if k == 3:
-        out.append(Bound("t", "lower", t1(2 * n) + 1, "star-subgraph"))
         out.append(Bound("t", "upper", t1(n) + 3, "windmill-construction"))
         if doubling_increment(n) == 2:
             out += _pair("t", t1(n) + 3, "friendship-exact")
     else:
-        v, exact = t2_upper(k - 1)
-        out.append(Bound("t", "upper", t1(n) + v + 1, "windmill-construction"))
-    out += _pair("t_s", t1(k), "sperner-chromatic")
+        out.append(Bound("t", "upper", t1(n) + t2_upper(k - 1)[0] + 1, "windmill-construction"))
     return out
 
 
 def _complete_bounds(n: int) -> list[Bound]:
-    if n < 3:
-        return _pair("t", 2, "two-incomparable") if n == 2 else []
+    """K_n with n >= 3."""
     v, exact = t2_upper(n)
-    out = [
+    lo = t2_lower(n)
+    return [
         Bound("t", "upper", v, "two-disjunct-table", exact=exact),
-        Bound("t", "lower", t2_lower(n), "two-disjunct-table", exact=exact),
+        Bound("t", "lower", lo, "two-disjunct-table", exact=exact),
         Bound("t_e", "upper", v, "complete-ecff", exact=exact),
-        Bound("t_e", "lower", t2_lower(n), "complete-ecff", exact=exact),
+        Bound("t_e", "lower", lo, "complete-ecff", exact=exact),
     ]
-    out += _pair("t_s", t1(n), "sperner-chromatic")
-    return out
 
 
-def _bipartite_bounds(n1: int, n2: int) -> list[Bound]:
-    if 1 in (n1, n2):
-        return _star_bounds(n1 + n2)
-    n = n1 + n2
-    out = [
-        Bound("t", "lower", t1(n), "trivial-sperner"),
-        Bound("t", "upper", t1(n1) + t1(n2), "coloring-construction"),
-    ]
-    out += _central_binomial(n)
-    out += _pair("t_s", t1(2), "sperner-chromatic")
-    return out
+# -- family dispatch --------------------------------------------------------
+
+def _alias(name: Optional[str], args, n: int) -> tuple[Optional[str], object]:
+    """The family whose theorems a graph on n vertices gets: its own tag, or
+    the family it is under another name.  A universal vertex over anything
+    but a star, a cycle or a complete graph counts as untagged."""
+    if name == "universal":
+        inner = args[0]
+        if inner == "star":
+            return name, args
+        return {"cycle": ("wheel", (n,)), "complete": ("complete", (n,))}.get(inner, (None, None))
+    if (name, n) in (("path", 2), ("wheel", 3)):
+        return "complete", (n,)
+    if (name == "windmill" and args[0] == 2) or (name == "bipartite" and 1 in args):
+        return "star", (n,)
+    if name == "windmill" and args[1] == 1:  # a single blade is K_k
+        return "complete", (n,)
+    return name, args
 
 
-def _hamming_bounds(dims: tuple[int, ...]) -> list[Bound]:
-    n = math.prod(dims)
-    out = [
-        Bound("t", "lower", t1(n), "trivial-sperner"),
-        Bound("t", "upper", sum(dims), "gray-transversal"),
-    ]
+@lru_cache(maxsize=512)
+def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Bound, ...]:
+    """The t and t_s bounds of a graph on n >= 2 vertices, none isolated: the
+    family's own theorems (none for an untagged graph, whose chromatic number
+    the caller passes), then the bounds every graph obeys, then "interval".
+    K_2 under the path or complete tag states only its two incomparable sets."""
+    if (name, n) == ("complete", 2):
+        return tuple(_pair("t", 2, "two-incomparable"))
+    own: list[Bound] = []
+    if name == "path":
+        own, chi = _path_bounds(n), 2
+    elif name == "cycle":
+        own, chi = _cycle_bounds(n), 2 + n % 2
+    elif name == "wheel":
+        own, chi = _wheel_bounds(n), 4 - n % 2
+    elif name == "star":
+        own = _pair("t", t1(n - 1) + 1, "star-exact") + _pair("t_e", t1(n - 1), "star-ecff-exact")
+        chi = 2
+    elif name == "matching":
+        own, chi = _matching_bounds(n), 2
+    elif name == "bipartite":
+        own = [Bound("t", "upper", t1(args[0]) + t1(args[1]), "coloring-construction")]
+        chi = 2
+    elif name == "complete":
+        own, chi = _complete_bounds(n), n
+    elif name == "windmill":
+        own, chi = _windmill_bounds(*args), args[0]
+    elif name == "hamming":
+        own, chi = [Bound("t", "upper", sum(args), "gray-transversal")], max(args)
+        if n >= 3:
+            own.append(Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle"))
+    elif name == "sperner":  # chi is not in the tag, but t_s is
+        own = _pair("t_s", args[0], "sperner-graph-exact")
+    elif name == "universal":  # over the star on n - 1 vertices
+        own, chi = _pair("t", t1(n - 2) + 2, "star-universal-exact"), 3
+    # every simple graph: t(1, n) <= t <= t(2, n) and t_s = t(1, chi)
+    out = own + [Bound("t", "lower", t1(n), "trivial-sperner")] + _central_binomial(n)
     if n >= 3:
-        out.append(Bound("t", "lower", _extremes(_cycle_bounds(n))[0], "hamilton-cycle"))
-    out += _central_binomial(n)
-    out += _pair("t_s", t1(max(dims)), "sperner-chromatic")
-    return out
+        out.append(Bound("t", "upper", t2_upper(n)[0], "trivial-two-disjunct"))
+    if chi is not None:
+        out += _pair("t_s", t1(chi), "sperner-chromatic")
+    return tuple(out + _interval(out))
 
 
 def bounds_for(g: Graph) -> BoundsReport:
     """All applicable theorem bounds for the graph.
 
-    Family-tagged graphs get their family's menu; untagged simple graphs get
-    the trivial bounds, the minimum-degree relations between the full and
-    edge-only quantities, and the chromatic Sperner value when the exact
-    coloring solver can reach the graph.  Graphs with fewer than three
-    non-isolated vertices get an empty report.
+    A tagged graph gets its family's theorems.  Every graph then gets the
+    bounds that hold for all graphs (the chromatic Sperner value of an
+    untagged graph only when the exact coloring solver can reach it) and the
+    minimum-degree relations between the full and edge-only quantities.  A
+    graph with isolated vertices gets the report of the rest, or an empty
+    report when fewer than three vertices are left.
     """
     graph_id = g.family or f"graph(n={g.n},m={len(g.edges)})"
     name, args = parse_family(g.family) or (None, None)
@@ -307,62 +320,9 @@ def bounds_for(g: Graph) -> BoundsReport:
         stripped, _ = g.without_isolated()
         return BoundsReport(graph_id, bounds_for(stripped).bounds)
 
-    n = g.n
-    out: list[Bound] = []
-
-    if name == "universal":
-        inner_name, inner_args = args
-        if inner_name == "star":
-            sn = inner_args[0]
-            out += _pair("t", t1(sn - 1) + 2, "star-universal-exact")
-        elif inner_name == "cycle":
-            out += _wheel_bounds(inner_args[0] + 1)
-        elif inner_name == "complete":
-            out += _complete_bounds(inner_args[0] + 1)
-        else:
-            name = None
-    elif (name == "path" and n == 2) or (name == "wheel" and n == 3):
-        out += _complete_bounds(n)
-    elif name == "path":
-        out += _path_bounds(n)
-        out += _pair("t_s", t1(2), "sperner-chromatic")
-    elif name == "cycle":
-        out += _cycle_bounds(n)
-        out += _pair("t_s", t1(2 + n % 2), "sperner-chromatic")  # chi(C_n)
-    elif name == "wheel":
-        out += _wheel_bounds(n)
-        out += _pair("t_s", t1(4 - n % 2), "sperner-chromatic")  # chi(W_n)
-    elif name == "star":
-        out += _star_bounds(n)
-    elif name == "complete":
-        out += _complete_bounds(n)
-    elif name == "bipartite":
-        out += _bipartite_bounds(*args)
-    elif name == "matching":
-        out += _matching_bounds(n)
-    elif name == "windmill":
-        k, blades = args
-        if k == 2:
-            out += _star_bounds(n)
-        elif blades == 1:  # a single blade is K_k
-            out += _complete_bounds(k)
-        else:
-            out += _windmill_bounds(k, blades)
-    elif name == "sperner":
-        out += _pair("t_s", args[0], "sperner-graph-exact")
-        out.append(Bound("t", "lower", t1(n), "trivial-sperner"))
-        out.append(Bound("t", "upper", t2_upper(n)[0], "trivial-two-disjunct"))
-    elif name == "hamming":
-        out += _hamming_bounds(args)
-
-    if name is None:
-        out.append(Bound("t", "lower", t1(n), "trivial-sperner"))
-        if n >= 3:
-            v, exact = t2_upper(n)
-            out.append(Bound("t", "upper", v, "trivial-two-disjunct", exact=False))
-        out += _central_binomial(n)
-        if n <= EXACT_VERTEX_LIMIT:
-            out += _pair("t_s", t_s(g), "sperner-chromatic")
+    name, args = _alias(name, args, g.n)
+    chi = chromatic_number(g) if name is None and g.n <= EXACT_VERTEX_LIMIT else None
+    out = list(_family(name, args, g.n, chi))
 
     # Minimum-degree relations between the full and edge-only quantities.
     if not any(b.quantity == "t_e" for b in out):

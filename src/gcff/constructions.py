@@ -83,18 +83,17 @@ def _double(m: IncidenceMatrix) -> IncidenceMatrix:
     return product_matrix((m, IncidenceMatrix.identity(2)), words)
 
 
-def double_cycle(m: IncidenceMatrix) -> IncidenceMatrix:
-    """From a P_n-CFF (a C_n-CFF is one) to a C_2n-CFF: [A | reversed A]
-    over two marker rows that split the old columns from the new."""
-    return double_path(m)
-
-
 def double_path(m: IncidenceMatrix) -> IncidenceMatrix:
-    """Same doubling, read on paths: a P_n-CFF becomes a P_2n-CFF, since
-    P_2n lies inside C_2n."""
+    """[A | reversed A] over two marker rows that split the old columns from
+    the new.  Read on cycles, a P_n-CFF (a C_n-CFF is one) becomes a
+    C_2n-CFF; read on paths, a P_2n-CFF, since P_2n lies inside C_2n.  Both
+    readings need only the path check, so `double_cycle` is this function."""
     if not is_g_cff(m, path(m.n)):
         raise InvalidInputError("input matrix fails path-CFF verification")
     return _double(m)
+
+
+double_cycle = double_path
 
 
 def windmill_cff(k: int, n: int, inner: Optional[IncidenceMatrix] = None) -> IncidenceMatrix:

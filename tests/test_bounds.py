@@ -14,6 +14,7 @@ from gcff.graphs import (
     cycle,
     hamming,
     loops_graph,
+    make_family,
     matching,
     path,
     sperner_graph,
@@ -22,7 +23,7 @@ from gcff.graphs import (
     windmill,
 )
 from gcff.graycode import cycle_cff_rows, path_cycle_cff
-from gcff.solver import exact_t
+from gcff.solver import exact_t, exists_cff
 from gcff.sperner import doubling_increment, t1
 
 # Printed small-n values: (value, exact?) per family; non-exact cells print
@@ -251,3 +252,81 @@ class TestConsistencyAndCrossChecks:
         for k in range(3, 7):
             for n in range(2, 6):
                 assert bounds_for(windmill(k, n)).lower("t") <= windmill_cff(k, n).t
+
+
+# Every CLI family on at most 8 vertices, plus two universal-vertex tags.
+AUDIT_SPECS = (
+    [f"{fam}:{n}" for fam in ("path", "star", "complete") for n in range(2, 9)]
+    + [f"{fam}:{n}" for fam in ("cycle", "wheel") for n in range(3, 9)]
+    + [f"matching:{n}" for n in range(2, 9, 2)]
+    + [f"bipartite:{a},{b}" for a in range(1, 8) for b in range(1, 9 - a)]
+    + [f"windmill:{k},{b}" for k in range(2, 9) for b in range(1, 8) if (k - 1) * b + 1 <= 8]
+    + ["hamming:2x2", "hamming:2x3", "hamming:2x2x2", "loops:6", "sperner:3"]
+)
+PROPERTY = {"t": "cff", "t_e": "ecff", "t_s": "sperner"}
+
+
+class TestEveryBoundAgainstTheSolver:
+    def test_each_bound_brackets_the_exact_value(self):
+        graphs = [(s, make_family(s)) for s in AUDIT_SPECS]
+        graphs += [(g.family, g) for g in (add_universal_vertex(star(4)),
+                                           add_universal_vertex(cycle(5)))]
+        for spec, g in graphs:
+            rep = bounds_for(g)
+            for q, prop in PROPERTY.items():
+                stated = [b for b in rep.bounds if b.quantity == q]
+                if not stated:
+                    continue
+                value = exact_t(g, prop, start=1, use_bounds=False).t_min
+                for b in stated:
+                    holds = b.value <= value if b.kind == "lower" else b.value >= value
+                    assert holds, (spec, b, value)
+                    assert not b.exact or b.value == value, (spec, b, value)
+
+
+class TestGraphIndependentBounds:
+    def test_each_stated_once(self):
+        for spec in AUDIT_SPECS + ["path:100", "wheel:30", "hamming:4x4", "sperner:5"]:
+            sources = [b.source for b in bounds_for(make_family(spec)).bounds]
+            if spec in ("path:2", "complete:2", "loops:6"):
+                assert "trivial-sperner" not in sources, spec
+                continue
+            assert sources.count("trivial-sperner") == 1, spec
+            assert sources.count("sperner-chromatic") in (0, 2), spec
+            assert sources.count("trivial-two-disjunct") == (make_family(spec).n > 2), spec
+
+    def test_hamming_12x12_upper_is_trivial_two_disjunct(self):
+        rep = bounds_for(hamming([12, 12]))
+        for q in ("t", "t_e"):
+            assert rep.upper(q) == 22, q  # the Gray transversal gives 24
+        assert Bound("t", "upper", 22, "trivial-two-disjunct") in rep.bounds
+
+    def test_two_blade_windmills_upper(self):
+        for k in (30, 31):
+            assert bounds_for(windmill(k, 2)).upper("t") == 17, k  # construction: 18
+
+    def test_sperner3_central_binomial_floor(self):
+        # six non-isolated vertices, and C(4, 2) = 6
+        g = sperner_graph(3)
+        rep = bounds_for(g)
+        assert (rep.lower("t"), rep.lower("t_e")) == (5, 5)
+        assert Bound("t", "lower", 5, "central-binomial") in rep.bounds
+        assert exists_cff(g, 4).status == "exhausted"
+        assert exists_cff(g, 5).status == "found"
+
+    def test_universal_tags_get_the_chromatic_sperner_value(self):
+        for g in (add_universal_vertex(star(5)), add_universal_vertex(cycle(8))):
+            assert bounds_for(g).exact_value("t_s") == 3, g.family
+
+    def test_two_vertex_reports_unchanged(self):
+        star_like = {"t": (2, 2), "t_e": (1, 1), "t_s": (2, 2)}
+        k2 = {"t": (2, 2), "t_e": (1, 2), "t_s": (None, None)}
+        want = {
+            "path:2": k2, "complete:2": k2,
+            "star:2": star_like, "bipartite:1,1": star_like, "windmill:2,1": star_like,
+            "matching:2": {"t": (2, 3), "t_e": (1, 3), "t_s": (2, 2)},
+        }
+        for spec, intervals in want.items():
+            rep = bounds_for(make_family(spec))
+            got = {q: (rep.lower(q), rep.upper(q)) for q in intervals}
+            assert got == intervals, spec
