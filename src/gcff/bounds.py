@@ -12,12 +12,12 @@ t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)).  `_family` states
 these once for every graph, tagged or not, after the family's own
 theorems, with the central-binomial floor; chi comes from the family tag,
 or from the exact coloring solver for an untagged graph it can reach.
-A graph that one family states under another's name (P_2, W_3, stars
-written as windmills or bipartite graphs, one-blade windmills, a universal
-vertex over a cycle or a complete graph) is renamed once, by `_alias`,
-before the dispatch.  `_family` caches each complete list, and the cycle,
-wheel and Hamming bounds read the path and cycle intervals from it, so a
-new fact is one entry in one list.
+A graph that one family states under another's name (every spelling of
+K_2, W_3, stars written as windmills or bipartite graphs, one-blade
+windmills, a universal vertex over a cycle or a complete graph) is renamed
+once, by `_alias`, before the dispatch.  `_family` caches each complete
+list, and the cycle, wheel and Hamming bounds read the path and cycle
+intervals from it, so a new fact is one entry in one list.
 """
 
 from __future__ import annotations
@@ -236,12 +236,14 @@ def _alias(name: Optional[str], args, n: int) -> tuple[Optional[str], object]:
     """The family whose theorems a graph on n vertices gets: its own tag, or
     the family it is under another name.  A universal vertex over anything
     but a star, a cycle or a complete graph counts as untagged."""
+    if n == 2:  # K_2, under any name
+        return "star", (2,)
     if name == "universal":
         inner = args[0]
         if inner == "star":
             return name, args
         return {"cycle": ("wheel", (n,)), "complete": ("complete", (n,))}.get(inner, (None, None))
-    if (name, n) in (("path", 2), ("wheel", 3)):
+    if (name, n) == ("wheel", 3):
         return "complete", (n,)
     if (name == "windmill" and args[0] == 2) or (name == "bipartite" and 1 in args):
         return "star", (n,)
@@ -254,10 +256,7 @@ def _alias(name: Optional[str], args, n: int) -> tuple[Optional[str], object]:
 def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Bound, ...]:
     """The t and t_s bounds of a graph on n >= 2 vertices, none isolated: the
     family's own theorems (none for an untagged graph, whose chromatic number
-    the caller passes), then the bounds every graph obeys, then "interval".
-    K_2 under the path or complete tag states only its two incomparable sets."""
-    if (name, n) == ("complete", 2):
-        return tuple(_pair("t", 2, "two-incomparable"))
+    the caller passes), then the bounds every graph obeys, then "interval"."""
     own: list[Bound] = []
     if name == "path":
         own, chi = _path_bounds(n), 2

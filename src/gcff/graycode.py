@@ -3,8 +3,9 @@ the path/cycle CFFs.
 
 A code over radices (m_1, ..., m_k) lists tuples of Z_{m_1} x ... x Z_{m_k}
 with consecutive tuples at Hamming distance one.  Reflected codes alternate
-the direction of the tail recursion; modular codes always increment one
-digit mod its radix.  `product_matrix` gives word D the union of the columns
+the direction of the tail recursion; in the modular code over q^k words digit
+j of word w is (w // q^(k-1-j) - w // q^(k-j)) mod q, so each step increments
+one digit mod q.  `product_matrix` gives word D the union of the columns
 B_i(d_i) of blocks B_1, ..., B_k, each block on its own rows; over identity
 blocks that is the paper's transversal subset {offset_i + d_i + 1}.  If each
 B_i is a G_i-CFF and no G_i has an isolated vertex, the product is a CFF of
@@ -12,6 +13,11 @@ the Cartesian product G_1 x ... x G_k.  A Gray code over the blocks' column
 counts is a Hamiltonian path of P_{m_1} x ... x P_{m_k}, so path-CFF blocks
 along it give a path-CFF, and a cycle-CFF if the code is cyclic and the
 leading block is I_2.
+
+One rule, `_interval`, builds the path/cycle CFF: n in (2*3^(k-1), 3^k],
+(3^k, 4*3^(k-1)] or (4*3^(k-1), 2*3^k] takes modular 3^k, reflected
+(2, 2, 3^(k-1)) or reflected (2, 3^k), with 3k, 3k+1 or 3k+2 radix symbols
+(rows), and `shorten` deletes words 1, 4, 7, ... down to the interval's least n.
 
 Codes are held digit-major: `array` has shape (N, k), one row per word, but
 its uint8 memory is Fortran-ordered, so the N values of each digit sit next to
@@ -36,6 +42,8 @@ from .errors import InvalidInputError, ResourceLimitError
 
 #: Refuse to materialize codes beyond this many words.
 MAX_WORDS = 1 << 20
+#: The Hamming maximality check compares all pairs, so it refuses longer codes.
+MAXIMALITY_WORDS = 256
 
 Word = tuple[int, ...]
 
@@ -127,22 +135,18 @@ def reflected(radices) -> MixedRadixCode:
 
 
 def modular(q: int, k: int) -> MixedRadixCode:
-    """Modular Gray code over q^k words; the appended digit cycles mod q,
-    starting where the previous block's wrap leaves off."""
+    """Modular Gray code over q^k words: after prefix word i the appended
+    digit r = 0..q-1 reads (r - i) mod q.  In closed form digit j of word w
+    is (p - p // q) mod q with p = w // q^(k-1-j), so each digit row is
+    written, one at a time, from its q^(j+1) prefix values."""
     if q < 2 or k < 1:
         raise InvalidInputError(f"need q >= 2 and k >= 1, got q={q}, k={k}")
     radices = (q,) * k
-    _code_size(radices)
-    arr = np.arange(q, dtype=np.uint8).reshape(-1, 1)
-    for _ in range(k - 1):
-        n, w = arr.shape
-        starts = (q - np.arange(n)) % q
-        digits = ((starts[:, None] + np.arange(q)[None, :]) % q).astype(np.uint8)
-        out = np.empty((n * q, w + 1), dtype=np.uint8)
-        out[:, :w] = np.repeat(arr, q, axis=0)
-        out[:, w] = digits.reshape(-1)
-        arr = out
-    return MixedRadixCode(radices, arr, "modular")
+    digits = np.empty((k, _code_size(radices)), dtype=np.uint8)
+    for j, row in enumerate(digits):
+        p = np.arange(q ** (j + 1))
+        row.reshape(p.size, -1)[:] = ((p - p // q) % q)[:, None]
+    return MixedRadixCode(radices, digits.T, "modular")
 
 
 def is_gray(code: MixedRadixCode) -> bool:
@@ -251,101 +255,66 @@ def product_matrix(blocks, words) -> IncidenceMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Shortening
+# The path/cycle construction
 # ---------------------------------------------------------------------------
 
-def _shorten_allowance(code: MixedRadixCode) -> int:
-    """Max number of removable words for the radix patterns used by the
-    path/cycle construction.  Other codes only admit a = 0."""
-    r = code.radices
-    if code.kind == "modular" and all(m == 3 for m in r):
-        return 3 ** (len(r) - 1) - 1
-    if code.kind == "reflected" and len(r) >= 2 and r[-1] == 3:
-        if r[0] == 2 and r[1] == 2 and all(m == 3 for m in r[2:]):
-            return 3 ** (len(r) - 2) - 1
-        if r[0] == 2 and all(m == 3 for m in r[1:]):
-            return 2 * 3 ** (len(r) - 2) - 1
-        if all(m == 3 for m in r):
-            return 3 ** (len(r) - 1) - 1
-    return 0
+def _interval(n: int) -> tuple[str, tuple[int, ...], int]:
+    """(kind, radices, least n of the interval) of the code the construction
+    shortens to n >= 3 words."""
+    k = 1
+    while n > 2 * 3 ** k:
+        k += 1
+    third = 3 ** (k - 1)
+    if n > 4 * third:
+        return "reflected", (2,) + (3,) * k, 4 * third + 1
+    if n > 3 * third:
+        return "reflected", (2, 2) + (3,) * (k - 1), 3 * third + 1
+    return "modular", (3,) * k, 2 * third + 1
 
 
 def shorten(code: MixedRadixCode, a: int) -> MixedRadixCode:
-    """Delete `a` codewords while keeping the Gray (and cyclic) property.
-
-    Modular codes drop the `a` lowest words at indices 1 mod 3 (the middle
-    of each 3-block); reflected codes drop the `a` lowest words whose final
-    digit is 1 (the middle of each reflected triple).
-    """
+    """Delete words 1, 4, 7, ..., `a` of them, keeping the Gray (and cyclic)
+    property: each is the middle of a triple that only the last digit, a 3,
+    tells apart.  Only a code `_interval` picks may lose any, down to the
+    least n of its interval."""
     if a < 0:
         raise InvalidInputError("cannot delete a negative number of words")
     if a == 0:
         return code
-    allowance = _shorten_allowance(code)
+    kind, radices, least = _interval(len(code))
+    allowance = len(code) - least if (code.kind, code.radices) == (kind, radices) else 0
     if a > allowance:
         raise InvalidInputError(
             f"can delete at most {allowance} words from this {code.kind} code, asked {a}"
         )
     keep = np.ones(len(code), dtype=bool)
-    if code.kind == "modular":
-        keep[1:3 * a:3] = False
-    else:
-        drop = np.flatnonzero(code.array[:, -1] == 1)[:a]
-        keep[drop] = False
+    keep[1:3 * a:3] = False
     out = MixedRadixCode(code.radices, code.array[keep], "shortened")
     if not is_gray(out):
         raise RuntimeError("shortening broke the Gray property")
     return out
 
 
-# ---------------------------------------------------------------------------
-# The path/cycle construction
-# ---------------------------------------------------------------------------
-
-def _case_for(n: int) -> tuple[int, int]:
-    """The (k, case) with n in case 1: (2*3^(k-1), 3^k], case 2: (3^k, 4*3^(k-1)],
-    case 3: (4*3^(k-1), 2*3^k]."""
-    k = 1
-    while n > 2 * 3 ** k:
-        k += 1
-    if n > 4 * 3 ** (k - 1):
-        return k, 3
-    if n > 3 ** k:
-        return k, 2
-    if n > 2 * 3 ** (k - 1):
-        return k, 1
-    raise AssertionError(f"no interval for n={n}")
-
-
 def cycle_cff_rows(n: int) -> int:
-    """Row count the construction achieves: 3k / 3k+1 / 3k+2 by interval."""
+    """Row count the construction achieves: one per radix symbol, or n for
+    the identities at n = 3, 4."""
     if n < 3:
         raise InvalidInputError("need n >= 3")
-    k, case = _case_for(n)
-    return 3 * k + case - 1
+    return n if n <= 4 else sum(_interval(n)[1])
 
 
 def cycle_code(n: int) -> MixedRadixCode:
     """The cyclic Gray code (shortened to n words) behind path_cycle_cff."""
     if n < 5:
         raise InvalidInputError("gray-code route needs n >= 5; cycles 3, 4 use identities")
-    k, case = _case_for(n)
-    if case == 1:
-        code = modular(3, k)
-    elif case == 2:
-        code = reflected((2, 2) + (3,) * (k - 1))
-    else:
-        code = reflected((2,) + (3,) * k)
+    kind, radices, _ = _interval(n)
+    code = modular(3, len(radices)) if kind == "modular" else reflected(radices)
     return shorten(code, len(code) - n)
 
 
 def path_cycle_cff(n: int) -> IncidenceMatrix:
-    """A C_n-CFF (hence also P_n-CFF) with the interval row count.
-
-    n = 3, 4 use identity matrices; beyond that the cyclic code for the
-    interval containing n is shortened to n words and taken as the product
-    of identity blocks, one per radix.
-    """
+    """A C_n-CFF (hence also P_n-CFF) with the interval row count: I_n for
+    n = 3, 4, else identity blocks, one per radix, along `cycle_code(n)`."""
     if n < 3:
         raise InvalidInputError("need n >= 3")
     if n <= 4:
@@ -354,14 +323,14 @@ def path_cycle_cff(n: int) -> IncidenceMatrix:
     return product_matrix(tuple(map(IncidenceMatrix.identity, code.radices)), code.array)
 
 
-def hamming_maximal_check(code: MixedRadixCode, limit: int = 256) -> bool:
+def hamming_maximal_check(code: MixedRadixCode) -> bool:
     """True iff the transversal family is a CFF exactly for the Hamming graph
     on the radices: every distance-1 pair is safe and every distance->=2 pair
     covers some third block."""
     if not code.is_full:
         raise InvalidInputError("maximality check needs a full code")
-    if len(code) > limit:
-        raise ResourceLimitError(f"maximality check capped at {limit} words")
+    if len(code) > MAXIMALITY_WORDS:
+        raise ResourceLimitError(f"maximality check capped at {MAXIMALITY_WORDS} words")
     m = product_matrix(tuple(map(IncidenceMatrix.identity, code.radices)), code.array)
     words = code.words
     # Every block takes one element per radix, so the blocks of a distance-1

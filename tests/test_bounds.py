@@ -288,7 +288,7 @@ class TestGraphIndependentBounds:
     def test_each_stated_once(self):
         for spec in AUDIT_SPECS + ["path:100", "wheel:30", "hamming:4x4", "sperner:5"]:
             sources = [b.source for b in bounds_for(make_family(spec)).bounds]
-            if spec in ("path:2", "complete:2", "loops:6"):
+            if spec == "loops:6":
                 assert "trivial-sperner" not in sources, spec
                 continue
             assert sources.count("trivial-sperner") == 1, spec
@@ -318,15 +318,13 @@ class TestGraphIndependentBounds:
         for g in (add_universal_vertex(star(5)), add_universal_vertex(cycle(8))):
             assert bounds_for(g).exact_value("t_s") == 3, g.family
 
-    def test_two_vertex_reports_unchanged(self):
-        star_like = {"t": (2, 2), "t_e": (1, 1), "t_s": (2, 2)}
-        k2 = {"t": (2, 2), "t_e": (1, 2), "t_s": (None, None)}
-        want = {
-            "path:2": k2, "complete:2": k2,
-            "star:2": star_like, "bipartite:1,1": star_like, "windmill:2,1": star_like,
-            "matching:2": {"t": (2, 3), "t_e": (1, 3), "t_s": (2, 2)},
-        }
-        for spec, intervals in want.items():
+    def test_two_vertex_reports_agree(self):
+        # every spelling of K_2 gets the star's report
+        want = {"t": (2, 2), "t_e": (1, 1), "t_s": (2, 2)}
+        star_report = bounds_for(make_family("star:2")).bounds
+        for spec in ("path:2", "complete:2", "matching:2", "hamming:2", "star:2",
+                     "bipartite:1,1", "windmill:2,1"):
             rep = bounds_for(make_family(spec))
-            got = {q: (rep.lower(q), rep.upper(q)) for q in intervals}
-            assert got == intervals, spec
+            assert {q: (rep.lower(q), rep.upper(q)) for q in want} == want, spec
+            assert rep.bounds == star_report, spec
+        assert bounds_for(Graph(2, frozenset({(0, 1)}))).bounds == star_report

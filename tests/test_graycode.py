@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gcff.core import GROUND_CAP, IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
-from gcff.errors import InvalidInputError
+from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import cycle, path
 from gcff.graycode import (
     MixedRadixCode,
@@ -261,6 +261,19 @@ class TestModular:
         c = modular(2, 3)
         assert gray_oracle(c.words) and is_cyclic(c)
 
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_matches_recursive_definition(self, q):
+        def words(k):
+            # after prefix word i, the appended digit r = 0..q-1 reads (r - i) mod q
+            if k == 0:
+                return [()]
+            return [w + ((r - i) % q,) for i, w in enumerate(words(k - 1)) for r in range(q)]
+
+        k = 1
+        while q ** k <= 4096:
+            assert list(modular(q, k).words) == words(k), (q, k)
+            k += 1
+
     def test_modular_sweep_cyclic(self):
         for q in (2, 3, 4, 5):
             k = 1
@@ -443,6 +456,29 @@ class TestShorten:
         with pytest.raises(InvalidInputError):
             shorten(reflected((2, 2)), 1)
 
+    # each construction code may shrink to the least n of its interval
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("build, allowance", [
+        (lambda k: modular(3, k), lambda k: 3 ** (k - 1) - 1),
+        (lambda k: reflected((2, 2) + (3,) * (k - 1)), lambda k: 3 ** (k - 1) - 1),
+        (lambda k: reflected((2,) + (3,) * k), lambda k: 2 * 3 ** (k - 1) - 1),
+    ], ids=["modular 3^k", "reflected 2,2,3^(k-1)", "reflected 2,3^k"])
+    def test_construction_allowances(self, build, allowance, k):
+        full, a = build(k), allowance(k)
+        c = shorten(full, a)
+        # words 1, 4, 7, ... go, the middle of each leading triple
+        assert c.words == tuple(w for i, w in enumerate(full.words) if i % 3 != 1 or i >= 3 * a)
+        assert is_cyclic(c) and len(set(c.words)) == len(c)
+        if full.kind == "reflected":
+            assert all(w[-1] == 1 for w in full.words[1:3 * a:3])
+        with pytest.raises(InvalidInputError, match=f"at most {a} words"):
+            shorten(full, a + 1)
+
+    @pytest.mark.parametrize("radices", [(3, 3), (3, 3, 3)])
+    def test_codes_outside_the_construction_refuse_any_deletion(self, radices):
+        with pytest.raises(InvalidInputError, match="at most 0 words"):
+            shorten(reflected(radices), 1)
+
 
 class TestPathCycleCFF:
     def test_figure_row_counts(self):
@@ -494,3 +530,8 @@ class TestHammingMaximality:
     def test_requires_full_code(self):
         with pytest.raises(InvalidInputError):
             hamming_maximal_check(shorten(modular(3, 3), 2))
+
+    def test_refuses_codes_beyond_the_cap(self):
+        assert hamming_maximal_check(reflected((16, 16)))
+        with pytest.raises(ResourceLimitError, match="capped at 256"):
+            hamming_maximal_check(reflected((17, 17)))
