@@ -23,7 +23,7 @@ from typing import Optional
 from . import graycode
 from .bounds import bounds_for, t2_upper
 from .constructions import METHODS, construct
-from .core import IncidenceMatrix, find_violation
+from .core import PROPERTIES, IncidenceMatrix, find_violation
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import make_family, parse_family
 from .solver import DEFAULT_BUDGET, exact_t
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check a matrix file against a graph")
     v.add_argument("graph")
     v.add_argument("matrix")
-    v.add_argument("--property", default="cff", choices=["cff", "ecff", "sperner"])
+    v.add_argument("--property", default="cff", choices=list(PROPERTIES))
     v.add_argument("--format", default="text", choices=["text", "json-lines"])
     v.set_defaults(fn=cmd_verify)
 
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="exact minimum ground size by exhaustive search")
     s.add_argument("graph")
-    s.add_argument("--property", default="cff", choices=["cff", "ecff", "sperner"])
+    s.add_argument("--property", default="cff", choices=list(PROPERTIES))
     s.add_argument("--tmax", type=int, default=None)
     s.add_argument("--budget", type=_positive_int, default=SOLVE_BUDGET,
                    help=f"search nodes before giving up with exit 3 (default {SOLVE_BUDGET:,})")

@@ -273,15 +273,26 @@ def find_cover_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
     return None
 
 
+#: Each property: (the quantity bounds report for it, whether each edge must
+#: be Sperner, whether no other column may lie in an edge's union).
+PROPERTIES = {"cff": ("t", True, True), "ecff": ("t_e", False, True),
+              "sperner": ("t_s", True, False)}
+
+
+def property_terms(prop: str) -> tuple[str, bool, bool]:
+    """`PROPERTIES[prop]`, refusing an unknown property name."""
+    if prop not in PROPERTIES:
+        raise InvalidInputError(f"unknown property {prop!r}")
+    return PROPERTIES[prop]
+
+
 def find_violation(m: IncidenceMatrix, g: Graph, prop: str = "cff") -> Optional[Violation]:
-    """First violation of `prop` in {"cff", "ecff", "sperner"}, or None."""
-    if prop == "sperner":
-        return find_sperner_violation(m, g)
-    if prop == "ecff":
-        return find_cover_violation(m, g)
-    if prop == "cff":
-        return find_cover_violation(m, g) or find_sperner_violation(m, g)
-    raise InvalidInputError(f"unknown property {prop!r}")
+    """First violation of `prop` in `PROPERTIES`, or None; cover first."""
+    _, sperner, cover = property_terms(prop)
+    bad = find_cover_violation(m, g) if cover else None
+    if bad is None and sperner:
+        bad = find_sperner_violation(m, g)
+    return bad
 
 
 def is_g_sperner(m: IncidenceMatrix, g: Graph) -> bool:

@@ -235,40 +235,25 @@ def add_universal_vertex(g: Graph) -> Graph:
     return Graph(g.n + 1, frozenset(edges), family=tag)
 
 
-_FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "star": (star, 1),
-    "wheel": (wheel, 1),
-    "complete": (complete, 1),
-    "bipartite": (complete_bipartite, 2),
-    "matching": (matching, 1),
-    "windmill": (windmill, 2),
-    "friendship": (friendship, 1),
-    "loops": (loops_graph, 1),
-}
-
-
-def _hamming_size(*dims: int) -> tuple[int, int]:
-    n = prod(dims)
-    return n, n * sum(d - 1 for d in dims) // 2
-
-
-#: (vertices, edges + loops) of each family from its spec arguments, so that
-#: `make_family` can refuse an oversized spec before building it.  Sperner
-#: graphs are absent: `sperner_graph` refuses z > 6 itself.
-_SIZES = {
-    "path": lambda n: (n, n - 1),
-    "cycle": lambda n: (n, n),
-    "star": lambda n: (n, n - 1),
-    "wheel": lambda n: (n, 2 * n - 2 if n > 3 else 3),
-    "complete": lambda n: (n, n * (n - 1) // 2),
-    "bipartite": lambda n1, n2: (n1 + n2, n1 * n2),
-    "matching": lambda n: (n, n // 2),
-    "windmill": lambda k, n: (n * (k - 1) + 1, n * (k * (k - 1) // 2)),
-    "friendship": lambda n: (2 * n + 1, 3 * n),
-    "loops": lambda n: (n, n),
-    "hamming": _hamming_size,
+#: Each spec family: (generator, argument count, argument separator,
+#: (vertices, edges + loops) from the arguments), so that `make_family` can
+#: refuse an oversized spec before building it.  Hamming specs take any
+#: number of dimensions (count 0); Sperner graphs carry no size because
+#: `sperner_graph` refuses z > 6 before forming any power of z.
+SPEC_FAMILIES = {
+    "path": (path, 1, ",", lambda n: (n, n - 1)),
+    "cycle": (cycle, 1, ",", lambda n: (n, n)),
+    "star": (star, 1, ",", lambda n: (n, n - 1)),
+    "wheel": (wheel, 1, ",", lambda n: (n, 2 * n - 2 if n > 3 else 3)),
+    "complete": (complete, 1, ",", lambda n: (n, n * (n - 1) // 2)),
+    "bipartite": (complete_bipartite, 2, ",", lambda n1, n2: (n1 + n2, n1 * n2)),
+    "matching": (matching, 1, ",", lambda n: (n, n // 2)),
+    "windmill": (windmill, 2, ",", lambda k, n: (n * (k - 1) + 1, n * (k * (k - 1) // 2))),
+    "friendship": (friendship, 1, ",", lambda n: (2 * n + 1, 3 * n)),
+    "loops": (loops_graph, 1, ",", lambda n: (n, n)),
+    "hamming": (lambda *dims: hamming(dims), 0, "x",
+                lambda *d: (prod(d), prod(d) * sum(x - 1 for x in d) // 2)),
+    "sperner": (sperner_graph, 1, ",", None),
 }
 
 
@@ -312,28 +297,18 @@ def make_family(spec: str) -> Graph:
             g = Graph.from_text(f.read())
         _check_size(spec, g.n, len(g.edges) + len(g.loops))
         return g
-    if name == "hamming":
-        try:
-            args = [int(x) for x in arg.lower().split("x")]
-        except ValueError:
-            raise InvalidInputError(f"bad hamming dims {arg!r}") from None
-        fn = lambda *dims: hamming(dims)  # noqa: E731
-    else:
-        if name == "sperner":
-            fn, arity = sperner_graph, 1
-        elif name in _FAMILIES:
-            fn, arity = _FAMILIES[name]
-        else:
-            raise InvalidInputError(f"unknown graph family {name!r}")
-        try:
-            args = [int(x) for x in arg.split(",")]
-        except ValueError:
-            raise InvalidInputError(f"bad arguments {arg!r} for {name}") from None
-        if len(args) != arity:
-            raise InvalidInputError(f"{name} takes {arity} argument(s), got {len(args)}")
-    if name in _SIZES:
+    if name not in SPEC_FAMILIES:
+        raise InvalidInputError(f"unknown graph family {name!r}")
+    fn, arity, sep, size = SPEC_FAMILIES[name]
+    try:
+        args = [int(x) for x in arg.lower().split(sep)]
+    except ValueError:
+        raise InvalidInputError(f"bad arguments {arg!r} for {name}") from None
+    if arity and len(args) != arity:
+        raise InvalidInputError(f"{name} takes {arity} argument(s), got {len(args)}")
+    if size is not None:
         # arguments below zero are refused by the generator, not reported as a size
-        _check_size(spec, *_SIZES[name](*(max(a, 0) for a in args)))
+        _check_size(spec, *size(*(max(a, 0) for a in args)))
     return fn(*args)
 
 
@@ -382,46 +357,17 @@ def clique_number(g: Graph, with_witness: bool = False):
 
 
 def chromatic_number(g: Graph, with_witness: bool = False):
-    """Exact chromatic number: DSATUR branch and bound, clique lower bound."""
+    """Exact chromatic number: DSATUR branch and bound (Brelaz 1979),
+    clique lower bound."""
     _require_small_simple(g, "chromatic number")
-    n = g.n
-    if not g.edges:
-        coloring = [0] * n
-        return (1, coloring) if with_witness else 1
-
-    adj = g.adj
+    n, adj = g.n, g.adj
     lb, clique = clique_number(g, with_witness=True)
-
-    # Greedy DSATUR once for the initial upper bound.
-    def greedy() -> list[int]:
-        colors = [-1] * n
-        sat: list[set[int]] = [set() for _ in range(n)]
-        for _ in range(n):
-            v = max(
-                (x for x in range(n) if colors[x] < 0),
-                key=lambda x: (len(sat[x]), len(adj[x])),
-            )
-            c = 0
-            while c in sat[v]:
-                c += 1
-            colors[v] = c
-            for u in adj[v]:
-                sat[u].add(c)
-        return colors
-
-    best_colors = greedy()
-    best_k = max(best_colors) + 1
-    if best_k == lb:
-        return (lb, best_colors) if with_witness else lb
-
-    # Branch and bound; the max clique is pre-colored to break symmetry.
     colors = [-1] * n
-    for i, v in enumerate(clique):
-        colors[v] = i
 
     def solve(num_colored: int, used: int, limit: int) -> Optional[list[int]]:
         if num_colored == n:
             return colors[:]
+        # most distinct neighbour colours, then highest degree, then lowest label
         v = max(
             (x for x in range(n) if colors[x] < 0),
             key=lambda x: (len({colors[u] for u in adj[x]} - {-1}), len(adj[x])),
@@ -437,12 +383,17 @@ def chromatic_number(g: Graph, with_witness: bool = False):
             colors[v] = -1
         return None
 
-    k = lb
-    while k < best_k:
+    # With n colours allowed the first branch always succeeds: greedy DSATUR,
+    # each vertex taking its smallest free colour, gives the first upper bound.
+    best_colors = solve(0, 0, n)
+    best_k = max(best_colors) + 1
+    # Branch and bound below it; the max clique is pre-colored to break symmetry.
+    colors[:] = [-1] * n
+    for i, v in enumerate(clique):
+        colors[v] = i
+    for k in range(lb, best_k):
         got = solve(len(clique), len(clique), k)
         if got is not None:
             best_colors, best_k = got, k
             break
-        k += 1
     return (best_k, best_colors) if with_witness else best_k
-

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
 
-from ..core import IncidenceMatrix, find_violation
+from ..bounds import bounds_for
+from ..core import IncidenceMatrix, find_violation, property_terms
 from ..errors import InvalidInputError
 from ..graphs import Graph, path
 from .engine import Problem, walk
@@ -27,9 +28,6 @@ DEFAULT_BUDGET = 10 ** 9
 #: The kernel's candidate tables take about 2^(2t) bits: 3.5 MB at t = 12,
 #: 13 MB at t = 13 and 52 MB at t = 14, so cap the row count.
 SEARCH_ROW_CAP = 13
-
-_QUANTITY = {"cff": "t", "ecff": "t_e", "sperner": "t_s"}
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -57,12 +55,9 @@ def _check_rows(t: int, least: int, what: str) -> None:
 
 def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
     """The search record for the property on g, vertices taken in `order`."""
-    if prop not in _QUANTITY:
-        raise InvalidInputError(f"unknown property {prop!r}")
+    _, sperner, cover = property_terms(prop)
     order = tuple(order)
     pos = {v: i for i, v in enumerate(order)}
-    sperner = prop in ("cff", "sperner")
-    cover = prop in ("cff", "ecff")
     zero_ok, full_ok = [], []
     for v in order:
         linked, looped = bool(g.adj[v]), v in g.loops
@@ -123,12 +118,7 @@ def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
     than by search; every level between the floor and the answer is ruled out
     by completed exhaustive search.
     """
-    from ..bounds import bounds_for
-
-    quantity = _QUANTITY.get(prop)
-    if quantity is None:
-        raise InvalidInputError(f"unknown property {prop!r}")
-
+    quantity = property_terms(prop)[0]
     floor, floor_source = 1, "minimum"
     upper_hint: Optional[int] = None
     if use_bounds:

@@ -230,6 +230,12 @@ class TestGraphPredicates:
         v2 = find_cover_violation(m2, complete(6))
         assert v2 is not None and v2.kind == "cover"
         assert find_violation(fig6_matrix(), cycle(8), "cff") is None
+        # cover violations are reported before Sperner ones
+        m3, g3 = IncidenceMatrix(1, (1, 1, 1)), Graph(3, frozenset({(0, 1)}))
+        assert [find_violation(m3, g3, p).kind for p in ("cff", "ecff", "sperner")] == \
+            ["cover", "cover", "sperner"]
+        with pytest.raises(InvalidInputError, match="unknown property"):
+            find_violation(m3, g3, "disjunct")
 
 
 class TestDDisjunct:

@@ -8,8 +8,7 @@ import pytest
 
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
-    _FAMILIES,
-    _SIZES,
+    SPEC_FAMILIES,
     SPEC_SIZE_LIMIT,
     Graph,
     add_universal_vertex,
@@ -135,7 +134,8 @@ class TestFileAndSpec:
         assert make_family("friendship:4").family == "windmill(3,4)"
 
     def test_make_family_errors(self):
-        for spec in ("nope:3", "cycle", "cycle:x", "bipartite:3"):
+        for spec in ("nope:3", "cycle", "cycle:x", "bipartite:3", "hamming:2,3", "path:3x4",
+                     "windmill:3", "cycle:3,4", "sperner:99999999999999999999"):
             with pytest.raises(InvalidInputError):
                 make_family(spec)
 
@@ -158,11 +158,13 @@ class TestSpecSizeLimit:
     }
 
     def test_size_formulas_match_built_graphs(self):
-        assert self.SMALL_ARGS.keys() == _SIZES.keys() == _FAMILIES.keys() | {"hamming"}
+        sized = {name for name, (_, _, _, size) in SPEC_FAMILIES.items() if size is not None}
+        assert self.SMALL_ARGS.keys() == sized == SPEC_FAMILIES.keys() - {"sperner"}
         for name, cases in self.SMALL_ARGS.items():
+            fn, _, _, size = SPEC_FAMILIES[name]
             for args in cases:
-                g = hamming(args) if name == "hamming" else _FAMILIES[name][0](*args)
-                assert _SIZES[name](*args) == (g.n, len(g.edges) + len(g.loops)), (name, args)
+                g = fn(*args)
+                assert size(*args) == (g.n, len(g.edges) + len(g.loops)), (name, args)
 
     @pytest.mark.parametrize("spec", OVERSIZED_SPECS)
     def test_oversized_spec_raises_before_building(self, spec):
@@ -171,7 +173,7 @@ class TestSpecSizeLimit:
 
     def test_large_inputs_in_use_fit(self):
         for name, args in [("hamming", (4,) * 8), ("path", (300_000,)), ("wheel", (100_000,))]:
-            assert sum(_SIZES[name](*args)) <= SPEC_SIZE_LIMIT, (name, args)
+            assert sum(SPEC_FAMILIES[name][3](*args)) <= SPEC_SIZE_LIMIT, (name, args)
 
     def test_oversized_graph_file(self, tmp_path):
         f = tmp_path / "g.txt"
@@ -184,23 +186,19 @@ def _rebuild(parsed) -> Graph:
     name, args = parsed
     if name == "universal":
         return add_universal_vertex(_rebuild(args))
-    if name == "hamming":
-        return hamming(args)
-    if name == "sperner":
-        return sperner_graph(*args)
-    return _FAMILIES[name][0](*args)
+    return SPEC_FAMILIES[name][0](*args)
 
 
 class TestParseFamily:
     SAMPLE_ARGS = {"path": (5,), "cycle": (7,), "star": (4,), "wheel": (6,),
                    "complete": (5,), "bipartite": (2, 3), "matching": (6,),
-                   "windmill": (3, 4), "friendship": (4,), "loops": (3,)}
+                   "windmill": (3, 4), "friendship": (4,), "loops": (3,),
+                   "hamming": (2, 2, 3), "sperner": (3,)}
 
     def test_every_generator_round_trips(self):
-        assert self.SAMPLE_ARGS.keys() == _FAMILIES.keys()
-        graphs = [fn(*self.SAMPLE_ARGS[name]) for name, (fn, _) in _FAMILIES.items()]
-        graphs += [hamming([2, 2, 3]), hamming([4]), sperner_graph(3),
-                   add_universal_vertex(star(5)),
+        assert self.SAMPLE_ARGS.keys() == SPEC_FAMILIES.keys()
+        graphs = [entry[0](*self.SAMPLE_ARGS[name]) for name, entry in SPEC_FAMILIES.items()]
+        graphs += [hamming([4]), add_universal_vertex(star(5)),
                    add_universal_vertex(add_universal_vertex(cycle(5)))]
         for g in graphs:
             parsed = parse_family(g.family)
@@ -239,6 +237,31 @@ class TestExactSolvers:
             g = random_graph(rng, rng.randrange(2, 9))
             k, colors = chromatic_number(g, with_witness=True)
             assert max(colors) + 1 == k
+            assert all(colors[u] != colors[v] for u, v in g.edges)
+
+    def test_chromatic_is_the_least_proper_coloring(self):
+        """chi by exhausting subsets: the fewest independent sets covering V."""
+        rng = random.Random(11)
+        graphs = [random_graph(rng, rng.randrange(1, 9), rng.choice([0.2, 0.4, 0.6, 0.8]))
+                  for _ in range(150)]
+        # greedy DSATUR alone gives 4 colours here; the branch and bound finds 3
+        graphs.append(Graph(7, frozenset({(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 4),
+                                          (2, 6), (3, 5), (3, 6), (5, 6)})))
+        for g in graphs:
+            full = (1 << g.n) - 1
+            independent = [not any(s >> u & 1 and s >> v & 1 for u, v in g.edges)
+                           for s in range(full + 1)]
+            fewest = [0] * (full + 1)
+            for s in range(1, full + 1):
+                low, best, i = s & -s, g.n, s
+                while i:  # the independent subsets of s holding its lowest vertex
+                    if i & low and independent[i]:
+                        best = min(best, 1 + fewest[s & ~i])
+                    i = (i - 1) & s
+                fewest[s] = best
+            k, colors = chromatic_number(g, with_witness=True)
+            assert k == fewest[full], sorted(g.edges)
+            assert len(colors) == g.n and set(colors) == set(range(k))
             assert all(colors[u] != colors[v] for u, v in g.edges)
 
     def test_clique_spot_values(self):

@@ -406,6 +406,12 @@ class TestBudgetsAndDeterminism:
         with pytest.raises(InvalidInputError):
             exists_cff(path(3), 63)
 
+    def test_unknown_property(self):
+        for call in (lambda: exists_cff(path(3), 2, "disjunct"),
+                     lambda: exact_t(path(3), "disjunct")):
+            with pytest.raises(InvalidInputError, match="unknown property"):
+                call()
+
     def test_row_cap_is_tight(self):
         assert exists_cff(path(3), SEARCH_ROW_CAP).status == "found"
         with pytest.raises(InvalidInputError):
