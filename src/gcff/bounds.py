@@ -12,12 +12,12 @@ t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)).  `_family` states
 these once for every graph, tagged or not, after the family's own
 theorems, with the central-binomial floor; chi comes from the family tag,
 or from the exact coloring solver for an untagged graph it can reach.
-A graph that one family states under another's name (every spelling of
-K_2, W_3, stars written as windmills or bipartite graphs, one-blade
-windmills, a universal vertex over a cycle or a complete graph) is renamed
-once, by `_alias`, before the dispatch.  `_family` caches each complete
-list, and the cycle, wheel and Hamming bounds read the path and cycle
-intervals from it, so a new fact is one entry in one list.
+The dispatch reads the family from `graphs.family_of`, as constructions
+do, and adds one rename up to isomorphism: K_{a,1} is a star, hub last.
+Every `CATALOG` entry bounds its own graph, a path entry every shorter path
+too.  `_family` caches each complete list, and the cycle, wheel and
+Hamming bounds read the path and cycle intervals from it, so a new fact is
+one entry in one list.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .constructions import CATALOG
 from .errors import InvalidInputError
-from .graphs import EXACT_VERTEX_LIMIT, Graph, chromatic_number, parse_family
+from .graphs import EXACT_VERTEX_LIMIT, Graph, chromatic_number, family_of
 from .graycode import cycle_cff_rows
 from .sperner import doubling_increment, t1
 
@@ -164,10 +164,6 @@ def _path_bounds(n: int) -> list[Bound]:
     # at most 4 blocks, on 5 at most 6
     if n >= 5:
         out.append(Bound("t", "lower", 6 if n >= 7 else 5, "short-ground-lemma"))
-    # a sub-path of a cataloged path witness is a witness
-    for g, rows in CATALOG.values():
-        if parse_family(g.family)[0] == "path" and n <= g.n:
-            out.append(Bound("t", "upper", len(rows), f"explicit-path{g.n}"))
     return out
 
 
@@ -232,26 +228,6 @@ def _complete_bounds(n: int) -> list[Bound]:
 
 # -- family dispatch --------------------------------------------------------
 
-def _alias(name: Optional[str], args, n: int) -> tuple[Optional[str], object]:
-    """The family whose theorems a graph on n vertices gets: its own tag, or
-    the family it is under another name.  A universal vertex over anything
-    but a star, a cycle or a complete graph counts as untagged."""
-    if n == 2:  # K_2, under any name
-        return "star", (2,)
-    if name == "universal":
-        inner = args[0]
-        if inner == "star":
-            return name, args
-        return {"cycle": ("wheel", (n,)), "complete": ("complete", (n,))}.get(inner, (None, None))
-    if (name, n) == ("wheel", 3):
-        return "complete", (n,)
-    if (name == "windmill" and args[0] == 2) or (name == "bipartite" and 1 in args):
-        return "star", (n,)
-    if name == "windmill" and args[1] == 1:  # a single blade is K_k
-        return "complete", (n,)
-    return name, args
-
-
 @lru_cache(maxsize=512)
 def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Bound, ...]:
     """The t and t_s bounds of a graph on n >= 2 vertices, none isolated: the
@@ -284,6 +260,11 @@ def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Boun
         own = _pair("t_s", args[0], "sperner-graph-exact")
     elif name == "universal":  # over the star on n - 1 vertices
         own, chi = _pair("t", t1(n - 2) + 2, "star-universal-exact"), 3
+    # a cataloged witness bounds its own graph; a path's, every shorter path
+    for g, rows in CATALOG.values():
+        cat_name, cat_args = family_of(g)
+        if cat_name == name and (cat_args == args or name == "path" and n <= g.n):
+            own.append(Bound("t", "upper", len(rows), f"explicit-{name}{g.n}"))
     # every simple graph: t(1, n) <= t <= t(2, n) and t_s = t(1, chi)
     out = own + [Bound("t", "lower", t1(n), "trivial-sperner")] + _central_binomial(n)
     if n >= 3:
@@ -304,7 +285,7 @@ def bounds_for(g: Graph) -> BoundsReport:
     report when fewer than three vertices are left.
     """
     graph_id = g.family or f"graph(n={g.n},m={len(g.edges)})"
-    name, args = parse_family(g.family) or (None, None)
+    name, args = family_of(g) or (None, None)
 
     if name == "loops" and not g.edges:
         b = _pair("t", t1(g.n), "loops-exact") + _pair("t_e", t1(g.n), "loops-exact")
@@ -319,7 +300,8 @@ def bounds_for(g: Graph) -> BoundsReport:
         stripped, _ = g.without_isolated()
         return BoundsReport(graph_id, bounds_for(stripped).bounds)
 
-    name, args = _alias(name, args, g.n)
+    if name == "bipartite" and args[1] == 1:  # K_{a,1}: a star, hub last
+        name, args = "star", (g.n,)
     chi = chromatic_number(g) if name is None and g.n <= EXACT_VERTEX_LIMIT else None
     out = list(_family(name, args, g.n, chi))
 

@@ -25,7 +25,7 @@ from .bounds import bounds_for, t2_upper
 from .constructions import METHODS, construct
 from .core import PROPERTIES, IncidenceMatrix, find_violation
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import make_family, parse_family
+from .graphs import family_of, make_family
 from .solver import DEFAULT_BUDGET, exact_t
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def cmd_construct(args) -> int:
     m, used = construct(g, args.method)
     # a windmill's identity inner block has k - 1 rows; say so when a
     # 2-disjunct matrix on k - 1 columns is known to need fewer
-    k = parse_family(g.family)[1][0] if used == "windmill" else 0
+    k = family_of(g)[1][0] if used == "windmill" else 0
     if k >= 4 and t2_upper(k - 1)[0] < k - 1:
         print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
     _emit(m.to_text(), args.output)

@@ -1,6 +1,7 @@
 """Explicit cover-free-family constructions, and `construct`, which owns the
-method table: the names in `METHODS`, which graphs each applies to, and the
-order `auto` tries them in.  Every matrix `construct` returns is checked.
+method table: the names in `METHODS`, the families each applies to, as
+`graphs.family_of` reads them (windmill(2, b) is a star), and the order
+`auto` tries them in.  Every matrix `construct` returns is checked.
 
 Layout conventions shared with the graph generators: hub vertices occupy
 column 0, clique/leaf columns follow in vertex order, and stacked blocks
@@ -15,7 +16,7 @@ import numpy as np
 
 from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, matching, parse_family, path
+from .graphs import Graph, chromatic_number, family_of, matching, path
 from .graycode import path_cycle_cff, product_matrix
 from .sperner import optimal_1cff
 
@@ -145,8 +146,8 @@ def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
 
 #: Certified optimal instances: entry name -> (graph, matrix rows top row
 #: first, as `IncidenceMatrix.to_text` writes them).  A new witness is one
-#: entry.  The bounds layer reads path entries straight from this table: P_m
-#: on t rows gives t(P_n) <= t for every n <= m.
+#: entry.  The bounds layer reads every entry straight from this table: an
+#: entry bounds its own graph, and P_m on t rows gives t(P_n) <= t, n <= m.
 CATALOG: dict[str, tuple[Graph, tuple[str, ...]]] = {
     "E8": (matching(8), (
         "11110000",
@@ -194,33 +195,31 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
     construction that applies; return (matrix, method used).  The matrix is
     checked with `find_violation` first, and RuntimeError names a method
     whose matrix fails; InvalidInputError names the methods that apply."""
-    name, args = parse_family(g.family) or (None, ())
+    name, args = family_of(g) or (None, ())
     n = g.n
-    # colorings the family tag states, past the exact solver's reach
+    # colorings the family states, past the exact solver's reach
     known = ([0] * args[0] + [1] * args[1] if name == "bipartite"
+             else [0] + [1] * (n - 1) if name == "star"
              else [v % 2 for v in range(n)] if name == "matching"
-             else list(range(n)) if name == "complete" or name == "windmill" and args[1] == 1
-             else None)
+             else list(range(n)) if name == "complete" else None)
     entry = next((key for key, (cg, _) in CATALOG.items() if cg.family == g.family), None)
     table = [
         ("optimal-1cff", name == "loops", lambda: optimal_1cff(n)),
-        ("gray", name in ("path", "cycle") and n >= 3, lambda: path_cycle_cff(n)),
+        ("gray", name in ("path", "cycle"), lambda: path_cycle_cff(n)),
         # identity blocks in the graph's lexicographic vertex order
         ("gray", name == "hamming", lambda: product_matrix(
             tuple(map(IncidenceMatrix.identity, args)), np.indices(args).reshape(len(args), -1).T)),
-        ("star", (name == "star" or (name == "windmill" and args[0] == 2)) and n >= 3,
-         lambda: star_cff(n)),
-        ("windmill", name == "windmill" and args[0] >= 3 and args[1] >= 2, lambda: windmill_cff(*args)),
+        ("star", name == "star" and n >= 3, lambda: star_cff(n)),
+        ("windmill", name == "windmill", lambda: windmill_cff(*args)),
         # the wheel's own check below covers every rim edge and rim column
         ("universal", name == "wheel" and n >= 5, lambda: _universal(path_cycle_cff(n - 1))),
+        ("universal", name == "universal" and n >= 4, lambda: _universal(star_cff(n - 1))),
         ("coloring", not g.loops, lambda: from_coloring(g, known)),
         # the check below covers the half, as it does the wheel's rim
         ("double", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
          lambda: _double(path_cycle_cff(n // 2))),
         ("catalog", entry is not None, lambda: catalog(entry)[1]),
     ]
-    if n < 3:  # auto reports coloring for every loopless graph this small, hamming:2 too
-        table.sort(key=lambda row: row[0] != "coloring")
     for used, applies, build in table:
         if applies and method in ("auto", used):
             m = build()

@@ -5,10 +5,11 @@ j is a t-bit integer whose bit i (0-based) is set iff ground element i+1
 belongs to block j.  Columns are indexed by graph vertices 0..n-1, in label
 order.  Every containment test is `IncidenceMatrix.inside(u)`, or its loop
 inlined in the edge scan of `find_cover_violation`.  It reads one table per
-block of eight rows (row i is an n-bit integer, bit j = entry (i, j); each
-table holds, for every subset of its block, the columns absent from all rows
-of that subset), so it costs one lookup and one big-integer AND per block,
-ceil(t / 8) in all, instead of a scan over the n columns.
+block of up to eight rows (row i is an n-bit integer, bit j = entry (i, j); a
+block of r rows has a table of 2^r entries, one for every subset of the
+block, holding the columns absent from all rows of that subset, built by
+doubling once per row), so it costs one lookup and one big-integer AND per
+block, ceil(t / 8) in all, instead of a scan over the n columns.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ class IncidenceMatrix:
 
     @_cached
     def tables(self) -> tuple[tuple[int, ...], ...]:
-        """One table per block of eight rows (the last padded with empty rows):
-        entry s of table k holds, as bits of an n-bit int, the columns absent
-        from every row 8k + i with bit i of s set.  Entry 0 is every column,
-        and row 8k + i is entry 0 XOR entry 1 << i.  Each table is the product
-        of two tables of four rows, entry lo + 16 hi = lo & hi; a last block of
-        at most four rows keeps its 16-entry table of four rows."""
+        """One table per block of r <= 8 rows: entry s of table k holds, as
+        bits of an n-bit int, the columns absent from every row 8k + i with
+        bit i of s set.  A table starts as [every column], and each row of
+        its block appends every entry so far ANDed with the columns absent
+        from that row, giving 2^r entries; row 8k + i is entry 0 XOR entry
+        1 << i."""
         t, full = self.t, (1 << len(self.cols)) - 1
         # Each column as "0b1" and its t complemented digits (XOR with
         # 2^(t+1) - 1 flips them and sets the bit above), last column first;
@@ -84,24 +85,19 @@ class IncidenceMatrix:
         s = "".join(map(bin, map(xor, reversed(self.cols), repeat((2 << t) - 1))))
         step = t + 3
         absent = [int(s[step - 1 - i::step], 2) for i in range(t)]
-        absent += [full] * (-t % 4)
         tables = []
-        for k, (a, b, c, d) in enumerate(zip(*[iter(absent)] * 4)):
-            ab, cd = a & b, c & d
-            quad = (full, a, b, ab, c, a & c, b & c, ab & c,
-                    d, a & d, b & d, ab & d, cd, a & cd, b & cd, ab & cd)
-            if k & 1:  # the upper half of a block of eight: pair it with the lower
-                los = tables.pop()
-                quad = tuple([lo & hi for hi in quad for lo in los])
-            tables.append(quad)
+        for k in range(0, t, 8):
+            tab = [full]
+            for row in absent[k:k + 8]:
+                tab += [entry & row for entry in tab]
+            tables.append(tuple(tab))
         return tuple(tables)
 
     def inside(self, u: int) -> int:
         """Columns whose block lies inside row set u, as bits of an int: those
         absent from every row outside u, one table lookup per block of rows."""
-        # only rows below t index the tables: a last table of four rows has
-        # 16 entries, and the padded rows of a last table of eight exclude
-        # no column
+        # only rows below t index the tables, so a last table of r rows is
+        # indexed below 2^r
         inside, rest = -1, ~u & ((1 << self.t) - 1)
         for tab in self.tables:
             inside &= tab[rest & 255]

@@ -4,7 +4,8 @@ Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
 paths and cycles are numbered in traversal order.  Generated graphs carry a
 `family` tag such as "cycle(8)" or "universal(cycle(8))" so downstream bound
 computations and constructions can recognize them; `parse_family` is the one
-reader of those tags.
+reader of those tags, and `family_of`, which bounds and constructions both
+read, renames a graph that one family builds under another's name.
 """
 
 from __future__ import annotations
@@ -284,6 +285,27 @@ def parse_family(tag: Optional[str]) -> Optional[tuple]:
     if m is None:
         return None
     return m.group(1), tuple(int(x) for x in m.group(2).split(","))
+
+
+def family_of(g: Graph) -> Optional[tuple]:
+    """The family whose generator builds g with g's own vertex labels, as
+    (name, args): the parsed tag, or the tag renamed.  Every K_2 is star(2),
+    windmill(2, b) and bipartite(1, b) are stars, windmill(k, 1) and W_3 are
+    complete, and a universal vertex over a cycle or a complete graph is a
+    wheel or a complete graph; over anything but a star it gives None."""
+    if g.n == 2 and g.edges and not g.loops:
+        return "star", (2,)
+    fam = parse_family(g.family)
+    if fam is None:
+        return None
+    name, args = fam
+    if name == "universal":
+        return {"star": fam, "cycle": ("wheel", (g.n,)), "complete": ("complete", (g.n,))}.get(args[0])
+    if (name, args[0]) in (("windmill", 2), ("bipartite", 1)):
+        return "star", (g.n,)
+    if (name, args[-1]) == ("windmill", 1) or (name, g.n) == ("wheel", 3):
+        return "complete", (g.n,)
+    return fam
 
 
 def make_family(spec: str) -> Graph:

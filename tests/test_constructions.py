@@ -8,6 +8,7 @@ from math import prod
 import pytest
 
 from gcff import constructions
+from gcff.bounds import bounds_for
 from gcff.constructions import (
     CATALOG,
     METHODS,
@@ -324,6 +325,27 @@ class TestConstruct:
     def test_auto_below_three_vertices(self, spec):
         m, used = construct(make_family(spec))
         assert (used, m.cols) == self.SMALL[spec]
+
+
+class TestFamilyRoutes:
+    """Graphs that `family_of` reads as another family build past the exact
+    coloring solver's 20 vertices."""
+
+    @pytest.mark.parametrize("inner,method", [(cycle, "universal"), (star, "universal"),
+                                              (complete, "coloring")])
+    def test_universal_over_thirty_vertices(self, inner, method):
+        g = add_universal_vertex(inner(30))
+        m, used = construct(g)
+        assert used == method
+        assert find_violation(m, g, "cff") is None
+        if inner is not complete:
+            assert m.t == bounds_for(g).upper()
+
+    def test_universal_star_is_the_hub_over_the_star(self):
+        for n in range(3, 12):
+            m, used = construct(add_universal_vertex(star(n)))
+            assert (m, used) == (add_universal(star_cff(n), star(n)), "universal")
+            assert m.t == t1(n - 1) + 2
 
 
 class TestIsolatedVertices:

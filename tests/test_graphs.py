@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -17,6 +17,7 @@ from gcff.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    family_of,
     friendship,
     hamming,
     loops_graph,
@@ -221,6 +222,65 @@ class TestParseFamily:
             assert parse_family(g.family) is None
         for tag in ("file", "universal(file)", "cycle(8", "cycle()", "cycle(8,,1)"):
             assert parse_family(tag) is None, tag
+
+
+def _small_specs(limit: int = 12) -> list[str]:
+    """Every CLI family spec whose graph has at most `limit` vertices."""
+    specs = []
+    for name, (fn, arity, sep, _) in SPEC_FAMILIES.items():
+        for args in product(range(1, limit + 1), repeat=arity or 3):
+            if name == "hamming":  # one to three dimensions, each above one
+                args = tuple(d for d in args if d > 1)
+                if prod(args) > limit:
+                    continue
+            try:
+                if fn(*args).n > limit:
+                    continue
+            except InvalidInputError:
+                continue
+            specs.append(f"{name}:" + sep.join(map(str, args)))
+    return sorted(set(specs))
+
+
+class TestFamilyOf:
+    def test_every_rename_keeps_the_labels(self):
+        graphs = [make_family(spec) for spec in _small_specs()]
+        for gen in (path, cycle, star, complete):
+            for m in range(1, 12):
+                try:
+                    graphs.append(add_universal_vertex(gen(m)))
+                except InvalidInputError:
+                    pass
+        renamed = 0
+        for g in graphs:
+            fam = family_of(g)
+            if fam is None or fam == parse_family(g.family):
+                continue
+            name, args = fam
+            built = SPEC_FAMILIES[name][0](*args)
+            assert (built.n, built.edges) == (g.n, g.edges), (g.family, fam)
+            renamed += 1
+        assert renamed >= 40
+
+    def test_renamed_values(self):
+        cases = [
+            (Graph(2, frozenset({(0, 1)})), ("star", (2,))),
+            (hamming([2]), ("star", (2,))),
+            (windmill(2, 5), ("star", (6,))),
+            (complete_bipartite(1, 4), ("star", (5,))),
+            (complete_bipartite(4, 1), ("bipartite", (4, 1))),  # hub last
+            (windmill(4, 1), ("complete", (4,))),
+            (wheel(3), ("complete", (3,))),
+            (add_universal_vertex(cycle(6)), ("wheel", (7,))),
+            (add_universal_vertex(complete(6)), ("complete", (7,))),
+            (add_universal_vertex(star(6)), ("universal", ("star", (6,)))),
+            (add_universal_vertex(path(6)), None),
+            (add_universal_vertex(add_universal_vertex(star(4))), None),
+            (Graph(3, frozenset({(0, 1)})), None),
+            (loops_graph(2), ("loops", (2,))),
+        ]
+        for g, want in cases:
+            assert family_of(g) == want, g.family
 
 
 class TestExactSolvers:
