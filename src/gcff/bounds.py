@@ -10,8 +10,8 @@ applicable theorems; consumers take max of lowers / min of uppers.
 Every simple graph G on n vertices, none isolated, has
 t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)).  `_family` states
 these once for every graph, tagged or not, after the family's own
-theorems, with the central-binomial floor; chi comes from the family tag,
-or from the exact coloring solver for an untagged graph it can reach.
+theorems, with the central-binomial floor; chi comes from the family's
+colouring, or from the exact solver for an untagged graph it can reach.
 The dispatch reads the family from `graphs.family_of`, as constructions
 do, and adds one rename up to isomorphism: K_{a,1} is a star, hub last.
 Every `CATALOG` entry bounds its own graph, a path entry every shorter path
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .constructions import CATALOG
 from .errors import InvalidInputError
-from .graphs import EXACT_VERTEX_LIMIT, Graph, chromatic_number, family_of
+from .graphs import COLORINGS, EXACT_VERTEX_LIMIT, Graph, chromatic_number, family_of
 from .graycode import cycle_cff_rows
 from .sperner import doubling_increment, t1
 
@@ -230,36 +230,33 @@ def _complete_bounds(n: int) -> list[Bound]:
 
 @lru_cache(maxsize=512)
 def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Bound, ...]:
-    """The t and t_s bounds of a graph on n >= 2 vertices, none isolated: the
-    family's own theorems (none for an untagged graph, whose chromatic number
-    the caller passes), then the bounds every graph obeys, then "interval"."""
+    """The t and t_s bounds of a graph on n >= 2 vertices, none isolated, of
+    chromatic number chi: the family's own theorems (none for an untagged
+    graph), then the bounds every graph obeys, then "interval"."""
     own: list[Bound] = []
     if name == "path":
-        own, chi = _path_bounds(n), 2
+        own = _path_bounds(n)
     elif name == "cycle":
-        own, chi = _cycle_bounds(n), 2 + n % 2
+        own = _cycle_bounds(n)
     elif name == "wheel":
-        own, chi = _wheel_bounds(n), 4 - n % 2
+        own = _wheel_bounds(n)
     elif name == "star":
         own = _pair("t", t1(n - 1) + 1, "star-exact") + _pair("t_e", t1(n - 1), "star-ecff-exact")
-        chi = 2
     elif name == "matching":
-        own, chi = _matching_bounds(n), 2
+        own = _matching_bounds(n)
     elif name == "bipartite":
         own = [Bound("t", "upper", t1(args[0]) + t1(args[1]), "coloring-construction")]
-        chi = 2
     elif name == "complete":
-        own, chi = _complete_bounds(n), n
+        own = _complete_bounds(n)
     elif name == "windmill":
-        own, chi = _windmill_bounds(*args), args[0]
+        own = _windmill_bounds(*args)
     elif name == "hamming":
-        own, chi = [Bound("t", "upper", sum(args), "gray-transversal")], max(args)
-        if n >= 3:
-            own.append(Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle"))
-    elif name == "sperner":  # chi is not in the tag, but t_s is
+        own = [Bound("t", "upper", sum(args), "gray-transversal"),
+               Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle")]
+    elif name == "sperner":  # no colouring is stated, but t_s is
         own = _pair("t_s", args[0], "sperner-graph-exact")
     elif name == "universal":  # over the star on n - 1 vertices
-        own, chi = _pair("t", t1(n - 2) + 2, "star-universal-exact"), 3
+        own = _pair("t", t1(n - 2) + 2, "star-universal-exact")
     # a cataloged witness bounds its own graph; a path's, every shorter path
     for g, rows in CATALOG.values():
         cat_name, cat_args = family_of(g)
@@ -278,8 +275,8 @@ def bounds_for(g: Graph) -> BoundsReport:
     """All applicable theorem bounds for the graph.
 
     A tagged graph gets its family's theorems.  Every graph then gets the
-    bounds that hold for all graphs (the chromatic Sperner value of an
-    untagged graph only when the exact coloring solver can reach it) and the
+    bounds that hold for all graphs (the chromatic Sperner value unless an
+    untagged graph is past the exact solver's reach) and the
     minimum-degree relations between the full and edge-only quantities.  A
     graph with isolated vertices gets the report of the rest, or an empty
     report when fewer than three vertices are left.
@@ -302,7 +299,7 @@ def bounds_for(g: Graph) -> BoundsReport:
 
     if name == "bipartite" and args[1] == 1:  # K_{a,1}: a star, hub last
         name, args = "star", (g.n,)
-    chi = chromatic_number(g) if name is None and g.n <= EXACT_VERTEX_LIMIT else None
+    chi = chromatic_number(g) if name in COLORINGS or not name and g.n <= EXACT_VERTEX_LIMIT else None
     out = list(_family(name, args, g.n, chi))
 
     # Minimum-degree relations between the full and edge-only quantities.

@@ -26,8 +26,9 @@ def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMa
 
     Each class of size n_i > 1 contributes an optimal 1-disjunct block on its
     own rows; singleton classes contribute one row with a single 1.  Without
-    an explicit coloring the exact chromatic witness is used.  Classes are
-    laid out largest first, ties broken by lowest vertex id.  The layout is a
+    an explicit coloring it takes `chromatic_number`'s, so a family that
+    states its colouring builds at any size.  Classes are laid out largest
+    first, ties broken by lowest vertex id.  The layout is a
     product: each class's block gains a leading zero column, which every
     vertex outside the class takes.
     """
@@ -197,11 +198,6 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
     whose matrix fails; InvalidInputError names the methods that apply."""
     name, args = family_of(g) or (None, ())
     n = g.n
-    # colorings the family states, past the exact solver's reach
-    known = ([0] * args[0] + [1] * args[1] if name == "bipartite"
-             else [0] + [1] * (n - 1) if name == "star"
-             else [v % 2 for v in range(n)] if name == "matching"
-             else list(range(n)) if name == "complete" else None)
     entry = next((key for key, (cg, _) in CATALOG.items() if cg.family == g.family), None)
     table = [
         ("optimal-1cff", name == "loops", lambda: optimal_1cff(n)),
@@ -214,7 +210,7 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
         # the wheel's own check below covers every rim edge and rim column
         ("universal", name == "wheel" and n >= 5, lambda: _universal(path_cycle_cff(n - 1))),
         ("universal", name == "universal" and n >= 4, lambda: _universal(star_cff(n - 1))),
-        ("coloring", not g.loops, lambda: from_coloring(g, known)),
+        ("coloring", not g.loops, lambda: from_coloring(g)),
         # the check below covers the half, as it does the wheel's rim
         ("double", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
          lambda: _double(path_cycle_cff(n // 2))),

@@ -15,6 +15,7 @@ block, ceil(t / 8) in all, instead of a scan over the n columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, repeat
 from operator import xor
 from typing import Optional
@@ -26,24 +27,6 @@ from .graphs import Graph
 
 #: Columns must fit in one machine word.
 GROUND_CAP = 64
-
-
-class _cached:
-    """`functools.cached_property` without the lock that Python 3.11 takes on
-    each first access: the value goes into the instance's __dict__, which
-    later lookups read before this (non-data) descriptor."""
-
-    def __init__(self, func):
-        self.func, self.__doc__ = func, func.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -69,7 +52,7 @@ class IncidenceMatrix:
     def n(self) -> int:
         return len(self.cols)
 
-    @_cached
+    @cached_property
     def tables(self) -> tuple[tuple[int, ...], ...]:
         """One table per block of r <= 8 rows: entry s of table k holds, as
         bits of an n-bit int, the columns absent from every row 8k + i with

@@ -1,4 +1,4 @@
-"""Graph families from the problem domain plus small exact graph solvers.
+"""Graph families, the colouring each states, and small exact graph solvers.
 
 Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
 paths and cycles are numbered in traversal order.  Generated graphs carry a
@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 from typing import Iterable, Optional
 
@@ -338,13 +338,28 @@ def make_family(spec: str) -> Graph:
 # Exact solvers: chromatic number and clique number
 # ---------------------------------------------------------------------------
 
+#: The colouring in chi colours each family states, from (n, args) as
+#: `family_of` reads them (a universal tag it keeps is over a star).  A
+#: Hamming digit changes by less than the largest dimension, the modulus.
+COLORINGS = {
+    "path": lambda n, args: [v % 2 for v in range(n)],
+    "matching": lambda n, args: [v % 2 for v in range(n)],
+    "cycle": lambda n, args: [v % 2 for v in range(n - 1)] + [1 + n % 2],
+    "wheel": lambda n, args: [0] + [1 + c for c in COLORINGS["cycle"](n - 1, ())],
+    "star": lambda n, args: [0] + [1] * (n - 1),
+    "bipartite": lambda n, args: [0] * args[0] + [1] * args[1],
+    "complete": lambda n, args: list(range(n)),
+    "windmill": lambda n, args: [0] + list(range(1, args[0])) * args[1],
+    "hamming": lambda n, args: [sum(w) % max(args) for w in product(*map(range, args))],
+    "universal": lambda n, args: [0, 1] + [2] * (n - 2),
+}
+
+
 def _require_small_simple(g: Graph, what: str) -> None:
     if g.loops:
         raise InvalidInputError(f"{what} is defined for simple graphs only")
     if g.n > EXACT_VERTEX_LIMIT:
-        raise ResourceLimitError(
-            f"{what} limited to {EXACT_VERTEX_LIMIT} vertices, got {g.n}"
-        )
+        raise ResourceLimitError(f"{what} limited to {EXACT_VERTEX_LIMIT} vertices, got {g.n}")
 
 
 def clique_number(g: Graph, with_witness: bool = False):
@@ -379,8 +394,19 @@ def clique_number(g: Graph, with_witness: bool = False):
 
 
 def chromatic_number(g: Graph, with_witness: bool = False):
-    """Exact chromatic number: DSATUR branch and bound (Brelaz 1979),
-    clique lower bound."""
+    """Exact chromatic number, and a colouring in that many colours: the
+    family's `COLORINGS` entry, checked proper, at any size; else DSATUR
+    branch and bound (Brelaz 1979), clique lower bound, up to 20 vertices."""
+    name, args = family_of(g) or (None, ())
+    colors = COLORINGS[name](g.n, args) if name in COLORINGS and not g.loops else None
+    if colors is None or len(colors) != g.n or any(colors[u] == colors[v] for u, v in g.edges):
+        colors = _dsatur(g)  # which refuses loops
+    k = max(colors) + 1
+    return (k, colors) if with_witness else k
+
+
+def _dsatur(g: Graph) -> list[int]:
+    """A colouring in chi(g) colours, by DSATUR branch and bound."""
     _require_small_simple(g, "chromatic number")
     n, adj = g.n, g.adj
     lb, clique = clique_number(g, with_witness=True)
@@ -407,15 +433,13 @@ def chromatic_number(g: Graph, with_witness: bool = False):
 
     # With n colours allowed the first branch always succeeds: greedy DSATUR,
     # each vertex taking its smallest free colour, gives the first upper bound.
-    best_colors = solve(0, 0, n)
-    best_k = max(best_colors) + 1
+    greedy = solve(0, 0, n)
     # Branch and bound below it; the max clique is pre-colored to break symmetry.
     colors[:] = [-1] * n
     for i, v in enumerate(clique):
         colors[v] = i
-    for k in range(lb, best_k):
+    for k in range(lb, max(greedy) + 1):
         got = solve(len(clique), len(clique), k)
         if got is not None:
-            best_colors, best_k = got, k
-            break
-    return (best_k, best_colors) if with_witness else best_k
+            return got
+    return greedy

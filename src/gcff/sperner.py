@@ -56,11 +56,10 @@ def optimal_1cff(n: int) -> IncidenceMatrix:
 
 
 def t_s(g: Graph) -> int:
-    """Minimum rows of a g-Sperner matrix: t1 of the chromatic number.
-
-    Isolated vertices carry no Sperner condition, so they are harmless here
-    (their columns can repeat any class column).
-    """
+    """Minimum rows of a g-Sperner matrix: t1 of the chromatic number, at
+    any size for a family that states its colouring (`graphs.COLORINGS`).
+    Isolated vertices carry no Sperner condition (their columns can repeat
+    any class column)."""
     if g.loops:
         raise InvalidInputError("Sperner quantities are defined for simple graphs")
     return t1(chromatic_number(g))

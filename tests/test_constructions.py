@@ -341,6 +341,17 @@ class TestFamilyRoutes:
         if inner is not complete:
             assert m.t == bounds_for(g).upper()
 
+    # the family's colouring, past the exact solver's 20 vertices: one block per class
+    @pytest.mark.parametrize("spec, classes", [
+        ("cycle:30", (15, 15)), ("cycle:31", (15, 15, 1)), ("path:30", (15, 15)),
+        ("wheel:30", (14, 14, 1, 1)), ("wheel:31", (15, 15, 1)), ("windmill:3,12", (12, 12, 1)),
+        ("friendship:12", (12, 12, 1)), ("hamming:5x5", (5,) * 5)])
+    def test_coloring_beyond_twenty_vertices(self, spec, classes):
+        g = make_family(spec)
+        m, used = construct(g, "coloring")
+        assert used == "coloring" and find_violation(m, g, "cff") is None
+        assert m.t == sum(t1(size) for size in classes)
+
     def test_universal_star_is_the_hub_over_the_star(self):
         for n in range(3, 12):
             m, used = construct(add_universal_vertex(star(n)))

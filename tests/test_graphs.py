@@ -8,6 +8,7 @@ import pytest
 
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
+    COLORINGS,
     SPEC_FAMILIES,
     SPEC_SIZE_LIMIT,
     Graph,
@@ -283,6 +284,43 @@ class TestFamilyOf:
             assert family_of(g) == want, g.family
 
 
+def colored_specs():
+    """Every CLI spec of at most 20 vertices whose family states a colouring,
+    and the universal vertex over each star."""
+    specs = [f"{name}:{n}" for name in ("path", "cycle", "star", "wheel", "complete", "matching")
+             for n in range(1, 21)]
+    specs += [f"bipartite:{a},{b}" for a in range(1, 20) for b in range(1, 21 - a)]
+    specs += [f"windmill:{k},{b}" for k in range(2, 21) for b in range(1, 20)
+              if (k - 1) * b < 20]
+    specs += [f"friendship:{b}" for b in range(1, 10)]
+    specs += ["hamming:" + "x".join(map(str, dims)) for k in (1, 2, 3, 4)
+              for dims in product(range(2, 21), repeat=k) if prod(dims) <= 20]
+    graphs = []
+    for spec in specs:
+        try:
+            graphs.append(make_family(spec))
+        except InvalidInputError:  # below the family's least n, or an odd matching
+            pass
+    return graphs + [add_universal_vertex(star(m)) for m in range(2, 20)]
+
+
+class TestFamilyColorings:
+    @pytest.mark.parametrize("g", colored_specs(), ids=lambda g: g.family)
+    def test_proper_in_exactly_chi_colours(self, g):
+        name, args = family_of(g)
+        colors = COLORINGS[name](g.n, args)
+        assert len(colors) == g.n
+        assert all(colors[u] != colors[v] for u, v in g.edges)
+        k = chromatic_number(Graph(g.n, g.edges))  # untagged: DSATUR, or star(2) for K_2
+        assert set(colors) == set(range(k))
+        assert chromatic_number(g, with_witness=True) == (k, colors)
+
+    def test_tag_its_edges_belie_goes_to_dsatur(self):
+        g = Graph(5, frozenset({(0, 1), (0, 2), (1, 2)}), family="path(5)")
+        k, colors = chromatic_number(g, with_witness=True)
+        assert k == 3 and all(colors[u] != colors[v] for u, v in g.edges)
+
+
 class TestExactSolvers:
     def test_chromatic_spot_values(self):
         assert chromatic_number(cycle(5)) == 3
@@ -344,7 +382,9 @@ class TestExactSolvers:
             assert chromatic_number(g) == want
 
     def test_resource_limits(self):
+        # the family states complete(21)'s colouring; untagged, DSATUR refuses it
+        assert chromatic_number(complete(21)) == 21
         with pytest.raises(ResourceLimitError):
-            chromatic_number(complete(21))
+            chromatic_number(Graph(21, complete(21).edges))
         with pytest.raises(InvalidInputError):
             chromatic_number(loops_graph(3))

@@ -8,7 +8,7 @@ import pytest
 
 from gcff.core import is_d_disjunct, is_g_sperner
 from gcff.errors import InvalidInputError
-from gcff.graphs import Graph, complete, cycle, sperner_graph, star
+from gcff.graphs import Graph, complete, cycle, sperner_graph, star, wheel
 from gcff.sperner import (
     doubling_increment,
     g_sperner_witness,
@@ -157,4 +157,12 @@ class TestGraphSperner:
 
     def test_star_ts(self):
         assert t_s(star(9)) == 2
+
+    # past the exact solver's 20 vertices, from the family's colouring
+    @pytest.mark.parametrize("g, chi", [(cycle(30), 2), (cycle(31), 3), (wheel(30), 4),
+                                        (wheel(31), 3)])
+    def test_beyond_twenty_vertices(self, g, chi):
+        assert t_s(g) == t1(chi)
+        m = g_sperner_witness(g)
+        assert m.t == t1(chi) and is_g_sperner(m, g)
 
