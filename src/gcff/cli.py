@@ -109,6 +109,7 @@ def cmd_solve(args) -> int:
             "wall_time": round(res.wall_time, 6),
             "searched_exhaustively": list(res.searched_exhaustively),
             "floor": res.floor, "floor_source": res.floor_source,
+            "levels": [[lv.t, lv.status, lv.nodes, round(lv.wall_s, 6)] for lv in res.levels],
         }))
     else:
         if res.status == "found":

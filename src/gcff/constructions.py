@@ -35,12 +35,13 @@ def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMa
     if g.loops:
         raise InvalidInputError("coloring construction needs a simple graph")
     if coloring is None:
-        _, coloring = chromatic_number(g, with_witness=True)
-    if len(coloring) != g.n:
+        _, coloring = chromatic_number(g, with_witness=True)  # checked there
+    elif len(coloring) != g.n:
         raise InvalidInputError("coloring must assign a color to every vertex")
-    for u, v in g.edges:
-        if coloring[u] == coloring[v]:
-            raise InvalidInputError(f"coloring is not proper on edge ({u},{v})")
+    else:
+        for u, v in g.edges:
+            if coloring[u] == coloring[v]:
+                raise InvalidInputError(f"coloring is not proper on edge ({u},{v})")
 
     classes: dict[int, list[int]] = {}
     for v in range(g.n):

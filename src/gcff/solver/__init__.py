@@ -7,6 +7,10 @@ breaking, filtering all 2^t candidate columns of a depth at once as bits of
 one Python int.  `exists_cff` orders the vertices by descending degree;
 `longest_path_cff` walks the path on C(t, t//2) vertices in traversal order.
 Every witness either entry point returns is checked by `find_violation`.
+
+A record does not depend on t, so `exists_cff` keeps the last one it built,
+for one (graph, property) pair: the levels `exact_t` searches one by one
+build it once.  The cache holds that single record, and the graph with it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..bounds import bounds_for
 from ..core import IncidenceMatrix, find_violation, property_terms
@@ -36,6 +40,15 @@ class SearchOutcome:
     nodes: int
 
 
+class Level(NamedTuple):
+    """The effort of one row count a solve searched."""
+
+    t: int
+    status: str  # "found" | "exhausted" | "budget-exceeded"
+    nodes: int
+    wall_s: float
+
+
 @dataclass(frozen=True)
 class SolveResult:
     status: str  # "found" | "exhausted" | "budget-exceeded"
@@ -43,9 +56,14 @@ class SolveResult:
     witness: Optional[IncidenceMatrix]
     nodes_explored: int
     wall_time: float
-    searched_exhaustively: tuple[int, ...]  # row counts ruled out by search
+    levels: tuple[Level, ...]  # one per row count searched, in order
     floor: int  # first row count searched
     floor_source: str  # "bounds" | "caller" | "minimum"
+
+    @property
+    def searched_exhaustively(self) -> tuple[int, ...]:
+        """Row counts ruled out by search."""
+        return tuple(lv.t for lv in self.levels if lv.status == "exhausted")
 
 
 def _check_rows(t: int, least: int, what: str) -> None:
@@ -69,15 +87,18 @@ def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
         zero_ok.append(ends and not (cover and missed))
         full_ok.append(ends and not (
             cover and ((linked and g.n >= 3) or (looped and g.n >= 2))))
+    prev_nbrs = tuple(tuple(sorted(pos[u] for u in g.adj[v] if pos[u] < i))
+                      for i, v in enumerate(order))
     return Problem(
         order=order,
-        prev_nbrs=tuple(tuple(sorted(pos[u] for u in g.adj[v] if pos[u] < i))
-                        for i, v in enumerate(order)),
+        prev_nbrs=prev_nbrs,
         loops=tuple(v in g.loops for v in order),
         sperner=sperner,
         cover=cover,
         zero_ok=tuple(zero_ok),
         full_ok=tuple(full_ok),
+        nbrs=tuple(tuple((j, range(j), range(j + 1, i)) for j in nb)
+                   for i, nb in enumerate(prev_nbrs)),
     )
 
 
@@ -94,15 +115,33 @@ def _witness(t: int, g: Graph, prop: str, order: Iterable[int],
     return witness
 
 
+#: (graph, property, record) of the last `exists_cff` call.  The graph is
+#: matched by identity, so a Graph whose edges are a plain set, which cannot
+#: be hashed, still solves; holding it keeps its id from being reused.
+_last: Optional[tuple[Graph, str, Problem]] = None
+
+
+def _degree_problem(g: Graph, prop: str) -> Problem:
+    """The record `exists_cff` searches: vertices by descending degree, then
+    label; built once for consecutive calls on one graph and property."""
+    global _last
+    last = _last
+    if last is None or last[0] is not g or last[1] != prop:
+        last = _last = (g, prop, _problem(
+            g, prop, sorted(range(g.n), key=lambda v: (-g.degree(v), v))))
+    return last[2]
+
+
 def exists_cff(g: Graph, t: int, prop: str = "cff",
                budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Search for a t-row matrix with the property on g; complete search.
 
     A "found" outcome carries a verified witness; "exhausted" is a proof of
-    nonexistence at t rows.
+    nonexistence at t rows.  The search record is reused from the previous
+    call when that call had the same graph object and property.
     """
     _check_rows(t, 1, "search")
-    problem = _problem(g, prop, sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
+    problem = _degree_problem(g, prop)
     status, cols, nodes = walk(t, problem, budget)
     witness = _witness(t, g, prop, problem.order, cols) if status == "found" else None
     return SearchOutcome(status, witness, nodes)
@@ -137,18 +176,20 @@ def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
     begin = time.perf_counter()
     status, t_min, witness = "exhausted", None, None
     total_nodes = 0
-    exhausted: list[int] = []
+    levels: list[Level] = []
     for t in range(floor, t_max + 1):
+        level_begin = time.perf_counter()
         outcome = exists_cff(g, t, prop, budget=budget - total_nodes)
+        levels.append(Level(t, outcome.status, outcome.nodes,
+                            time.perf_counter() - level_begin))
         total_nodes += outcome.nodes
         if outcome.status != "exhausted":
             status, witness = outcome.status, outcome.witness
             t_min = t if status == "found" else None
             break
-        exhausted.append(t)
     return SolveResult(
         status, t_min, witness, total_nodes,
-        time.perf_counter() - begin, tuple(exhausted), floor, floor_source,
+        time.perf_counter() - begin, tuple(levels), floor, floor_source,
     )
 
 

@@ -15,12 +15,14 @@ lowest k and every row-permutation class is visited once.  Cover constraints
 are kept incrementally: each completed edge (and each loop) forbids, for all
 later columns, the subsets of its union.
 
-The per-depth work is stated once per call, in O(n + |E|): for each earlier
-neighbour j of a depth, the ranges of depths below j and between j and the
-depth, so the edge (j, depth) forbids the supersets of every other earlier
-column minus column j without testing w != j; and one mask for the end-column
-rules.  A loop at a depth forbids the supersets of every earlier column, read
-from a prefix up[d] kept as the walk descends.  The deepest assignment is
+The per-depth work is stated once per `Problem`, in O(n + |E|): for each
+earlier neighbour j of a depth, the ranges of depths below j and between j
+and the depth, so the edge (j, depth) forbids the supersets of every other
+earlier column minus column j without testing w != j.  A record serves every
+t, so the levels of one solve share it; `walk` adds per call only the
+end-column masks, which depend on t, and its per-depth lists.  A loop at a
+depth forbids the supersets of every earlier column, read from a prefix
+up[d] kept as the walk descends.  The deepest assignment is
 copied once per record, on the first step back from it or at a budget stop,
 never on the way down, so a descent with no step back pays no O(depth) copy
 per node: solving a long path for the Sperner property is linear in n.
@@ -53,9 +55,10 @@ number of nodes walked, and nodes per second of wall time (perfbench's
 solver.nodes_per_s) rise accordingly.
 
 The one entry point is `walk(t, problem, budget)`.  A frozen `Problem` record
-states the instance depth by depth (vertex order, earlier neighbours, loops,
-which properties apply, whether the empty and the full column are allowed),
-and `walk` answers with the status strings of the solver's result types.
+states the instance depth by depth (vertex order, earlier neighbours and
+their depth ranges, loops, which properties apply, whether the empty and the
+full column are allowed), and `walk` answers with the status strings of the
+solver's result types.
 """
 
 from __future__ import annotations
@@ -85,7 +88,10 @@ class Problem:
     loop; zero_ok[i] and full_ok[i] say whether the empty and the full column
     may go there.  sperner asks neighbouring columns to be incomparable, cover
     asks no column to lie inside the union of an edge (or the column of a
-    loop) that misses its vertex.
+    loop) that misses its vertex.  nbrs[i] holds, for each j in prev_nbrs[i],
+    (j, range(j), range(j + 1, i)): the earlier depths other than j, whose
+    columns the union of the edge (j, i) must not cover.  No field depends on
+    t, so one record serves a search at every row count.
     """
 
     order: tuple[int, ...]
@@ -95,6 +101,7 @@ class Problem:
     cover: bool
     zero_ok: tuple[bool, ...]
     full_ok: tuple[bool, ...]
+    nbrs: tuple[tuple[tuple[int, range, range], ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -132,17 +139,14 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
     assignment reached, indexed by depth.  `nodes` counts the nodes of every
     subtree the memo skips, as if it had been walked.
     """
-    prev_nbrs, loops = problem.prev_nbrs, problem.loops
+    prev_nbrs, nbrs, loops = problem.prev_nbrs, problem.nbrs, problem.loops
     need_sperner, need_cover = problem.sperner, problem.cover
     n = len(problem.order)
     sub, sup, canon = _tables(t)
     top = 1 << ((1 << t) - 1)  # candidate bit of the full column
-    # Per depth: the candidates the end-column rules leave, and for each
-    # earlier neighbour j the depths below it and between it and this one.
+    # Per depth: the candidates the end-column rules leave.
     ends = [(-1 if z else ~1) & (-1 if f else ~top)
             for z, f in zip(problem.zero_ok, problem.full_ok)]
-    nbrs = [tuple((j, range(j), range(j + 1, d)) for j in nb)
-            for d, nb in enumerate(prev_nbrs)]
     cols = [0] * n
     used = [0] * (n + 1)
     forb = [0] * (n + 1)  # candidates inside a completed edge's or loop's union

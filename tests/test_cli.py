@@ -200,6 +200,14 @@ class TestBoundsAndSolve:
         rec = json.loads(capsys.readouterr().out.splitlines()[0])
         assert rec["t_min"] == 4 and rec["status"] == "found"
 
+    def test_solve_json_levels(self, capsys):
+        # the bounds floor for C_10 is 6, ruled out by search before t = 7
+        assert run(["solve", "cycle:10", "--format", "json-lines"]) == 0
+        rec = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert [lv[:3] for lv in rec["levels"]] == [[6, "exhausted", 57412], [7, "found", 1026]]
+        assert sum(lv[2] for lv in rec["levels"]) == rec["nodes"]
+        assert all(0 <= lv[3] <= rec["wall_time"] for lv in rec["levels"])
+
     def test_solve_writes_witness(self, tmp_path, capsys):
         out = tmp_path / "w.mat"
         assert run(["solve", "cycle:6", "--output", str(out)]) == 0

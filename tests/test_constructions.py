@@ -71,6 +71,17 @@ class TestFromColoring:
         with pytest.raises(InvalidInputError):
             from_coloring(cycle(4), [0, 0, 1, 1])
 
+    @pytest.mark.parametrize("g,coloring", [
+        (cycle(6), [0, 1, 0, 1, 1, 0]), (path(5), [0, 1, 1, 0, 1]), (complete(4), [0, 1, 2, 0]),
+        (cycle(5), [0, 1, 0]),
+    ], ids=["cycle-edge", "path-edge", "complete-edge", "short"])
+    def test_explicit_coloring_still_checked(self, g, coloring):
+        """Only the colouring taken from `chromatic_number` goes unchecked
+        here; one passed in, improper or too short, raises even when the
+        graph's family states a proper one."""
+        with pytest.raises(InvalidInputError):
+            from_coloring(g, coloring)
+
     def test_random_graphs_row_formula(self):
         rng = random.Random(31)
         for _ in range(25):

@@ -29,6 +29,7 @@ from gcff.solver import (
     exists_cff,
     longest_path_cff,
 )
+import gcff.solver as solver
 from gcff.solver import _problem
 from gcff.solver import engine
 from gcff.sperner import t1
@@ -411,6 +412,9 @@ class TestBudgetsAndDeterminism:
         res = exact_t(cycle(9), "cff", start=1, t_max=5)
         assert res.status == "exhausted"
         assert res.searched_exhaustively == (1, 2, 3, 4, 5)
+        assert [(lv.t, lv.status, lv.nodes) for lv in res.levels] == [
+            (1, "exhausted", 0), (2, "exhausted", 2), (3, "exhausted", 8),
+            (4, "exhausted", 36), (5, "exhausted", 430)]
 
     def test_determinism(self):
         a = exact_t(wheel(8), "cff", start=1)
@@ -440,6 +444,113 @@ class TestBudgetsAndDeterminism:
         assert exists_cff(path(3), SEARCH_ROW_CAP).status == "found"
         with pytest.raises(InvalidInputError):
             exists_cff(path(3), SEARCH_ROW_CAP + 1)
+
+
+class TestLevels:
+    """A solve's record of its effort, one entry per row count searched."""
+
+    CASES = [(cycle(9), "cff", 10 ** 9), (wheel(8), "cff", 10 ** 9), (matching(8), "ecff", 10 ** 9),
+             (cycle(9), "cff", 300), (complete(5), "sperner", 10 ** 9)]
+
+    @pytest.mark.parametrize("g,prop,budget", CASES,
+                             ids=[f"{g.family}-{p}-b{b}" for g, p, b in CASES])
+    def test_levels_account_for_the_solve(self, g, prop, budget):
+        """Level nodes sum to the total, level times fit in the wall time,
+        and the exhausted levels are the row counts ruled out by search."""
+        res = exact_t(g, prop, start=1, budget=budget)
+        assert sum(lv.nodes for lv in res.levels) == res.nodes_explored
+        assert all(lv.wall_s >= 0 for lv in res.levels)
+        assert sum(lv.wall_s for lv in res.levels) <= res.wall_time
+        ts = [lv.t for lv in res.levels]
+        assert ts == list(range(res.floor, res.floor + len(ts)))
+        exhausted = tuple(lv.t for lv in res.levels if lv.status == "exhausted")
+        assert exhausted == res.searched_exhaustively == tuple(ts[:-1])
+        assert res.levels[-1].status == res.status
+        if res.status == "found":
+            assert res.levels[-1].t == res.t_min
+
+
+class TestSharedRecord:
+    """`exists_cff` keeps the last search record it built, so the levels of
+    one solve share it; results are those of a freshly built record."""
+
+    @staticmethod
+    def fresh(g, t, prop, budget=10 ** 9):
+        """(status, nodes, witness) of a search on a record built anew."""
+        status, cols, nodes = engine.walk(t, _problem(g, prop, by_degree(g)), budget)
+        witness = None
+        if status == "found":
+            by_vertex = [0] * g.n
+            for v, c in zip(by_degree(g), cols):
+                by_vertex[v] = c
+            witness = IncidenceMatrix(t, tuple(by_vertex))
+        return status, nodes, witness
+
+    def test_multilevel_solve_builds_one_record(self, monkeypatch):
+        calls = []
+        build = solver._problem
+        monkeypatch.setattr(solver, "_problem", lambda *a: calls.append(a[1]) or build(*a))
+        res = exact_t(path(7), "cff", start=1)
+        assert (res.t_min, len(res.levels)) == (6, 6)
+        assert calls == ["cff"]
+        res = exact_t(path(7), "sperner", start=1)
+        assert len(res.levels) == 2 and calls == ["cff", "sperner"]
+
+    def test_interleaved_calls_equal_fresh_ones(self):
+        graphs = [cycle(7), wheel(6)]
+        props = ["cff", "ecff", "sperner"]
+        want = {(i, prop, t): self.fresh(g, t, prop)
+                for i, g in enumerate(graphs) for prop in props for t in range(1, 6)}
+        rng = random.Random(23)
+        # runs of one (graph, property) pair reuse the record, and every
+        # switch between pairs replaces it
+        calls = [key for key in want for _ in range(rng.randrange(1, 3))]
+        rng.shuffle(calls)
+        for i, prop, t in calls:
+            out = exists_cff(graphs[i], t, prop)
+            assert (out.status, out.nodes, out.witness) == want[i, prop, t], (i, prop, t)
+
+    def test_equal_graphs_each_solve(self):
+        edges = frozenset(cycle(8).edges)
+        a, b = Graph(8, edges), Graph(8, edges)
+        assert a == b and a is not b
+        ra, rb = exact_t(a, "cff", start=1), exact_t(b, "cff", start=1)
+        assert (ra.t_min, ra.nodes_explored) == (rb.t_min, rb.nodes_explored)
+        assert ra.t_min == 6 and ra.witness == rb.witness
+        assert is_g_cff(rb.witness, b)
+
+    def test_short_lived_graphs_never_share(self):
+        """Graphs built and dropped in turn, which the allocator may place at
+        one address, each get their own record."""
+        rng = random.Random(4)
+        for _ in range(40):
+            n = rng.randrange(2, 7)
+            edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < 0.5)
+            t = rng.randrange(1, 5)
+            want = self.fresh(Graph(n, edges), t, "cff")
+            out = exists_cff(Graph(n, edges), t, "cff")
+            assert (out.status, out.nodes, out.witness) == want, (n, sorted(edges), t)
+
+    def test_plain_set_of_edges_solves(self):
+        g = Graph(4, {(0, 1), (1, 2), (2, 3)})
+        with pytest.raises(TypeError):
+            hash(g)
+        res = exact_t(g, "cff", start=1)
+        assert (res.status, res.t_min) == ("found", 4)
+        assert is_g_cff(res.witness, path(4))
+
+    @pytest.mark.parametrize("budget,status,nodes,exhausted", [
+        (1, "budget-exceeded", 2, (1,)), (5, "budget-exceeded", 6, (1, 2)),
+        (40, "budget-exceeded", 41, (1, 2, 3)), (475, "budget-exceeded", 476, (1, 2, 3, 4)),
+        (476, "budget-exceeded", 477, (1, 2, 3, 4, 5)), (1523, "budget-exceeded", 1524, (1, 2, 3, 4, 5)),
+        (1524, "found", 1524, (1, 2, 3, 4, 5)),
+    ])
+    def test_budget_carried_across_levels(self, budget, status, nodes, exhausted):
+        """The budget a level leaves passes to the next, and a stop counts the
+        node over budget: C_9's levels hold 0, 2, 8, 36, 430 and 1,048 nodes."""
+        res = exact_t(cycle(9), "cff", start=1, budget=budget)
+        assert (res.status, res.nodes_explored, res.searched_exhaustively) == \
+            (status, nodes, exhausted)
 
 
 class TestOpenQuestionRefinements:
