@@ -120,8 +120,7 @@ def cmd_solve(args) -> int:
             print(f"no matrix up to t_max for {args.graph} ({args.property}); "
                   f"exhausted {list(res.searched_exhaustively)}")
         else:
-            level = res.floor + len(res.searched_exhaustively)
-            print(f"budget exceeded at t = {level} after {res.nodes_explored} nodes "
+            print(f"budget exceeded at t = {res.levels[-1].t} after {res.nodes_explored} nodes "
                   f"(exhausted {list(res.searched_exhaustively)}); "
                   f"rerun with a larger --budget")
     if res.witness is not None and args.output:

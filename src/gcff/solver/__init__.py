@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from ..bounds import bounds_for
 from ..core import IncidenceMatrix, find_violation, property_terms
@@ -35,18 +35,14 @@ SEARCH_ROW_CAP = 13
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    status: str  # "found" | "exhausted" | "budget-exceeded"
-    witness: Optional[IncidenceMatrix]
-    nodes: int
-
-
-class Level(NamedTuple):
-    """The effort of one row count a solve searched."""
+    """The one record of a searched row count: `exists_cff` returns it and
+    `exact_t` keeps it in `levels`.  Only a "found" level has a witness."""
 
     t: int
     status: str  # "found" | "exhausted" | "budget-exceeded"
     nodes: int
     wall_s: float
+    witness: Optional[IncidenceMatrix]
 
 
 @dataclass(frozen=True)
@@ -56,7 +52,7 @@ class SolveResult:
     witness: Optional[IncidenceMatrix]
     nodes_explored: int
     wall_time: float
-    levels: tuple[Level, ...]  # one per row count searched, in order
+    levels: tuple[SearchOutcome, ...]  # one per row count searched, in order
     floor: int  # first row count searched
     floor_source: str  # "bounds" | "caller" | "minimum"
 
@@ -97,7 +93,8 @@ def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
         cover=cover,
         zero_ok=tuple(zero_ok),
         full_ok=tuple(full_ok),
-        nbrs=tuple(tuple((j, range(j), range(j + 1, i)) for j in nb)
+        # the ranges are read only under the cover rule
+        nbrs=tuple(tuple((j, range(j), range(j + 1, i)) if cover else (j, (), ()) for j in nb)
                    for i, nb in enumerate(prev_nbrs)),
     )
 
@@ -136,15 +133,18 @@ def exists_cff(g: Graph, t: int, prop: str = "cff",
                budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Search for a t-row matrix with the property on g; complete search.
 
-    A "found" outcome carries a verified witness; "exhausted" is a proof of
-    nonexistence at t rows.  The search record is reused from the previous
-    call when that call had the same graph object and property.
+    Returns the record of this one level: t, status, nodes and the wall
+    time of the call.  A "found" outcome carries a verified witness;
+    "exhausted" is a proof of nonexistence at t rows.  The search record is
+    reused from the previous call when that call had the same graph object
+    and property.
     """
+    begin = time.perf_counter()
     _check_rows(t, 1, "search")
     problem = _degree_problem(g, prop)
     status, cols, nodes = walk(t, problem, budget)
     witness = _witness(t, g, prop, problem.order, cols) if status == "found" else None
-    return SearchOutcome(status, witness, nodes)
+    return SearchOutcome(t, status, nodes, time.perf_counter() - begin, witness)
 
 
 def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
@@ -155,7 +155,9 @@ def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
     Iterates t upward from the best known theorem lower bound (or `start`),
     so row counts below the floor are ruled out by the bounds module rather
     than by search; every level between the floor and the answer is ruled out
-    by completed exhaustive search.
+    by completed exhaustive search.  `levels` holds the `SearchOutcome` of
+    each level as `exists_cff` returned it, and the last one gives the
+    result's status, t_min and witness.
     """
     quantity = property_terms(prop)[0]
     floor, floor_source = 1, "minimum"
@@ -174,22 +176,17 @@ def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
         raise InvalidInputError(f"t_max={t_max} below the starting point {floor}")
 
     begin = time.perf_counter()
-    status, t_min, witness = "exhausted", None, None
+    levels: list[SearchOutcome] = []
     total_nodes = 0
-    levels: list[Level] = []
     for t in range(floor, t_max + 1):
-        level_begin = time.perf_counter()
-        outcome = exists_cff(g, t, prop, budget=budget - total_nodes)
-        levels.append(Level(t, outcome.status, outcome.nodes,
-                            time.perf_counter() - level_begin))
-        total_nodes += outcome.nodes
-        if outcome.status != "exhausted":
-            status, witness = outcome.status, outcome.witness
-            t_min = t if status == "found" else None
+        levels.append(exists_cff(g, t, prop, budget=budget - total_nodes))
+        total_nodes += levels[-1].nodes
+        if levels[-1].status != "exhausted":
             break
+    last = levels[-1]
     return SolveResult(
-        status, t_min, witness, total_nodes,
-        time.perf_counter() - begin, tuple(levels), floor, floor_source,
+        last.status, last.t if last.status == "found" else None, last.witness,
+        total_nodes, time.perf_counter() - begin, tuple(levels), floor, floor_source,
     )
 
 

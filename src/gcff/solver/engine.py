@@ -63,6 +63,7 @@ solver's result types.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,8 +91,9 @@ class Problem:
     asks no column to lie inside the union of an edge (or the column of a
     loop) that misses its vertex.  nbrs[i] holds, for each j in prev_nbrs[i],
     (j, range(j), range(j + 1, i)): the earlier depths other than j, whose
-    columns the union of the edge (j, i) must not cover.  No field depends on
-    t, so one record serves a search at every row count.
+    columns the union of the edge (j, i) must not cover.  Only the cover rule
+    reads those ranges, so without it they are empty tuples.  No field
+    depends on t, so one record serves a search at every row count.
     """
 
     order: tuple[int, ...]
@@ -101,7 +103,7 @@ class Problem:
     cover: bool
     zero_ok: tuple[bool, ...]
     full_ok: tuple[bool, ...]
-    nbrs: tuple[tuple[tuple[int, range, range], ...], ...]
+    nbrs: tuple[tuple[tuple[int, Sequence[int], Sequence[int]], ...], ...]
 
 
 @lru_cache(maxsize=None)

@@ -235,6 +235,55 @@ class TestBoundsAndSolve:
     def test_solve_default_budget(self):
         assert build_parser().parse_args(["solve", "complete:40"]).budget == 10 ** 6
 
+    def test_solve_exhausted_up_to_tmax(self, capsys):
+        # K_{3,3}'s bounds floor is 5, and t = 6 is its least row count
+        assert run(["solve", "bipartite:3,3", "--tmax", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out == "no matrix up to t_max for bipartite:3,3 (cff); exhausted [5]\n"
+
+
+C5_EDGES = "0 1\n1 2\n2 3\n3 4\n0 4\n"
+
+
+class TestGraphFiles:
+    """`file:` specs through every command: a C_5 with an isolated vertex,
+    and a C_5 with a loop, which no construction and no bound covers."""
+
+    @pytest.fixture
+    def c5_isolated(self, tmp_path):
+        path = tmp_path / "c5_isolated.txt"
+        path.write_text("6 5\n" + C5_EDGES)
+        return f"file:{path}"
+
+    @pytest.fixture
+    def c5_loop(self, tmp_path):
+        path = tmp_path / "c5_loop.txt"
+        path.write_text("5 6\n" + C5_EDGES + "2 2\n")
+        return f"file:{path}"
+
+    def test_isolated_vertex(self, c5_isolated, tmp_path, capsys):
+        mat = tmp_path / "c5.mat"
+        assert run(["construct", c5_isolated, "--output", str(mat)]) == 0
+        assert capsys.readouterr().err.startswith("coloring: ")
+        assert run(["verify", c5_isolated, str(mat)]) == 0
+        assert "cff holds" in capsys.readouterr().out
+        assert run(["bounds", c5_isolated]) == 0
+        assert "=> t in [4, 5]" in capsys.readouterr().out
+        assert run(["solve", c5_isolated, "--format", "json-lines"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["status"], rec["t_min"], rec["floor"]) == ("found", 5, 4)
+
+    def test_loop(self, c5_loop, capsys):
+        assert run(["bounds", c5_loop]) == 0
+        assert capsys.readouterr().out == "bounds for file:\n"
+        assert run(["bounds", c5_loop, "--format", "json-lines"]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(["solve", c5_loop, "--format", "json-lines"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["status"], rec["t_min"], rec["floor_source"]) == ("found", 5, "minimum")
+        assert run(["construct", c5_loop]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGray:
     def test_reflected_with_map(self, tmp_path, capsys):

@@ -290,6 +290,20 @@ class TestProblemRecord:
                         (n, sorted(edges), sorted(loops), prop, v)
         assert isolated > 0
 
+    @pytest.mark.parametrize("g", [wheel(7), windmill(3, 3), Graph(5, cycle(5).edges, frozenset({2}))],
+                             ids=["wheel7", "windmill3_3", "c5_loop"])
+    def test_depth_ranges_only_under_cover(self, g):
+        """cff and ecff records hold, per earlier neighbour j of depth i, the
+        ranges of depths below j and between j and i; a sperner record, whose
+        walk never reads them, holds none."""
+        order = by_degree(g)
+        for prop in ("cff", "ecff", "sperner"):
+            problem = _problem(g, prop, order)
+            want = tuple(tuple((j, range(j), range(j + 1, i)) if prop != "sperner" else (j, (), ())
+                               for j in nb)
+                         for i, nb in enumerate(problem.prev_nbrs))
+            assert problem.nbrs == want, prop
+
 
 class TestExactValues:
     def test_paths_and_cycles_table(self):
@@ -468,6 +482,20 @@ class TestLevels:
         assert res.levels[-1].status == res.status
         if res.status == "found":
             assert res.levels[-1].t == res.t_min
+
+    @pytest.mark.parametrize("g,prop,budget", CASES,
+                             ids=[f"{g.family}-{p}-b{b}" for g, p, b in CASES])
+    def test_levels_are_the_outcomes(self, g, prop, budget, monkeypatch):
+        """Each level is the `SearchOutcome` `exists_cff` returned for its row
+        count, and the last one carries the result's witness."""
+        returned = []
+        search = solver.exists_cff
+        monkeypatch.setattr(solver, "exists_cff",
+                            lambda *a, **k: returned.append(search(*a, **k)) or returned[-1])
+        res = exact_t(g, prop, start=1, budget=budget)
+        assert len(res.levels) == len(returned)
+        assert all(lv is out for lv, out in zip(res.levels, returned))
+        assert res.levels[-1].witness is res.witness
 
 
 class TestSharedRecord:
