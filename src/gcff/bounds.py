@@ -1,23 +1,24 @@
-"""Theorem-backed lower/upper bounds for the minimum ground size of a
-cover-free family on a graph, plus the small-n table of 2-disjunct optima
-behind the complete-graph bounds and the trivial upper bound t <= t(2, n).
+"""Lower/upper bounds for the minimum ground size of a cover-free family on
+a graph, plus the small-n table of 2-disjunct optima behind the
+complete-graph bounds and the trivial upper bound t <= t(2, n).
 
 Each bound carries the quantity it constrains ("t" for the full property,
 "t_e" for the edge-only variant, "t_s" for the Sperner-only variant), a
 short source tag, and an exactness flag.  A report aggregates the menu of
 applicable theorems; consumers take max of lowers / min of uppers.
 
-Every simple graph G on n vertices, none isolated, has
-t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)).  `_family` states
-these once for every graph, tagged or not, after the family's own
-theorems, with the central-binomial floor; chi comes from the family's
-colouring, or from the exact solver for an untagged graph it can reach.
-The dispatch reads the family from `graphs.family_of`, as constructions
-do, and adds one rename up to isomorphism: K_{a,1} is a star, hub last.
-Every `CATALOG` entry bounds its own graph, a path entry every shorter path
-too.  `_family` caches each complete list, and the cycle, wheel and
-Hamming bounds read the path and cycle intervals from it, so a new fact is
-one entry in one list.
+This module states theorems only: floors, exact values, and the ceilings
+no construction here builds.  Every construction that applies to a family
+member is a t ceiling, read from `constructions.table` with the row count
+stated there.  Every simple graph G on n vertices, none isolated, has
+t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)); `_family` states
+these once for every graph, with the central-binomial floor; chi comes
+from the family's colouring, or from the exact solver for an untagged
+graph it can reach.  The dispatch reads the family from
+`graphs.family_of`, as `construct` does, and adds one rename up to
+isomorphism: K_{a,1} is a star, hub last.  `_family` caches each complete
+list, and the cycle, wheel and Hamming bounds read the path and cycle
+intervals from it, so a new fact is one entry in one list.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from .constructions import CATALOG
+from .constructions import table
 from .errors import InvalidInputError
 from .graphs import COLORINGS, EXACT_VERTEX_LIMIT, Graph, chromatic_number, family_of
-from .graycode import cycle_cff_rows
 from .sperner import doubling_increment, t1
 
 # ---------------------------------------------------------------------------
@@ -158,23 +158,6 @@ def _read(name: str, n: int) -> tuple[Optional[int], Optional[int]]:
 
 # -- family theorems --------------------------------------------------------
 
-def _path_bounds(n: int) -> list[Bound]:
-    out = [Bound("t", "upper", cycle_cff_rows(n), "gray-cycle")]
-    # the exhaustive short-ground lemmas: a path CFF on 4 ground points has
-    # at most 4 blocks, on 5 at most 6
-    if n >= 5:
-        out.append(Bound("t", "lower", 6 if n >= 7 else 5, "short-ground-lemma"))
-    return out
-
-
-def _cycle_bounds(n: int) -> list[Bound]:
-    return [
-        # a path is a subgraph of the cycle
-        Bound("t", "lower", _read("path", n)[0], "path-subgraph"),
-        Bound("t", "upper", cycle_cff_rows(n), "gray-cycle"),
-    ]
-
-
 def _wheel_bounds(n: int) -> list[Bound]:
     """Wheel on n vertices: hub plus a rim cycle of length n-1."""
     rim = n - 1
@@ -183,7 +166,6 @@ def _wheel_bounds(n: int) -> list[Bound]:
         Bound("t", "lower", t1(rim) + 1, "universal-vertex-lower"),
         Bound("t", "lower", rim_lo, "rim-subgraph"),
         Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle"),
-        Bound("t", "upper", rim_up + 1, "universal-vertex-upper"),
     ]
     # When the rim value is exact and sits one above its Sperner floor, the
     # universal-vertex increment is forced.
@@ -205,12 +187,11 @@ def _matching_bounds(n: int) -> list[Bound]:
 def _windmill_bounds(k: int, n: int) -> list[Bound]:
     """n >= 2 blades of K_k, k >= 3."""
     out = [Bound("t", "lower", t1((k - 1) * n) + 1, "star-subgraph")]
-    if k == 3:
-        out.append(Bound("t", "upper", t1(n) + 3, "windmill-construction"))
-        if doubling_increment(n) == 2:
-            out += _pair("t", t1(n) + 3, "friendship-exact")
-    else:
-        out.append(Bound("t", "upper", t1(n) + t2_upper(k - 1)[0] + 1, "windmill-construction"))
+    if k == 3 and doubling_increment(n) == 2:
+        out += _pair("t", t1(n) + 3, "friendship-exact")
+    # an inner 2-disjunct block on fewer than k - 1 rows, which nothing here builds
+    if k > 3 and t2_upper(k - 1)[0] < k - 1:
+        out.append(Bound("t", "upper", t1(n) + t2_upper(k - 1)[0] + 1, "windmill-two-disjunct-inner"))
     return out
 
 
@@ -232,36 +213,38 @@ def _complete_bounds(n: int) -> list[Bound]:
 def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Bound, ...]:
     """The t and t_s bounds of a graph on n >= 2 vertices, none isolated, of
     chromatic number chi: the family's own theorems (none for an untagged
-    graph), then the bounds every graph obeys, then "interval"."""
+    graph), a ceiling per construction `constructions.table` lists for it,
+    then the bounds every graph obeys, then "interval"."""
     own: list[Bound] = []
-    if name == "path":
-        own = _path_bounds(n)
-    elif name == "cycle":
-        own = _cycle_bounds(n)
+    if name == "path" and n >= 5:
+        # the exhaustive short-ground lemmas: a path CFF on 4 ground points
+        # has at most 4 blocks, on 5 at most 6
+        own = [Bound("t", "lower", 6 if n >= 7 else 5, "short-ground-lemma")]
+    elif name == "cycle":  # a path is a subgraph of the cycle
+        own = [Bound("t", "lower", _read("path", n)[0], "path-subgraph")]
     elif name == "wheel":
         own = _wheel_bounds(n)
     elif name == "star":
-        own = _pair("t", t1(n - 1) + 1, "star-exact") + _pair("t_e", t1(n - 1), "star-ecff-exact")
+        own = [Bound("t", "lower", t1(n - 1) + 1, "star-exact", exact=True)]
+        own += _pair("t_e", t1(n - 1), "star-ecff-exact")
     elif name == "matching":
         own = _matching_bounds(n)
-    elif name == "bipartite":
-        own = [Bound("t", "upper", t1(args[0]) + t1(args[1]), "coloring-construction")]
     elif name == "complete":
         own = _complete_bounds(n)
     elif name == "windmill":
         own = _windmill_bounds(*args)
     elif name == "hamming":
-        own = [Bound("t", "upper", sum(args), "gray-transversal"),
-               Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle")]
+        own = [Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle")]
     elif name == "sperner":  # no colouring is stated, but t_s is
         own = _pair("t_s", args[0], "sperner-graph-exact")
     elif name == "universal":  # over the star on n - 1 vertices
-        own = _pair("t", t1(n - 2) + 2, "star-universal-exact")
-    # a cataloged witness bounds its own graph; a path's, every shorter path
-    for g, rows in CATALOG.values():
-        cat_name, cat_args = family_of(g)
-        if cat_name == name and (cat_args == args or name == "path" and n <= g.n):
-            own.append(Bound("t", "upper", len(rows), f"explicit-{name}{g.n}"))
+        own = [Bound("t", "lower", t1(n - 2) + 2, "star-universal-exact", exact=True)]
+    # each construction is a ceiling; one that meets an exact floor is exact
+    exact = {b.source for b in own if b.exact}
+    for c in table(name, args, n):
+        rows = c.rows()
+        if rows is not None:
+            own.append(Bound("t", "upper", rows, c.source, exact=c.source in exact))
     # every simple graph: t(1, n) <= t <= t(2, n) and t_s = t(1, chi)
     out = own + [Bound("t", "lower", t1(n), "trivial-sperner")] + _central_binomial(n)
     if n >= 3:
@@ -279,17 +262,21 @@ def bounds_for(g: Graph) -> BoundsReport:
     untagged graph is past the exact solver's reach) and the
     minimum-degree relations between the full and edge-only quantities.  A
     graph with isolated vertices gets the report of the rest, or an empty
-    report when fewer than three vertices are left.
+    report when fewer than three vertices are left; a graph with loops, the
+    t and t_e floors of the graph without them.
     """
     graph_id = g.family or f"graph(n={g.n},m={len(g.edges)})"
-    name, args = family_of(g) or (None, None)
+    name, args = family_of(g) or (None, ())
 
     if name == "loops" and not g.edges:
         b = _pair("t", t1(g.n), "loops-exact") + _pair("t_e", t1(g.n), "loops-exact")
         return BoundsReport(graph_id, tuple(b))
 
-    if g.loops:
-        return BoundsReport(graph_id, ())
+    if g.loops:  # a matrix for g is one for g without its loops
+        loopless = bounds_for(Graph(g.n, g.edges))
+        floors = ((q, loopless.lower(q)) for q in ("t", "t_e"))
+        return BoundsReport(graph_id, tuple(
+            Bound(q, "lower", v, "loopless-subgraph") for q, v in floors if v is not None))
 
     if g.isolated_vertices:
         if g.n - len(g.isolated_vertices) < 3:
@@ -308,9 +295,10 @@ def bounds_for(g: Graph) -> BoundsReport:
         if t_up is not None:
             out.append(Bound("t_e", "upper", t_up, "ecff-below-cff"))
         if t_lo is not None:
+            deg = g.degrees
             if g.min_degree() >= 2:
                 out.append(Bound("t_e", "lower", t_lo, "min-degree-two"))
-            elif not any(g.degree(u) == g.degree(v) == 1 for u, v in g.edges):
+            elif not any(deg[u] == deg[v] == 1 for u, v in g.edges):
                 # no component is a single edge
                 out.append(Bound("t_e", "lower", t_lo - 1, "pendant-one-row"))
             else:

@@ -1,7 +1,7 @@
-"""Explicit cover-free-family constructions, and `construct`, which owns the
-method table: the names in `METHODS`, the families each applies to, as
-`graphs.family_of` reads them (windmill(2, b) is a star), and the order
-`auto` tries them in.  Every matrix `construct` returns is checked.
+"""Explicit cover-free-family constructions and `table`, the one list of
+those that apply to a family member as `graphs.family_of` reads it: method,
+bound source, row count and builder.  `construct` builds and checks from it,
+and `bounds.bounds_for` states each row count as a ceiling.
 
 Layout conventions shared with the graph generators: hub vertices occupy
 column 0, clique/leaf columns follow in vertex order, and stacked blocks
@@ -10,15 +10,16 @@ appear top-down in construction order, so test fixtures can be bit-exact.
 
 from __future__ import annotations
 
+from collections import Counter, namedtuple
 from typing import Optional
 
 import numpy as np
 
 from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, family_of, matching, path
-from .graycode import path_cycle_cff, product_matrix
-from .sperner import optimal_1cff
+from .graphs import COLORINGS, Graph, chromatic_number, family_of, matching, path
+from .graycode import cycle_cff_rows, path_cycle_cff, product_matrix
+from .sperner import optimal_1cff, t1
 
 
 def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMatrix:
@@ -131,15 +132,8 @@ def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
         raise InvalidInputError(
             f"matrix has {m.n} columns but g has {g.n - len(isolated)} non-isolated vertices"
         )
-    cols = []
-    next_col = 0
-    for v in range(g.n):
-        if v in isolated:
-            cols.append((1 << m.t) - 1)
-        else:
-            cols.append(m.cols[next_col])
-            next_col += 1
-    return IncidenceMatrix(m.t, tuple(cols))
+    kept = iter(m.cols)
+    return IncidenceMatrix(m.t, tuple((1 << m.t) - 1 if v in isolated else next(kept) for v in range(g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +142,8 @@ def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
 
 #: Certified optimal instances: entry name -> (graph, matrix rows top row
 #: first, as `IncidenceMatrix.to_text` writes them).  A new witness is one
-#: entry.  The bounds layer reads every entry straight from this table: an
-#: entry bounds its own graph, and P_m on t rows gives t(P_n) <= t, n <= m.
+#: entry.  `table`'s catalog row builds an entry's own graph, and from a
+#: path entry P_m every P_n with n <= m, as the first n columns.
 CATALOG: dict[str, tuple[Graph, tuple[str, ...]]] = {
     "E8": (matching(8), (
         "11110000",
@@ -184,47 +178,70 @@ def catalog(name: str) -> tuple[Graph, IncidenceMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Choosing a construction
+# The construction table
 # ---------------------------------------------------------------------------
 
-#: The methods `construct` knows, in the order `auto` tries them.  `double`
-#: and `catalog` follow the coloring fallback, so only an explicit method reaches them.
+#: The methods `construct` knows.  `double` and `catalog` follow the
+#: coloring fallback in `table`, so only an explicit method reaches them.
 METHODS = ("optimal-1cff", "gray", "star", "windmill", "universal", "coloring", "double", "catalog")
+
+#: A row of `table`.  `rows()` is the row count (None where the family states
+#: no colouring to count) and `build(g)` the g-CFF; both run only when called.
+Construction = namedtuple("Construction", "method source rows build")
+
+
+def table(name: Optional[str], args: tuple, n: int) -> list[Construction]:
+    """The constructions that apply to a family member on n vertices (name
+    None for an untagged simple graph), in the order `auto` tries them."""
+    # a cataloged witness serves its own graph; a path witness, every shorter path
+    entry, size = next(((key, cg.n) for key, (cg, _) in CATALOG.items() if family_of(cg) == (name, args)
+                        or name == "path" == family_of(cg)[0] and n <= cg.n), (None, 0))
+    candidates = [
+        ("optimal-1cff", "loops-exact", name == "loops", lambda: t1(n), lambda g: optimal_1cff(n)),
+        ("gray", "gray-cycle", name in ("path", "cycle"), lambda: cycle_cff_rows(n),
+         lambda g: path_cycle_cff(n)),
+        # identity blocks in the graph's lexicographic vertex order
+        ("gray", "gray-transversal", name == "hamming", lambda: sum(args), lambda g: product_matrix(
+            tuple(map(IncidenceMatrix.identity, args)), np.indices(args).reshape(len(args), -1).T)),
+        ("star", "star-exact", name == "star" and n >= 3, lambda: t1(n - 1) + 1, lambda g: star_cff(n)),
+        # blades, an identity inner block on k - 1 rows, and the hub row
+        ("windmill", "windmill-construction", name == "windmill", lambda: t1(args[1]) + args[0],
+         lambda g: windmill_cff(*args)),
+        # the wheel's own check in `construct` covers every rim edge and rim column
+        ("universal", "universal-vertex-upper", name == "wheel" and n >= 5,
+         lambda: cycle_cff_rows(n - 1) + 1, lambda g: _universal(path_cycle_cff(n - 1))),
+        ("universal", "star-universal-exact", name == "universal" and n >= 4,
+         lambda: t1(n - 2) + 2, lambda g: _universal(star_cff(n - 1))),
+        # one block per colour class of the family's colouring
+        ("coloring", "coloring-construction", name != "loops",
+         lambda: sum(map(t1, Counter(COLORINGS[name](n, args)).values())) if name in COLORINGS else None,
+         lambda g: from_coloring(g)),
+        # the check in `construct` covers the half, as it does the wheel's rim
+        ("double", "double-cycle", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
+         lambda: cycle_cff_rows(n // 2) + 2, lambda g: _double(path_cycle_cff(n // 2))),
+        ("catalog", f"explicit-{name}{size}", entry is not None, lambda: len(CATALOG[entry][1]),
+         lambda g: IncidenceMatrix(len(CATALOG[entry][1]), catalog(entry)[1].cols[:n])),
+    ]
+    return [Construction(method, source, rows, build)
+            for method, source, applies, rows, build in candidates if applies]
 
 
 def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
-    """Build a g-CFF by the named method, or for `auto` by the first
-    construction that applies; return (matrix, method used).  The matrix is
+    """Build a g-CFF by the named method, or for `auto` by the first row of
+    `table` for g's family; return (matrix, method used).  The matrix is
     checked with `find_violation` first, and RuntimeError names a method
-    whose matrix fails; InvalidInputError names the methods that apply."""
+    whose matrix fails; InvalidInputError names the methods that apply.  A
+    graph with loops outside the loops family has none."""
     name, args = family_of(g) or (None, ())
-    n = g.n
-    entry = next((key for key, (cg, _) in CATALOG.items() if cg.family == g.family), None)
-    table = [
-        ("optimal-1cff", name == "loops", lambda: optimal_1cff(n)),
-        ("gray", name in ("path", "cycle"), lambda: path_cycle_cff(n)),
-        # identity blocks in the graph's lexicographic vertex order
-        ("gray", name == "hamming", lambda: product_matrix(
-            tuple(map(IncidenceMatrix.identity, args)), np.indices(args).reshape(len(args), -1).T)),
-        ("star", name == "star" and n >= 3, lambda: star_cff(n)),
-        ("windmill", name == "windmill", lambda: windmill_cff(*args)),
-        # the wheel's own check below covers every rim edge and rim column
-        ("universal", name == "wheel" and n >= 5, lambda: _universal(path_cycle_cff(n - 1))),
-        ("universal", name == "universal" and n >= 4, lambda: _universal(star_cff(n - 1))),
-        ("coloring", not g.loops, lambda: from_coloring(g)),
-        # the check below covers the half, as it does the wheel's rim
-        ("double", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
-         lambda: _double(path_cycle_cff(n // 2))),
-        ("catalog", entry is not None, lambda: catalog(entry)[1]),
-    ]
-    for used, applies, build in table:
-        if applies and method in ("auto", used):
-            m = build()
+    rows = [] if g.loops and name != "loops" else table(name, args, g.n)
+    for row in rows:
+        if method in ("auto", row.method):
+            m = row.build(g)
             bad = find_violation(m, g, "cff")
             if bad is not None:
-                raise RuntimeError(f"construction {used} failed verification: {bad}")
-            return m, used
-    names = ", ".join(used for used, applies, _ in table if applies) or "none"
+                raise RuntimeError(f"construction {row.method} failed verification: {bad}")
+            return m, row.method
+    names = ", ".join(row.method for row in rows) or "none"
     raise InvalidInputError(
         f"method {method} does not apply to {g.family or 'this graph'} (applicable: {names})"
     )

@@ -64,19 +64,30 @@ class Graph:
             nbr[v].append(u)
         return tuple(tuple(sorted(s)) for s in nbr)
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Each vertex's degree, a loop counting one."""
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        for v in self.loops:
+            deg[v] += 1
+        return tuple(deg)
+
     def degree(self, v: int) -> int:
-        return len(self.adj[v]) + (1 if v in self.loops else 0)
+        return self.degrees[v]
 
     @cached_property
     def isolated_vertices(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if self.degree(v) == 0)
+        return frozenset(v for v, d in enumerate(self.degrees) if d == 0)
 
     def min_degree(self) -> int:
-        return min(self.degree(v) for v in range(self.n))
+        return min(self.degrees)
 
     def without_isolated(self) -> tuple["Graph", tuple[int, ...]]:
         """Drop isolated vertices; also return the kept (old) vertex labels."""
-        keep = [v for v in range(self.n) if self.degree(v) > 0]
+        keep = [v for v, d in enumerate(self.degrees) if d > 0]
         relabel = {v: i for i, v in enumerate(keep)}
         edges = frozenset(_norm_edge(relabel[u], relabel[v]) for u, v in self.edges)
         loops = frozenset(relabel[v] for v in self.loops)

@@ -125,7 +125,7 @@ def _degree_problem(g: Graph, prop: str) -> Problem:
     last = _last
     if last is None or last[0] is not g or last[1] != prop:
         last = _last = (g, prop, _problem(
-            g, prop, sorted(range(g.n), key=lambda v: (-g.degree(v), v))))
+            g, prop, sorted(range(g.n), key=lambda v: (-g.degrees[v], v))))
     return last[2]
 
 

@@ -1,10 +1,11 @@
 """Theorem bounds, the 2-disjunct table, and max-product partitions."""
 
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from gcff.bounds import Bound, bounds_for, t2_lower, t2_upper
+from gcff.constructions import construct, table
 from gcff.errors import InvalidInputError
 from gcff.graphs import (
     Graph,
@@ -12,6 +13,7 @@ from gcff.graphs import (
     complete,
     complete_bipartite,
     cycle,
+    family_of,
     hamming,
     loops_graph,
     make_family,
@@ -22,7 +24,6 @@ from gcff.graphs import (
     wheel,
     windmill,
 )
-from gcff.graycode import cycle_cff_rows, path_cycle_cff
 from gcff.solver import exact_t, exists_cff
 from gcff.sperner import doubling_increment, t1
 
@@ -229,31 +230,55 @@ class TestConsistencyAndCrossChecks:
         for g in graphs:
             assert bounds_for(g).is_consistent(), g.family
 
-    def test_construction_rows_match_family_uppers(self):
-        from gcff.constructions import add_universal, star_cff, windmill_cff
 
-        for n in range(3, 30):
-            assert star_cff(n).t == bounds_for(star(n)).upper("t")
-        for n in range(3, 60):
-            assert path_cycle_cff(n).t == cycle_cff_rows(n)
-            assert cycle_cff_rows(n) == bounds_for(cycle(n)).upper("t")
-        for k in range(3, 7):
-            for n in range(2, 6):
-                got = windmill_cff(k, n).t
-                assert got == bounds_for(windmill(k, n)).upper("t")
-        for n in range(4, 12):
-            m = add_universal(path_cycle_cff(n), cycle(n))
-            assert m.t == bounds_for(wheel(n + 1)).upper("t")
+def _hamming_dims(limit: int, prefix=()) -> list[tuple[int, ...]]:
+    """Every ordered tuple of dimensions >= 2 whose product is at most limit."""
+    out = []
+    for d in range(2, limit // prod(prefix) + 1):
+        out += [prefix + (d,)] + _hamming_dims(limit, prefix + (d,))
+    return out
 
-    def test_lower_bounds_below_construction_rows(self):
-        from gcff.constructions import star_cff, windmill_cff
 
-        for n in range(3, 40):
-            assert bounds_for(star(n)).lower("t") <= star_cff(n).t
-            assert bounds_for(cycle(n)).lower("t") <= path_cycle_cff(n).t
-        for k in range(3, 7):
-            for n in range(2, 6):
-                assert bounds_for(windmill(k, n)).lower("t") <= windmill_cff(k, n).t
+# Every CLI family spec on at most 40 vertices, except the edgeless complete:1,
+# plus paths and cycles to 60 and the windmills where the two-disjunct inner
+# block beats the identity.
+TABLE_SPECS = (
+    [f"path:{n}" for n in range(2, 61)] + [f"cycle:{n}" for n in range(3, 61)]
+    + [f"star:{n}" for n in range(2, 41)] + [f"complete:{n}" for n in range(2, 41)]
+    + [f"loops:{n}" for n in range(1, 41)] + [f"wheel:{n}" for n in range(3, 41)]
+    + [f"matching:{n}" for n in range(2, 41, 2)]
+    + [f"bipartite:{a},{b}" for a in range(1, 40) for b in range(1, 41 - a)]
+    + [f"windmill:{k},{b}" for k in range(2, 41) for b in range(1, 40) if (k - 1) * b + 1 <= 40]
+    + [f"friendship:{b}" for b in range(1, 20)] + ["windmill:30,2", "windmill:31,2"]
+    + ["hamming:" + "x".join(map(str, dims)) for dims in _hamming_dims(40)]
+    + [f"sperner:{z}" for z in range(1, 6)]
+)
+# ceilings that no construction here builds
+UNBUILT = {"trivial-two-disjunct", "two-disjunct-table", "pendant-two-rows",
+           "windmill-two-disjunct-inner"}
+
+
+class TestEveryTableRowIsABuiltCeiling:
+    def test_rows_build_and_bound(self):
+        for spec in TABLE_SPECS:
+            g = make_family(spec)
+            name, args = family_of(g) or (None, ())
+            rep = bounds_for(g)
+            stated = {(b.quantity, b.kind, b.value, b.source) for b in rep.bounds}
+            counts = []
+            for row in table(name, args, g.n):
+                rows = row.rows()
+                if rows is None:  # a family that states no colouring
+                    continue
+                m, used = construct(g, row.method)
+                assert (used, m.t) == (row.method, rows), (spec, row.source)
+                assert ("t", "upper", rows, row.source) in stated, (spec, row.source)
+                assert rep.lower("t") <= rows, (spec, row.source)
+                counts.append(rows)
+            if counts and rep.upper("t") != min(counts):
+                at_ceiling = {b.source for b in rep.bounds
+                              if (b.quantity, b.kind, b.value) == ("t", "upper", rep.upper("t"))}
+                assert at_ceiling & UNBUILT, (spec, rep.upper("t"), min(counts), at_ceiling)
 
 
 # Every CLI family on at most 8 vertices, plus two universal-vertex tags.

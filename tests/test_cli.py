@@ -118,7 +118,7 @@ class TestConstructVerify:
                 ("cycle:12", "star", "gray, coloring, double"), ("path:2", "gray", "coloring"),
                 ("path:2", "double", "coloring"), ("star:2", "star", "coloring"),
                 ("wheel:4", "universal", "coloring"), ("windmill:3,1", "windmill", "coloring"),
-                ("path:7", "double", "gray, coloring"), ("loops:3", "coloring", "optimal-1cff"),
+                ("path:7", "double", "gray, coloring, catalog"), ("loops:3", "coloring", "optimal-1cff"),
                 ("star:9", "gray", "star, coloring"),
                 ("cycle:12", "catalog", "gray, coloring, double")]:
             assert run(["construct", spec, "--method", method]) == 2, (spec, method)
@@ -247,7 +247,8 @@ C5_EDGES = "0 1\n1 2\n2 3\n3 4\n0 4\n"
 
 class TestGraphFiles:
     """`file:` specs through every command: a C_5 with an isolated vertex,
-    and a C_5 with a loop, which no construction and no bound covers."""
+    and a C_5 with a loop, which no construction covers and whose bounds are
+    the floors of the untagged C_5 without its loop."""
 
     @pytest.fixture
     def c5_isolated(self, tmp_path):
@@ -274,13 +275,18 @@ class TestGraphFiles:
         assert (rec["status"], rec["t_min"], rec["floor"]) == ("found", 5, 4)
 
     def test_loop(self, c5_loop, capsys):
+        # a matrix for the looped graph is one for the graph without its loops,
+        # so that graph's t and t_e floors hold; no ceiling and no t_s is stated
         assert run(["bounds", c5_loop]) == 0
-        assert capsys.readouterr().out == "bounds for file:\n"
+        assert "=> t in [4, None]" in capsys.readouterr().out
         assert run(["bounds", c5_loop, "--format", "json-lines"]) == 0
-        assert capsys.readouterr().out == ""
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rows == [{"quantity": q, "kind": "lower", "value": 4, "source": "loopless-subgraph",
+                         "exact": False} for q in ("t", "t_e")]
         assert run(["solve", c5_loop, "--format", "json-lines"]) == 0
         rec = json.loads(capsys.readouterr().out)
-        assert (rec["status"], rec["t_min"], rec["floor_source"]) == ("found", 5, "minimum")
+        assert (rec["status"], rec["t_min"], rec["floor_source"]) == ("found", 5, "bounds")
+        assert [lv[:3] for lv in rec["levels"]] == [[4, "exhausted", 43], [5, "found", 5]]
         assert run(["construct", c5_loop]) == 2
         assert capsys.readouterr().err.startswith("error:")
 

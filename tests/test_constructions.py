@@ -290,6 +290,14 @@ class TestCatalog:
         m9 = IncidenceMatrix(m.t, m.cols[:9])
         assert is_g_cff(m9, path(9))
 
+    def test_p10_builds_every_shorter_path(self):
+        # the catalog method serves path:3..10 with P10's first n columns
+        _, m = catalog("P10")
+        for n in range(3, 11):
+            assert construct(path(n), "catalog") == (IncidenceMatrix(6, m.cols[:n]), "catalog"), n
+        with pytest.raises(InvalidInputError, match=r"applicable: gray, coloring\)"):
+            construct(path(11), "catalog")
+
     def test_unknown(self):
         with pytest.raises(InvalidInputError):
             catalog("E10")
