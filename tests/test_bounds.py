@@ -24,6 +24,7 @@ from gcff.graphs import (
     wheel,
     windmill,
 )
+from gcff.graycode import cycle_cff_rows, path_cycle_cff
 from gcff.solver import exact_t, exists_cff
 from gcff.sperner import doubling_increment, t1
 
@@ -229,6 +230,32 @@ class TestConsistencyAndCrossChecks:
                   complete(30), complete_bipartite(4, 7), loops_graph(9)]
         for g in graphs:
             assert bounds_for(g).is_consistent(), g.family
+
+    def test_construction_rows_match_family_uppers(self):
+        from gcff.constructions import add_universal, star_cff, windmill_cff
+
+        for n in range(3, 30):
+            assert star_cff(n).t == bounds_for(star(n)).upper("t")
+        for n in range(3, 60):
+            assert path_cycle_cff(n).t == cycle_cff_rows(n)
+            assert cycle_cff_rows(n) == bounds_for(cycle(n)).upper("t")
+        for k in range(3, 7):
+            for n in range(2, 6):
+                got = windmill_cff(k, n).t
+                assert got == bounds_for(windmill(k, n)).upper("t")
+        for n in range(4, 12):
+            m = add_universal(path_cycle_cff(n), cycle(n))
+            assert m.t == bounds_for(wheel(n + 1)).upper("t")
+
+    def test_lower_bounds_below_construction_rows(self):
+        from gcff.constructions import star_cff, windmill_cff
+
+        for n in range(3, 40):
+            assert bounds_for(star(n)).lower("t") <= star_cff(n).t
+            assert bounds_for(cycle(n)).lower("t") <= path_cycle_cff(n).t
+        for k in range(3, 7):
+            for n in range(2, 6):
+                assert bounds_for(windmill(k, n)).lower("t") <= windmill_cff(k, n).t
 
 
 def _hamming_dims(limit: int, prefix=()) -> list[tuple[int, ...]]:
