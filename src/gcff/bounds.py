@@ -11,14 +11,13 @@ This module states theorems only: floors, exact values, and the ceilings
 no construction here builds.  Every construction that applies to a family
 member is a t ceiling, read from `constructions.table` with the row count
 stated there.  Every simple graph G on n vertices, none isolated, has
-t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)); `_family` states
-these once for every graph, with the central-binomial floor; chi comes
-from the family's colouring, or from the exact solver for an untagged
-graph it can reach.  The dispatch reads the family from
-`graphs.family_of`, as `construct` does, and adds one rename up to
-isomorphism: K_{a,1} is a star, hub last.  `_family` caches each complete
-list, and the cycle, wheel and Hamming bounds read the path and cycle
-intervals from it, so a new fact is one entry in one list.
+t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)), chi the colour count
+of `Graph.coloring` where there is one; `_family` states these once for
+every graph, with the central-binomial floor.  The dispatch reads the
+family from `graphs.family_of`, as `construct` does, and adds one rename
+up to isomorphism: K_{a,1} is a star, hub last.  `_family` caches each
+complete list, and the cycle, wheel and Hamming bounds read the path and
+cycle intervals from it, so a new fact is one entry in one list.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Optional, Sequence
 
 from .constructions import table
 from .errors import InvalidInputError
-from .graphs import COLORINGS, EXACT_VERTEX_LIMIT, Graph, chromatic_number, family_of
+from .graphs import Graph, chromatic_number, family_of
 from .sperner import doubling_increment, t1
 
 # ---------------------------------------------------------------------------
@@ -61,10 +60,7 @@ def t2_upper(n: int) -> tuple[int, bool]:
     for m, v, exact in _T2_TABLE:
         if m == n:
             return v, exact
-    best = None
-    for m, v, _ in _T2_TABLE:
-        cand = v if m >= n else v + (n - m)
-        best = cand if best is None else min(best, cand)
+    best = min(v if m >= n else v + (n - m) for m, v, _ in _T2_TABLE)
     if n > _T2_TABLE[-1][0]:
         best = min(best, math.ceil(5.512 * math.log2(n)))
     return best, False
@@ -184,13 +180,17 @@ def _matching_bounds(n: int) -> list[Bound]:
     return out
 
 
+def smaller_inner_block(k: int) -> bool:
+    """Is a 2-disjunct block known on k - 1 columns and under k - 1 rows?"""
+    return k > 3 and t2_upper(k - 1)[0] < k - 1
+
+
 def _windmill_bounds(k: int, n: int) -> list[Bound]:
     """n >= 2 blades of K_k, k >= 3."""
     out = [Bound("t", "lower", t1((k - 1) * n) + 1, "star-subgraph")]
     if k == 3 and doubling_increment(n) == 2:
         out += _pair("t", t1(n) + 3, "friendship-exact")
-    # an inner 2-disjunct block on fewer than k - 1 rows, which nothing here builds
-    if k > 3 and t2_upper(k - 1)[0] < k - 1:
+    if smaller_inner_block(k):  # which nothing here builds
         out.append(Bound("t", "upper", t1(n) + t2_upper(k - 1)[0] + 1, "windmill-two-disjunct-inner"))
     return out
 
@@ -235,7 +235,7 @@ def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Boun
         own = _windmill_bounds(*args)
     elif name == "hamming":
         own = [Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle")]
-    elif name == "sperner":  # no colouring is stated, but t_s is
+    elif name == "sperner":  # no family colouring is stated, but t_s is
         own = _pair("t_s", args[0], "sperner-graph-exact")
     elif name == "universal":  # over the star on n - 1 vertices
         own = [Bound("t", "lower", t1(n - 2) + 2, "star-universal-exact", exact=True)]
@@ -258,9 +258,9 @@ def bounds_for(g: Graph) -> BoundsReport:
     """All applicable theorem bounds for the graph.
 
     A tagged graph gets its family's theorems.  Every graph then gets the
-    bounds that hold for all graphs (the chromatic Sperner value unless an
-    untagged graph is past the exact solver's reach) and the
-    minimum-degree relations between the full and edge-only quantities.  A
+    bounds that hold for all graphs (the chromatic Sperner value wherever
+    `Graph.coloring` has a colouring) and the minimum-degree relations
+    between the full and edge-only quantities.  A
     graph with isolated vertices gets the report of the rest, or an empty
     report when fewer than three vertices are left; a graph with loops, the
     t and t_e floors of the graph without them.
@@ -286,7 +286,7 @@ def bounds_for(g: Graph) -> BoundsReport:
 
     if name == "bipartite" and args[1] == 1:  # K_{a,1}: a star, hub last
         name, args = "star", (g.n,)
-    chi = chromatic_number(g) if name in COLORINGS or not name and g.n <= EXACT_VERTEX_LIMIT else None
+    chi = chromatic_number(g) if g.coloring is not None else None
     out = list(_family(name, args, g.n, chi))
 
     # Minimum-degree relations between the full and edge-only quantities.

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import graycode
-from .bounds import bounds_for, t2_upper
+from .bounds import bounds_for, smaller_inner_block
 from .constructions import METHODS, construct
 from .core import PROPERTIES, IncidenceMatrix, find_violation
 from .errors import InvalidInputError, ResourceLimitError
@@ -48,10 +48,8 @@ def _emit(text: str, output: Optional[str]) -> None:
 def cmd_construct(args) -> int:
     g = make_family(args.graph)
     m, used = construct(g, args.method)
-    # a windmill's identity inner block has k - 1 rows; say so when a
-    # 2-disjunct matrix on k - 1 columns is known to need fewer
     k = family_of(g)[1][0] if used == "windmill" else 0
-    if k >= 4 and t2_upper(k - 1)[0] < k - 1:
+    if smaller_inner_block(k):
         print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
     _emit(m.to_text(), args.output)
     print(f"{used}: {m.t}x{m.n} matrix for {g.family or args.graph}, verified", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Explicit cover-free-family constructions and `table`, the one list of
 those that apply to a family member as `graphs.family_of` reads it: method,
 bound source, row count and builder.  `construct` builds and checks from it,
-and `bounds.bounds_for` states each row count as a ceiling.
+and `bounds.bounds_for` states each row count as a ceiling.  The coloring
+row builds over `Graph.coloring` and counts over `graphs.family_coloring`.
 
 Layout conventions shared with the graph generators: hub vertices occupy
 column 0, clique/leaf columns follow in vertex order, and stacked blocks
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
-from .graphs import COLORINGS, Graph, chromatic_number, family_of, matching, path
+from .graphs import Graph, chromatic_number, family_coloring, family_of, matching, path
 from .graycode import cycle_cff_rows, path_cycle_cff, product_matrix
 from .sperner import optimal_1cff, t1
 
@@ -27,16 +28,16 @@ def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMa
 
     Each class of size n_i > 1 contributes an optimal 1-disjunct block on its
     own rows; singleton classes contribute one row with a single 1.  Without
-    an explicit coloring it takes `chromatic_number`'s, so a family that
-    states its colouring builds at any size.  Classes are laid out largest
-    first, ties broken by lowest vertex id.  The layout is a
-    product: each class's block gains a leading zero column, which every
-    vertex outside the class takes.
+    an explicit coloring it takes `Graph.coloring`, so a family that states
+    its colouring builds at any size.  Classes are laid out largest first,
+    ties broken by lowest vertex id, as a product: each class's block gains
+    a leading zero column, which every vertex outside the class takes.
     """
     if g.loops:
         raise InvalidInputError("coloring construction needs a simple graph")
     if coloring is None:
-        _, coloring = chromatic_number(g, with_witness=True)  # checked there
+        chromatic_number(g)  # raises where g has no colouring
+        coloring = g.coloring
     elif len(coloring) != g.n:
         raise InvalidInputError("coloring must assign a color to every vertex")
     else:
@@ -212,9 +213,9 @@ def table(name: Optional[str], args: tuple, n: int) -> list[Construction]:
          lambda: cycle_cff_rows(n - 1) + 1, lambda g: _universal(path_cycle_cff(n - 1))),
         ("universal", "star-universal-exact", name == "universal" and n >= 4,
          lambda: t1(n - 2) + 2, lambda g: _universal(star_cff(n - 1))),
-        # one block per colour class of the family's colouring
+        # one block per colour class of the family's colouring; no classes, no count
         ("coloring", "coloring-construction", name != "loops",
-         lambda: sum(map(t1, Counter(COLORINGS[name](n, args)).values())) if name in COLORINGS else None,
+         lambda: sum(map(t1, Counter(family_coloring(name, args, n)).values())) or None,
          lambda g: from_coloring(g)),
         # the check in `construct` covers the half, as it does the wheel's rim
         ("double", "double-cycle", name in ("path", "cycle") and n % 2 == 0 and n >= 6,

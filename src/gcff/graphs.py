@@ -2,10 +2,11 @@
 
 Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
 paths and cycles are numbered in traversal order.  Generated graphs carry a
-`family` tag such as "cycle(8)" or "universal(cycle(8))" so downstream bound
-computations and constructions can recognize them; `parse_family` is the one
-reader of those tags, and `family_of`, which bounds and constructions both
-read, renames a graph that one family builds under another's name.
+`family` tag such as "cycle(8)" or "universal(cycle(8))"; `parse_family` is
+the one reader of those tags, and `family_of`, which bounds and
+constructions both read, renames a graph that one family builds under
+another's name.  chi is the colour count of `Graph.coloring`, the one
+colouring every layer reads.
 """
 
 from __future__ import annotations
@@ -75,8 +76,17 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
+    @cached_property
+    def coloring(self) -> Optional[tuple[int, ...]]:
+        """The colouring in chi colours every layer reads: the family's, checked
+        once on every edge, else DSATUR's up to `EXACT_VERTEX_LIMIT` vertices."""
+        if self.loops:
+            return None
+        name, args = family_of(self) or (None, ())
+        colors = family_coloring(name, args, self.n)
+        if len(colors) == self.n and all(colors[u] != colors[v] for u, v in self.edges):
+            return tuple(colors)
+        return tuple(_dsatur(self)) if self.n <= EXACT_VERTEX_LIMIT else None
 
     @cached_property
     def isolated_vertices(self) -> frozenset[int]:
@@ -104,11 +114,8 @@ class Graph:
         lines = [ln for ln in text.splitlines() if ln.strip() != ""]
         if not lines:
             raise InvalidInputError("empty graph file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise InvalidInputError(f"bad header {lines[0]!r}, expected 'n m'")
-        try:
-            n, m = int(head[0]), int(head[1])
+        try:  # two integers, or ValueError
+            n, m = map(int, lines[0].split())
         except ValueError:
             raise InvalidInputError(f"bad header {lines[0]!r}, expected 'n m'") from None
         if len(lines) != m + 1:
@@ -116,11 +123,8 @@ class Graph:
         edges: set[tuple[int, int]] = set()
         loops: set[int] = set()
         for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise InvalidInputError(f"bad edge line {ln!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = map(int, ln.split())
             except ValueError:
                 raise InvalidInputError(f"bad edge line {ln!r}") from None
             if u == v:
@@ -349,9 +353,14 @@ def make_family(spec: str) -> Graph:
 # Exact solvers: chromatic number and clique number
 # ---------------------------------------------------------------------------
 
+def _hamming_coloring(n: int, dims: tuple) -> list[int]:
+    """Digit sums modulo the largest dimension, by which no digit changes."""
+    modulus = max(dims)
+    return [sum(w) % modulus for w in product(*map(range, dims))]
+
+
 #: The colouring in chi colours each family states, from (n, args) as
-#: `family_of` reads them (a universal tag it keeps is over a star).  A
-#: Hamming digit changes by less than the largest dimension, the modulus.
+#: `family_of` reads them (a universal tag it keeps is over a star).
 COLORINGS = {
     "path": lambda n, args: [v % 2 for v in range(n)],
     "matching": lambda n, args: [v % 2 for v in range(n)],
@@ -361,9 +370,14 @@ COLORINGS = {
     "bipartite": lambda n, args: [0] * args[0] + [1] * args[1],
     "complete": lambda n, args: list(range(n)),
     "windmill": lambda n, args: [0] + list(range(1, args[0])) * args[1],
-    "hamming": lambda n, args: [sum(w) % max(args) for w in product(*map(range, args))],
+    "hamming": _hamming_coloring,
     "universal": lambda n, args: [0, 1] + [2] * (n - 2),
 }
+
+
+def family_coloring(name: Optional[str], args: tuple, n: int) -> list[int]:
+    """A family member's colouring from `COLORINGS`, unchecked; [] for none."""
+    return COLORINGS[name](n, args) if name in COLORINGS else []
 
 
 def _require_small_simple(g: Graph, what: str) -> None:
@@ -373,9 +387,9 @@ def _require_small_simple(g: Graph, what: str) -> None:
         raise ResourceLimitError(f"{what} limited to {EXACT_VERTEX_LIMIT} vertices, got {g.n}")
 
 
-def clique_number(g: Graph, with_witness: bool = False):
+def clique_number(g: Graph) -> tuple[int, list[int]]:
     """Exact max clique by branch and bound, branching on the lowest
-    candidate vertex first."""
+    candidate vertex first: its size and its vertices."""
     _require_small_simple(g, "clique number")
     adj = [0] * g.n
     for u, v in g.edges:
@@ -398,29 +412,20 @@ def clique_number(g: Graph, with_witness: bool = False):
             grow(clique_mask | (1 << v), size + 1, cand & adj[v])
 
     grow(0, 0, (1 << g.n) - 1)
-    if with_witness:
-        witness = [v for v in range(g.n) if (best[1] >> v) & 1]
-        return best[0], witness
-    return best[0]
+    return best[0], [v for v in range(g.n) if (best[1] >> v) & 1]
 
 
-def chromatic_number(g: Graph, with_witness: bool = False):
-    """Exact chromatic number, and a colouring in that many colours: the
-    family's `COLORINGS` entry, checked proper, at any size; else DSATUR
-    branch and bound (Brelaz 1979), clique lower bound, up to 20 vertices."""
-    name, args = family_of(g) or (None, ())
-    colors = COLORINGS[name](g.n, args) if name in COLORINGS and not g.loops else None
-    if colors is None or len(colors) != g.n or any(colors[u] == colors[v] for u, v in g.edges):
-        colors = _dsatur(g)  # which refuses loops
-    k = max(colors) + 1
-    return (k, colors) if with_witness else k
+def chromatic_number(g: Graph) -> int:
+    """Exact chromatic number: the colour count of `Graph.coloring`."""
+    if g.coloring is None:  # loops, or too large for DSATUR: say which
+        _require_small_simple(g, "chromatic number")
+    return max(g.coloring) + 1
 
 
 def _dsatur(g: Graph) -> list[int]:
-    """A colouring in chi(g) colours, by DSATUR branch and bound."""
-    _require_small_simple(g, "chromatic number")
+    """A colouring in chi(g) colours, by DSATUR branch and bound (Brelaz 1979)."""
     n, adj = g.n, g.adj
-    lb, clique = clique_number(g, with_witness=True)
+    lb, clique = clique_number(g)
     colors = [-1] * n
 
     def solve(num_colored: int, used: int, limit: int) -> Optional[list[int]]:

@@ -56,20 +56,15 @@ def optimal_1cff(n: int) -> IncidenceMatrix:
 
 
 def t_s(g: Graph) -> int:
-    """Minimum rows of a g-Sperner matrix: t1 of the chromatic number, at
-    any size for a family that states its colouring (`graphs.COLORINGS`).
-    Isolated vertices carry no Sperner condition (their columns can repeat
-    any class column)."""
-    if g.loops:
-        raise InvalidInputError("Sperner quantities are defined for simple graphs")
+    """Minimum rows of a g-Sperner matrix: t1 of the chromatic number, read
+    from `Graph.coloring`.  Isolated vertices carry no Sperner condition
+    (their columns can repeat any class column)."""
     return t1(chromatic_number(g))
 
 
 def g_sperner_witness(g: Graph) -> IncidenceMatrix:
     """A t_s(g)-row g-Sperner matrix: color classes get distinct half-size subsets."""
-    if g.loops:
-        raise InvalidInputError("Sperner quantities are defined for simple graphs")
-    chi, coloring = chromatic_number(g, with_witness=True)
+    chi = chromatic_number(g)
     t = t1(chi)
     class_cols = list(islice(half_subsets(t), chi))
-    return IncidenceMatrix(t, tuple(class_cols[coloring[v]] for v in range(g.n)))
+    return IncidenceMatrix(t, tuple(class_cols[c] for c in g.coloring))

@@ -6,10 +6,11 @@ import pytest
 
 from gcff.bounds import Bound, bounds_for, t2_lower, t2_upper
 from gcff.constructions import construct, table
-from gcff.errors import InvalidInputError
+from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
     Graph,
     add_universal_vertex,
+    chromatic_number,
     complete,
     complete_bipartite,
     cycle,
@@ -367,6 +368,22 @@ class TestGraphIndependentBounds:
         assert Bound("t", "lower", 5, "central-binomial") in rep.bounds
         assert exists_cff(g, 4).status == "exhausted"
         assert exists_cff(g, 5).status == "found"
+
+    def test_sperner_chromatic_exactly_when_chromatic_number_answers(self):
+        graphs = [make_family("sperner:3"), make_family("sperner:4"),
+                  Graph(18, cycle(18).edges), Graph(21, complete(21).edges)]
+        answered = []
+        for g in graphs:
+            stated = [(b.kind, b.value, b.exact) for b in bounds_for(g).bounds
+                      if (b.quantity, b.source) == ("t_s", "sperner-chromatic")]
+            try:
+                want = t1(chromatic_number(g))
+            except ResourceLimitError:
+                assert stated == [], g.family
+                continue
+            assert stated == [("lower", want, True), ("upper", want, True)], g.family
+            answered.append(want)
+        assert answered == [3, 4, 2]  # complete(21), untagged, is past DSATUR's reach
 
     def test_universal_tags_get_the_chromatic_sperner_value(self):
         for g in (add_universal_vertex(star(5)), add_universal_vertex(cycle(8))):

@@ -76,7 +76,7 @@ class TestFromColoring:
         (cycle(5), [0, 1, 0]),
     ], ids=["cycle-edge", "path-edge", "complete-edge", "short"])
     def test_explicit_coloring_still_checked(self, g, coloring):
-        """Only the colouring taken from `chromatic_number` goes unchecked
+        """Only the colouring taken from `Graph.coloring` goes unchecked
         here; one passed in, improper or too short, raises even when the
         graph's family states a proper one."""
         with pytest.raises(InvalidInputError):
@@ -88,9 +88,7 @@ class TestFromColoring:
             g = random_graph(rng, rng.randrange(3, 15))
             m = from_coloring(g)
             assert is_g_cff(m, g)
-            from gcff.graphs import chromatic_number
-
-            _, colors = chromatic_number(g, with_witness=True)
+            colors = g.coloring
             sizes = {}
             for v in range(g.n):
                 sizes[colors[v]] = sizes.get(colors[v], 0) + 1

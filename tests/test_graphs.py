@@ -313,12 +313,52 @@ class TestFamilyColorings:
         assert all(colors[u] != colors[v] for u, v in g.edges)
         k = chromatic_number(Graph(g.n, g.edges))  # untagged: DSATUR, or star(2) for K_2
         assert set(colors) == set(range(k))
-        assert chromatic_number(g, with_witness=True) == (k, colors)
+        assert chromatic_number(g) == k and g.coloring == tuple(colors)
 
     def test_tag_its_edges_belie_goes_to_dsatur(self):
         g = Graph(5, frozenset({(0, 1), (0, 2), (1, 2)}), family="path(5)")
-        k, colors = chromatic_number(g, with_witness=True)
+        k, colors = chromatic_number(g), g.coloring
         assert k == 3 and all(colors[u] != colors[v] for u, v in g.edges)
+
+
+class CountedColors(list):
+    """A colouring that counts its reads by index, as an edge check makes them."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class TestOneColoringPerGraph:
+    @pytest.mark.parametrize("spec", ["cycle:1001", "bipartite:30,40", "hamming:3x4"])
+    def test_built_and_checked_once(self, monkeypatch, spec):
+        """Every reader of a graph's colouring shares one build and one check
+        on every edge; the only other build is `table`'s coloring-row count,
+        which reads no colour by index."""
+        from gcff import bounds
+        from gcff.constructions import construct
+        from gcff.sperner import g_sperner_witness, t_s
+
+        g = make_family(spec)
+        name, _ = family_of(g)
+        built, entry = [], COLORINGS[name]
+
+        def counted(n, args):
+            built.append(CountedColors(entry(n, args)))
+            return built[-1]
+
+        monkeypatch.setitem(COLORINGS, name, counted)
+        bounds._family.cache_clear()  # so that the table count is built here
+        chromatic_number(g)
+        bounds.bounds_for(g)
+        construct(g, "coloring")
+        t_s(g)
+        g_sperner_witness(g)
+        checked = [c for c in built if c.reads]
+        assert [c.reads for c in checked] == [2 * len(g.edges)]
+        assert len(built) == 2
 
 
 class TestExactSolvers:
@@ -333,7 +373,7 @@ class TestExactSolvers:
         rng = random.Random(3)
         for _ in range(25):
             g = random_graph(rng, rng.randrange(2, 9))
-            k, colors = chromatic_number(g, with_witness=True)
+            k, colors = chromatic_number(g), g.coloring
             assert max(colors) + 1 == k
             assert all(colors[u] != colors[v] for u, v in g.edges)
 
@@ -357,28 +397,28 @@ class TestExactSolvers:
                         best = min(best, 1 + fewest[s & ~i])
                     i = (i - 1) & s
                 fewest[s] = best
-            k, colors = chromatic_number(g, with_witness=True)
+            k, colors = chromatic_number(g), g.coloring
             assert k == fewest[full], sorted(g.edges)
             assert len(colors) == g.n and set(colors) == set(range(k))
             assert all(colors[u] != colors[v] for u, v in g.edges)
 
     def test_clique_spot_values(self):
-        assert clique_number(complete(5)) == 5
-        assert clique_number(cycle(6)) == 2
-        assert clique_number(sperner_graph(3)) == 3
-        assert clique_number(wheel(6)) == 3
+        assert clique_number(complete(5))[0] == 5
+        assert clique_number(cycle(6))[0] == 2
+        assert clique_number(sperner_graph(3))[0] == 3
+        assert clique_number(wheel(6))[0] == 3
 
     def test_clique_le_chromatic(self):
         rng = random.Random(5)
         for _ in range(25):
             g = random_graph(rng, rng.randrange(2, 9))
-            assert clique_number(g) <= chromatic_number(g)
+            assert clique_number(g)[0] <= chromatic_number(g)
 
     def test_sperner_graph_theorem_orders_3_and_4(self):
         for z in (3, 4):
             g = sperner_graph(z)
             want = comb(z, z // 2)
-            assert clique_number(g) == want
+            assert clique_number(g)[0] == want
             assert chromatic_number(g) == want
 
     def test_resource_limits(self):

@@ -124,7 +124,7 @@ KERNEL_CASES = [
 
 def by_degree(g: Graph) -> list[int]:
     """The vertex order of exists_cff: descending degree, then label."""
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    return sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
 
 
 class TestKernelMatchesReference:
