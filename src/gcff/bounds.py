@@ -260,15 +260,14 @@ def bounds_for(g: Graph) -> BoundsReport:
     A tagged graph gets its family's theorems.  Every graph then gets the
     bounds that hold for all graphs (the chromatic Sperner value wherever
     `Graph.coloring` has a colouring) and the minimum-degree relations
-    between the full and edge-only quantities.  A
-    graph with isolated vertices gets the report of the rest, or an empty
-    report when fewer than three vertices are left; a graph with loops, the
-    t and t_e floors of the graph without them.
+    between the full and edge-only quantities.  Isolated vertices are
+    dropped and the family kept, and fewer than three vertices left give an
+    empty report; a graph with loops gets the t and t_e floors without them.
     """
     graph_id = g.family or f"graph(n={g.n},m={len(g.edges)})"
     name, args = family_of(g) or (None, ())
 
-    if name == "loops" and not g.edges:
+    if name == "loops":
         b = _pair("t", t1(g.n), "loops-exact") + _pair("t_e", t1(g.n), "loops-exact")
         return BoundsReport(graph_id, tuple(b))
 
@@ -281,8 +280,7 @@ def bounds_for(g: Graph) -> BoundsReport:
     if g.isolated_vertices:
         if g.n - len(g.isolated_vertices) < 3:
             return BoundsReport(graph_id, ())
-        stripped, _ = g.without_isolated()
-        return BoundsReport(graph_id, bounds_for(stripped).bounds)
+        g, _ = g.without_isolated()
 
     if name == "bipartite" and args[1] == 1:  # K_{a,1}: a star, hub last
         name, args = "star", (g.n,)

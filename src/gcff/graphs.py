@@ -1,18 +1,17 @@
 """Graph families, the colouring each states, and small exact graph solvers.
 
 Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
-paths and cycles are numbered in traversal order.  Generated graphs carry a
-`family` tag such as "cycle(8)" or "universal(cycle(8))"; `parse_family` is
-the one reader of those tags, and `family_of`, which bounds and
-constructions both read, renames a graph that one family builds under
-another's name.  chi is the colour count of `Graph.coloring`, the one
-colouring every layer reads.
+paths and cycles are numbered in traversal order.  Only `_tagged` writes a
+`family` tag such as "cycle(8)", for the generators, so every layer trusts
+it.  `parse_family` reads tags, and `family_of`, which bounds and
+constructions read, renames a graph one family builds under another's name.
+chi is the colour count of `Graph.coloring`, the one colouring all layers read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import prod
@@ -42,7 +41,7 @@ class Graph:
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
     loops: frozenset[int] = frozenset()
-    family: Optional[str] = None
+    family: Optional[str] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -78,14 +77,13 @@ class Graph:
 
     @cached_property
     def coloring(self) -> Optional[tuple[int, ...]]:
-        """The colouring in chi colours every layer reads: the family's, checked
-        once on every edge, else DSATUR's up to `EXACT_VERTEX_LIMIT` vertices."""
+        """The colouring in chi colours every layer reads: the family's, as only its generator
+        writes its tag, else DSATUR's up to `EXACT_VERTEX_LIMIT` vertices."""
         if self.loops:
             return None
         name, args = family_of(self) or (None, ())
-        colors = family_coloring(name, args, self.n)
-        if len(colors) == self.n and all(colors[u] != colors[v] for u, v in self.edges):
-            return tuple(colors)
+        if name in COLORINGS:
+            return tuple(COLORINGS[name](self.n, args))
         return tuple(_dsatur(self)) if self.n <= EXACT_VERTEX_LIMIT else None
 
     @cached_property
@@ -96,12 +94,12 @@ class Graph:
         return min(self.degrees)
 
     def without_isolated(self) -> tuple["Graph", tuple[int, ...]]:
-        """Drop isolated vertices; also return the kept (old) vertex labels."""
+        """Drop isolated vertices and the tag; also return the kept (old) vertex labels."""
         keep = [v for v, d in enumerate(self.degrees) if d > 0]
         relabel = {v: i for i, v in enumerate(keep)}
         edges = frozenset(_norm_edge(relabel[u], relabel[v]) for u, v in self.edges)
         loops = frozenset(relabel[v] for v in self.loops)
-        return Graph(len(keep), edges, loops, self.family), tuple(keep)
+        return Graph(len(keep), edges, loops), tuple(keep)
 
     def to_text(self) -> str:
         lines = [f"{self.n} {len(self.edges) + len(self.loops)}"]
@@ -131,35 +129,40 @@ class Graph:
                 loops.add(u)
             else:
                 edges.add(_norm_edge(u, v))
-        return cls(n, frozenset(edges), frozenset(loops), family="file")
+        return _tagged(cls(n, frozenset(edges), frozenset(loops)), "file")
 
 
 # ---------------------------------------------------------------------------
 # Family generators
 # ---------------------------------------------------------------------------
 
+def _tagged(g: Graph, tag: Optional[str]) -> Graph:
+    object.__setattr__(g, "family", tag)
+    return g
+
+
 def path(n: int) -> Graph:
     if n < 2:
         raise InvalidInputError("path needs n >= 2")
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)), family=f"path({n})")
+    return _tagged(Graph(n, frozenset((i, i + 1) for i in range(n - 1))), f"path({n})")
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidInputError("cycle needs n >= 3")
     edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
-    return Graph(n, frozenset(edges), family=f"cycle({n})")
+    return _tagged(Graph(n, frozenset(edges)), f"cycle({n})")
 
 
 def star(n: int) -> Graph:
     """K_{1,n-1}: hub 0 joined to leaves 1..n-1."""
     if n < 2:
         raise InvalidInputError("star needs n >= 2")
-    return Graph(n, frozenset((0, i) for i in range(1, n)), family=f"star({n})")
+    return _tagged(Graph(n, frozenset((0, i) for i in range(1, n))), f"star({n})")
 
 
 def complete(n: int) -> Graph:
-    return Graph(n, frozenset(combinations(range(n), 2)), family=f"complete({n})")
+    return _tagged(Graph(n, frozenset(combinations(range(n), 2))), f"complete({n})")
 
 
 def wheel(n: int) -> Graph:
@@ -168,21 +171,21 @@ def wheel(n: int) -> Graph:
         raise InvalidInputError("wheel needs n >= 3")
     rim = {_norm_edge(i, i % (n - 1) + 1) for i in range(1, n)}
     hub = {(0, i) for i in range(1, n)}
-    return Graph(n, frozenset(rim | hub), family=f"wheel({n})")
+    return _tagged(Graph(n, frozenset(rim | hub)), f"wheel({n})")
 
 
 def complete_bipartite(n1: int, n2: int) -> Graph:
     if n1 < 1 or n2 < 1:
         raise InvalidInputError("bipartite parts must be non-empty")
     edges = frozenset((a, n1 + b) for a in range(n1) for b in range(n2))
-    return Graph(n1 + n2, edges, family=f"bipartite({n1},{n2})")
+    return _tagged(Graph(n1 + n2, edges), f"bipartite({n1},{n2})")
 
 
 def matching(n: int) -> Graph:
     """n vertices, n/2 disjoint edges 2i -- 2i+1."""
     if n < 2 or n % 2:
         raise InvalidInputError("matching needs even n >= 2")
-    return Graph(n, frozenset((2 * i, 2 * i + 1) for i in range(n // 2)), family=f"matching({n})")
+    return _tagged(Graph(n, frozenset((2 * i, 2 * i + 1) for i in range(n // 2))), f"matching({n})")
 
 
 def windmill(k: int, n: int) -> Graph:
@@ -193,7 +196,7 @@ def windmill(k: int, n: int) -> Graph:
     for i in range(n):
         blade = [0] + [1 + i * (k - 1) + j for j in range(k - 1)]
         edges.update(combinations(blade, 2))
-    return Graph(n * (k - 1) + 1, frozenset(edges), family=f"windmill({k},{n})")
+    return _tagged(Graph(n * (k - 1) + 1, frozenset(edges)), f"windmill({k},{n})")
 
 
 def friendship(n: int) -> Graph:
@@ -202,7 +205,7 @@ def friendship(n: int) -> Graph:
 
 
 def loops_graph(n: int) -> Graph:
-    return Graph(n, loops=frozenset(range(n)), family=f"loops({n})")
+    return _tagged(Graph(n, loops=frozenset(range(n))), f"loops({n})")
 
 
 def hamming(dims: Iterable[int]) -> Graph:
@@ -220,7 +223,7 @@ def hamming(dims: Iterable[int]) -> Graph:
         place //= d
         for v in range(n):
             edges.update((v, v + a * place) for a in range(1, d - v // place % d))
-    return Graph(n, frozenset(edges), family="hamming(" + ",".join(map(str, dims)) + ")")
+    return _tagged(Graph(n, frozenset(edges)), "hamming(" + ",".join(map(str, dims)) + ")")
 
 
 def sperner_graph(z: int) -> Graph:
@@ -238,7 +241,7 @@ def sperner_graph(z: int) -> Graph:
         for y in range(x + 1, n):
             if (x & ~y) and (y & ~x):
                 edges.add((x, y))
-    return Graph(n, frozenset(edges), family=f"sperner({z})")
+    return _tagged(Graph(n, frozenset(edges)), f"sperner({z})")
 
 
 def add_universal_vertex(g: Graph) -> Graph:
@@ -248,7 +251,7 @@ def add_universal_vertex(g: Graph) -> Graph:
     edges = {(_norm_edge(u + 1, v + 1)) for u, v in g.edges}
     edges.update((0, v + 1) for v in range(g.n))
     tag = f"universal({g.family})" if g.family else None
-    return Graph(g.n + 1, frozenset(edges), family=tag)
+    return _tagged(Graph(g.n + 1, frozenset(edges)), tag)
 
 
 #: Each spec family: (generator, argument count, argument separator,

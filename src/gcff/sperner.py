@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations, islice
 from math import comb
 
-from .core import IncidenceMatrix
+from .core import IncidenceMatrix, find_violation
 from .errors import InvalidInputError
 from .graphs import Graph, chromatic_number
 
@@ -63,8 +63,10 @@ def t_s(g: Graph) -> int:
 
 
 def g_sperner_witness(g: Graph) -> IncidenceMatrix:
-    """A t_s(g)-row g-Sperner matrix: color classes get distinct half-size subsets."""
-    chi = chromatic_number(g)
-    t = t1(chi)
-    class_cols = list(islice(half_subsets(t), chi))
-    return IncidenceMatrix(t, tuple(class_cols[c] for c in g.coloring))
+    """A checked t_s(g)-row g-Sperner matrix: color classes get distinct half-size subsets."""
+    classes = optimal_1cff(chromatic_number(g))
+    m = IncidenceMatrix(classes.t, tuple(classes.cols[c] for c in g.coloring))
+    bad = find_violation(m, g, "sperner")
+    if bad is not None:
+        raise RuntimeError(f"g-Sperner witness failed verification: {bad}")
+    return m

@@ -304,6 +304,35 @@ def colored_specs():
     return graphs + [add_universal_vertex(star(m)) for m in range(2, 20)]
 
 
+#: chi of each family that states a colouring, from (n, args) as `family_of`
+#: reads them: a wheel's hub takes a colour of its own beside its rim cycle.
+CHI = {
+    "path": lambda n, args: 2,
+    "matching": lambda n, args: 2,
+    "cycle": lambda n, args: 2 + n % 2,
+    "wheel": lambda n, args: 4 - n % 2,
+    "star": lambda n, args: 2,
+    "bipartite": lambda n, args: 2,
+    "complete": lambda n, args: n,
+    "windmill": lambda n, args: args[0],
+    "hamming": lambda n, args: max(args),
+    "universal": lambda n, args: 3,
+}
+
+
+def large_colored_graphs():
+    """Members of every family in `COLORINGS` past DSATUR's 20 vertices, up to
+    about 2,000, with each rename `family_of` makes among them."""
+    specs = ["path:21", "path:2000", "matching:22", "matching:2000", "cycle:1999",
+             "cycle:2000", "wheel:1999", "wheel:2000", "wheel:3", "star:2000",
+             "bipartite:40,50", "bipartite:1,1999", "bipartite:1999,1", "complete:21",
+             "complete:60", "windmill:5,400", "windmill:2,1999", "windmill:40,1",
+             "friendship:999", "hamming:4x4x4x4x4", "hamming:3x5x7x11",
+             "hamming:2x2x2x2x2x2x2x2x2x2"]
+    graphs = [make_family(spec) for spec in specs]
+    return graphs + [add_universal_vertex(star(m)) for m in (21, 1999)]
+
+
 class TestFamilyColorings:
     @pytest.mark.parametrize("g", colored_specs(), ids=lambda g: g.family)
     def test_proper_in_exactly_chi_colours(self, g):
@@ -312,13 +341,30 @@ class TestFamilyColorings:
         assert len(colors) == g.n
         assert all(colors[u] != colors[v] for u, v in g.edges)
         k = chromatic_number(Graph(g.n, g.edges))  # untagged: DSATUR, or star(2) for K_2
-        assert set(colors) == set(range(k))
+        assert set(colors) == set(range(k)) and CHI[name](g.n, args) == k
         assert chromatic_number(g) == k and g.coloring == tuple(colors)
 
-    def test_tag_its_edges_belie_goes_to_dsatur(self):
-        g = Graph(5, frozenset({(0, 1), (0, 2), (1, 2)}), family="path(5)")
-        k, colors = chromatic_number(g), g.coloring
-        assert k == 3 and all(colors[u] != colors[v] for u, v in g.edges)
+    def test_proper_in_exactly_chi_colours_past_dsatur(self):
+        """`Graph.coloring` trusts the tag, so each family's formula is proved
+        here on its generator's edges, past the sizes DSATUR can check."""
+        graphs = large_colored_graphs()
+        assert {family_of(g)[0] for g in graphs} == COLORINGS.keys()
+        for g in graphs:
+            name, args = family_of(g)
+            colors = g.coloring
+            assert len(colors) == g.n, g.family
+            assert all(colors[u] != colors[v] for u, v in g.edges), g.family
+            assert set(colors) == set(range(CHI[name](g.n, args))), g.family
+
+    def test_only_a_generator_writes_a_tag(self):
+        """A tag states its generator's edges, so no caller can write one, and
+        an untagged K_12 gets K_12's bounds: t(K_12) = 9."""
+        from gcff.bounds import bounds_for
+
+        with pytest.raises(TypeError):
+            Graph(5, frozenset({(0, 1), (0, 2), (1, 2)}), family="path(5)")
+        report = bounds_for(Graph(12, complete(12).edges))
+        assert report.lower() <= 9 <= report.upper()
 
 
 class CountedColors(list):
@@ -333,10 +379,10 @@ class CountedColors(list):
 
 class TestOneColoringPerGraph:
     @pytest.mark.parametrize("spec", ["cycle:1001", "bipartite:30,40", "hamming:3x4"])
-    def test_built_and_checked_once(self, monkeypatch, spec):
-        """Every reader of a graph's colouring shares one build and one check
-        on every edge; the only other build is `table`'s coloring-row count,
-        which reads no colour by index."""
+    def test_built_once_and_never_read_by_index(self, monkeypatch, spec):
+        """Every reader of a graph's colouring shares one build, and nothing
+        checks it on the edges; the only other build is `table`'s
+        coloring-row count.  Neither list has a colour read by index."""
         from gcff import bounds
         from gcff.constructions import construct
         from gcff.sperner import g_sperner_witness, t_s
@@ -356,9 +402,8 @@ class TestOneColoringPerGraph:
         construct(g, "coloring")
         t_s(g)
         g_sperner_witness(g)
-        checked = [c for c in built if c.reads]
-        assert [c.reads for c in checked] == [2 * len(g.edges)]
         assert len(built) == 2
+        assert [c.reads for c in built] == [0, 0]
 
 
 class TestExactSolvers:

@@ -8,7 +8,7 @@ import pytest
 
 from gcff.core import is_d_disjunct, is_g_sperner
 from gcff.errors import InvalidInputError
-from gcff.graphs import Graph, complete, cycle, sperner_graph, star, wheel
+from gcff.graphs import COLORINGS, Graph, complete, cycle, path, sperner_graph, star, wheel
 from gcff.sperner import (
     doubling_increment,
     g_sperner_witness,
@@ -157,6 +157,12 @@ class TestGraphSperner:
 
     def test_star_ts(self):
         assert t_s(star(9)) == 2
+
+    def test_witness_is_checked(self, monkeypatch):
+        """An improper family colouring gives RuntimeError, not a matrix."""
+        monkeypatch.setitem(COLORINGS, "path", lambda n, args: [v // 2 % 2 for v in range(n)])
+        with pytest.raises(RuntimeError, match="g-Sperner witness failed verification"):
+            g_sperner_witness(path(5))
 
     # past the exact solver's 20 vertices, from the family's colouring
     @pytest.mark.parametrize("g, chi", [(cycle(30), 2), (cycle(31), 3), (wheel(30), 4),
