@@ -212,9 +212,9 @@ def _complete_bounds(n: int) -> list[Bound]:
 @lru_cache(maxsize=512)
 def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Bound, ...]:
     """The t and t_s bounds of a graph on n >= 2 vertices, none isolated, of
-    chromatic number chi: the family's own theorems (none for an untagged
-    graph), a ceiling per construction `constructions.table` lists for it,
-    then the bounds every graph obeys, then "interval"."""
+    chromatic number chi: the family's own theorems (none for a graph no
+    family builds), a ceiling per construction `constructions.table` lists
+    for it, then the bounds every graph obeys, then "interval"."""
     own: list[Bound] = []
     if name == "path" and n >= 5:
         # the exhaustive short-ground lemmas: a path CFF on 4 ground points
@@ -257,15 +257,15 @@ def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Boun
 def bounds_for(g: Graph) -> BoundsReport:
     """All applicable theorem bounds for the graph.
 
-    A tagged graph gets its family's theorems.  Every graph then gets the
-    bounds that hold for all graphs (the chromatic Sperner value wherever
-    `Graph.coloring` has a colouring) and the minimum-degree relations
-    between the full and edge-only quantities.  Isolated vertices are
+    A graph a family builds gets its family's theorems.  Every graph then
+    gets the bounds that hold for all graphs (the chromatic Sperner value
+    wherever `Graph.coloring` has a colouring) and the minimum-degree
+    relations between the full and edge-only quantities.  Isolated vertices are
     dropped and the family kept, and fewer than three vertices left give an
     empty report; a graph with loops gets the t and t_e floors without them.
     """
-    graph_id = g.family or f"graph(n={g.n},m={len(g.edges)})"
-    name, args = family_of(g) or (None, ())
+    graph_id = g.tag or f"graph(n={g.n},m={len(g.edges)})"
+    name, args = family_of(g)
 
     if name == "loops":
         b = _pair("t", t1(g.n), "loops-exact") + _pair("t_e", t1(g.n), "loops-exact")

@@ -52,7 +52,7 @@ def cmd_construct(args) -> int:
     if smaller_inner_block(k):
         print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
     _emit(m.to_text(), args.output)
-    print(f"{used}: {m.t}x{m.n} matrix for {g.family or args.graph}, verified", file=sys.stderr)
+    print(f"{used}: {m.t}x{m.n} matrix for {g.tag or args.graph}, verified", file=sys.stderr)
     return EXIT_OK
 
 

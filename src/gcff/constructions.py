@@ -193,7 +193,7 @@ Construction = namedtuple("Construction", "method source rows build")
 
 def table(name: Optional[str], args: tuple, n: int) -> list[Construction]:
     """The constructions that apply to a family member on n vertices (name
-    None for an untagged simple graph), in the order `auto` tries them."""
+    None for a simple graph no family builds), in the order `auto` tries them."""
     # a cataloged witness serves its own graph; a path witness, every shorter path
     entry, size = next(((key, cg.n) for key, (cg, _) in CATALOG.items() if family_of(cg) == (name, args)
                         or name == "path" == family_of(cg)[0] and n <= cg.n), (None, 0))
@@ -233,7 +233,7 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
     checked with `find_violation` first, and RuntimeError names a method
     whose matrix fails; InvalidInputError names the methods that apply.  A
     graph with loops outside the loops family has none."""
-    name, args = family_of(g) or (None, ())
+    name, args = family_of(g)
     rows = [] if g.loops and name != "loops" else table(name, args, g.n)
     for row in rows:
         if method in ("auto", row.method):
@@ -244,5 +244,5 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
             return m, row.method
     names = ", ".join(row.method for row in rows) or "none"
     raise InvalidInputError(
-        f"method {method} does not apply to {g.family or 'this graph'} (applicable: {names})"
+        f"method {method} does not apply to {g.tag or 'this graph'} (applicable: {names})"
     )

@@ -2,15 +2,15 @@
 
 Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
 paths and cycles are numbered in traversal order.  Only `_tagged` writes a
-`family` tag such as "cycle(8)", for the generators, so every layer trusts
-it.  `parse_family` reads tags, and `family_of`, which bounds and
-constructions read, renames a graph one family builds under another's name.
-chi is the colour count of `Graph.coloring`, the one colouring all layers read.
+graph's `family`, the (name, args) its generator was called with, such as
+("cycle", (8,)), so every layer trusts it; `Graph.tag` is its text.
+`family_of`, which bounds and constructions read, renames a graph one family
+builds under another's name.  chi is the colour count of `Graph.coloring`,
+the one colouring all layers read.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
@@ -23,7 +23,8 @@ from .errors import InvalidInputError, ResourceLimitError
 EXACT_VERTEX_LIMIT = 20
 
 #: `make_family` refuses a spec whose graph would have more vertices plus
-#: edges (loops counted as edges) than this, before building anything.
+#: edges (loops counted as edges) than this, before building anything; a
+#: graph file is refused on its header, before any edge line is read.
 #: hamming:4x4x4x4x4x4x4x4 (851,968) and path:300000 (599,999) fit; building
 #: a graph of this size takes 1-2 s and about 300 MB, and verifying a matrix
 #: on it takes time quadratic in n.
@@ -41,7 +42,7 @@ class Graph:
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
     loops: frozenset[int] = frozenset()
-    family: Optional[str] = field(default=None, init=False)
+    family: Optional[tuple] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -75,13 +76,19 @@ class Graph:
             deg[v] += 1
         return tuple(deg)
 
+    @property
+    def tag(self) -> Optional[str]:
+        """The family as text, such as "cycle(8)", "universal(cycle(8))" or "file";
+        None where no generator built the graph."""
+        return _tag(self.family)
+
     @cached_property
     def coloring(self) -> Optional[tuple[int, ...]]:
         """The colouring in chi colours every layer reads: the family's, as only its generator
-        writes its tag, else DSATUR's up to `EXACT_VERTEX_LIMIT` vertices."""
+        writes the family, else DSATUR's up to `EXACT_VERTEX_LIMIT` vertices."""
         if self.loops:
             return None
-        name, args = family_of(self) or (None, ())
+        name, args = family_of(self)
         if name in COLORINGS:
             return tuple(COLORINGS[name](self.n, args))
         return tuple(_dsatur(self)) if self.n <= EXACT_VERTEX_LIMIT else None
@@ -94,7 +101,7 @@ class Graph:
         return min(self.degrees)
 
     def without_isolated(self) -> tuple["Graph", tuple[int, ...]]:
-        """Drop isolated vertices and the tag; also return the kept (old) vertex labels."""
+        """Drop isolated vertices and the family; also return the kept (old) vertex labels."""
         keep = [v for v, d in enumerate(self.degrees) if d > 0]
         relabel = {v: i for i, v in enumerate(keep)}
         edges = frozenset(_norm_edge(relabel[u], relabel[v]) for u, v in self.edges)
@@ -116,6 +123,7 @@ class Graph:
             n, m = map(int, lines[0].split())
         except ValueError:
             raise InvalidInputError(f"bad header {lines[0]!r}, expected 'n m'") from None
+        _check_size("graph file", n, m)
         if len(lines) != m + 1:
             raise InvalidInputError(f"expected {m} edge lines, got {len(lines) - 1}")
         edges: set[tuple[int, int]] = set()
@@ -129,40 +137,48 @@ class Graph:
                 loops.add(u)
             else:
                 edges.add(_norm_edge(u, v))
-        return _tagged(cls(n, frozenset(edges), frozenset(loops)), "file")
+        return _tagged(cls(n, frozenset(edges), frozenset(loops)), "file", ())
 
 
 # ---------------------------------------------------------------------------
 # Family generators
 # ---------------------------------------------------------------------------
 
-def _tagged(g: Graph, tag: Optional[str]) -> Graph:
-    object.__setattr__(g, "family", tag)
+def _tagged(g: Graph, name: str, args: tuple) -> Graph:
+    object.__setattr__(g, "family", (name, args))
     return g
+
+
+def _tag(family: Optional[tuple]) -> Optional[str]:
+    if family is None:
+        return None
+    name, args = family
+    inside = _tag(args) if name == "universal" else ",".join(map(str, args))
+    return f"{name}({inside})" if inside else name
 
 
 def path(n: int) -> Graph:
     if n < 2:
         raise InvalidInputError("path needs n >= 2")
-    return _tagged(Graph(n, frozenset((i, i + 1) for i in range(n - 1))), f"path({n})")
+    return _tagged(Graph(n, frozenset((i, i + 1) for i in range(n - 1))), "path", (n,))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidInputError("cycle needs n >= 3")
     edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
-    return _tagged(Graph(n, frozenset(edges)), f"cycle({n})")
+    return _tagged(Graph(n, frozenset(edges)), "cycle", (n,))
 
 
 def star(n: int) -> Graph:
     """K_{1,n-1}: hub 0 joined to leaves 1..n-1."""
     if n < 2:
         raise InvalidInputError("star needs n >= 2")
-    return _tagged(Graph(n, frozenset((0, i) for i in range(1, n))), f"star({n})")
+    return _tagged(Graph(n, frozenset((0, i) for i in range(1, n))), "star", (n,))
 
 
 def complete(n: int) -> Graph:
-    return _tagged(Graph(n, frozenset(combinations(range(n), 2))), f"complete({n})")
+    return _tagged(Graph(n, frozenset(combinations(range(n), 2))), "complete", (n,))
 
 
 def wheel(n: int) -> Graph:
@@ -171,21 +187,21 @@ def wheel(n: int) -> Graph:
         raise InvalidInputError("wheel needs n >= 3")
     rim = {_norm_edge(i, i % (n - 1) + 1) for i in range(1, n)}
     hub = {(0, i) for i in range(1, n)}
-    return _tagged(Graph(n, frozenset(rim | hub)), f"wheel({n})")
+    return _tagged(Graph(n, frozenset(rim | hub)), "wheel", (n,))
 
 
 def complete_bipartite(n1: int, n2: int) -> Graph:
     if n1 < 1 or n2 < 1:
         raise InvalidInputError("bipartite parts must be non-empty")
     edges = frozenset((a, n1 + b) for a in range(n1) for b in range(n2))
-    return _tagged(Graph(n1 + n2, edges), f"bipartite({n1},{n2})")
+    return _tagged(Graph(n1 + n2, edges), "bipartite", (n1, n2))
 
 
 def matching(n: int) -> Graph:
     """n vertices, n/2 disjoint edges 2i -- 2i+1."""
     if n < 2 or n % 2:
         raise InvalidInputError("matching needs even n >= 2")
-    return _tagged(Graph(n, frozenset((2 * i, 2 * i + 1) for i in range(n // 2))), f"matching({n})")
+    return _tagged(Graph(n, frozenset((2 * i, 2 * i + 1) for i in range(n // 2))), "matching", (n,))
 
 
 def windmill(k: int, n: int) -> Graph:
@@ -196,7 +212,7 @@ def windmill(k: int, n: int) -> Graph:
     for i in range(n):
         blade = [0] + [1 + i * (k - 1) + j for j in range(k - 1)]
         edges.update(combinations(blade, 2))
-    return _tagged(Graph(n * (k - 1) + 1, frozenset(edges)), f"windmill({k},{n})")
+    return _tagged(Graph(n * (k - 1) + 1, frozenset(edges)), "windmill", (k, n))
 
 
 def friendship(n: int) -> Graph:
@@ -205,7 +221,7 @@ def friendship(n: int) -> Graph:
 
 
 def loops_graph(n: int) -> Graph:
-    return _tagged(Graph(n, loops=frozenset(range(n))), f"loops({n})")
+    return _tagged(Graph(n, loops=frozenset(range(n))), "loops", (n,))
 
 
 def hamming(dims: Iterable[int]) -> Graph:
@@ -223,7 +239,7 @@ def hamming(dims: Iterable[int]) -> Graph:
         place //= d
         for v in range(n):
             edges.update((v, v + a * place) for a in range(1, d - v // place % d))
-    return _tagged(Graph(n, frozenset(edges)), "hamming(" + ",".join(map(str, dims)) + ")")
+    return _tagged(Graph(n, frozenset(edges)), "hamming", dims)
 
 
 def sperner_graph(z: int) -> Graph:
@@ -241,7 +257,7 @@ def sperner_graph(z: int) -> Graph:
         for y in range(x + 1, n):
             if (x & ~y) and (y & ~x):
                 edges.add((x, y))
-    return _tagged(Graph(n, frozenset(edges)), f"sperner({z})")
+    return _tagged(Graph(n, frozenset(edges)), "sperner", (z,))
 
 
 def add_universal_vertex(g: Graph) -> Graph:
@@ -250,8 +266,8 @@ def add_universal_vertex(g: Graph) -> Graph:
         raise InvalidInputError("universal-vertex extension needs a simple graph")
     edges = {(_norm_edge(u + 1, v + 1)) for u, v in g.edges}
     edges.update((0, v + 1) for v in range(g.n))
-    tag = f"universal({g.family})" if g.family else None
-    return _tagged(Graph(g.n + 1, frozenset(edges)), tag)
+    h = Graph(g.n + 1, frozenset(edges))
+    return _tagged(h, "universal", g.family) if g.family else h
 
 
 #: Each spec family: (generator, argument count, argument separator,
@@ -284,46 +300,27 @@ def _check_size(spec: str, n: int, m: int) -> None:
         )
 
 
-_TAG_RE = re.compile(r"([a-z]+)\(([0-9]+(?:,[0-9]+)*)\)")
-
-
-def parse_family(tag: Optional[str]) -> Optional[tuple]:
-    """Read a family tag written by the generators above.
-
-    "windmill(3,4)" gives ("windmill", (3, 4)) and "universal(cycle(8))"
-    gives ("universal", ("cycle", (8,))).  Untagged graphs, "file" and any
-    other form give None.
-    """
-    if not tag:
-        return None
-    if tag.startswith("universal(") and tag.endswith(")"):
-        inner = parse_family(tag[len("universal("):-1])
-        return ("universal", inner) if inner else None
-    m = _TAG_RE.fullmatch(tag)
-    if m is None:
-        return None
-    return m.group(1), tuple(int(x) for x in m.group(2).split(","))
-
-
-def family_of(g: Graph) -> Optional[tuple]:
+def family_of(g: Graph) -> tuple:
     """The family whose generator builds g with g's own vertex labels, as
-    (name, args): the parsed tag, or the tag renamed.  Every K_2 is star(2),
+    (name, args): g.family, or g.family renamed.  Every K_2 is star(2),
     windmill(2, b) and bipartite(1, b) are stars, windmill(k, 1) and W_3 are
     complete, and a universal vertex over a cycle or a complete graph is a
-    wheel or a complete graph; over anything but a star it gives None."""
+    wheel or a complete graph.  Where no family builds g (no generator built
+    it, it was read from a file, or it is a universal vertex over any other
+    graph) it gives (None, ())."""
     if g.n == 2 and g.edges and not g.loops:
         return "star", (2,)
-    fam = parse_family(g.family)
-    if fam is None:
-        return None
-    name, args = fam
+    if g.family in (None, ("file", ())):
+        return None, ()
+    name, args = g.family
     if name == "universal":
-        return {"star": fam, "cycle": ("wheel", (g.n,)), "complete": ("complete", (g.n,))}.get(args[0])
+        return {"star": g.family, "cycle": ("wheel", (g.n,)),
+                "complete": ("complete", (g.n,))}.get(args[0], (None, ()))
     if (name, args[0]) in (("windmill", 2), ("bipartite", 1)):
         return "star", (g.n,)
     if (name, args[-1]) == ("windmill", 1) or (name, g.n) == ("wheel", 3):
         return "complete", (g.n,)
-    return fam
+    return g.family
 
 
 def make_family(spec: str) -> Graph:
@@ -334,9 +331,7 @@ def make_family(spec: str) -> Graph:
         raise InvalidInputError(f"graph spec {spec!r} needs the form family:args")
     if name == "file":
         with open(arg) as f:
-            g = Graph.from_text(f.read())
-        _check_size(spec, g.n, len(g.edges) + len(g.loops))
-        return g
+            return Graph.from_text(f.read())
     if name not in SPEC_FAMILIES:
         raise InvalidInputError(f"unknown graph family {name!r}")
     fn, arity, sep, size = SPEC_FAMILIES[name]
@@ -363,7 +358,7 @@ def _hamming_coloring(n: int, dims: tuple) -> list[int]:
 
 
 #: The colouring in chi colours each family states, from (n, args) as
-#: `family_of` reads them (a universal tag it keeps is over a star).
+#: `family_of` reads them (a universal family it keeps is over a star).
 COLORINGS = {
     "path": lambda n, args: [v % 2 for v in range(n)],
     "matching": lambda n, args: [v % 2 for v in range(n)],

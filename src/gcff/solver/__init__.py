@@ -83,11 +83,9 @@ def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
         zero_ok.append(ends and not (cover and missed))
         full_ok.append(ends and not (
             cover and ((linked and g.n >= 3) or (looped and g.n >= 2))))
-    prev_nbrs = tuple(tuple(sorted(pos[u] for u in g.adj[v] if pos[u] < i))
-                      for i, v in enumerate(order))
+    earlier = (sorted(pos[u] for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order))
     return Problem(
         order=order,
-        prev_nbrs=prev_nbrs,
         loops=tuple(v in g.loops for v in order),
         sperner=sperner,
         cover=cover,
@@ -95,7 +93,7 @@ def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
         full_ok=tuple(full_ok),
         # the ranges are read only under the cover rule
         nbrs=tuple(tuple((j, range(j), range(j + 1, i)) if cover else (j, (), ()) for j in nb)
-                   for i, nb in enumerate(prev_nbrs)),
+                   for i, nb in enumerate(earlier)),
     )
 
 

@@ -84,20 +84,19 @@ MEMO_DEPTH = 4
 class Problem:
     """One search instance, stated per depth of the walk.
 
-    Depth i assigns the column of vertex order[i].  prev_nbrs[i] holds the
-    depths of its neighbours assigned before it and loops[i] whether it has a
-    loop; zero_ok[i] and full_ok[i] say whether the empty and the full column
-    may go there.  sperner asks neighbouring columns to be incomparable, cover
-    asks no column to lie inside the union of an edge (or the column of a
-    loop) that misses its vertex.  nbrs[i] holds, for each j in prev_nbrs[i],
-    (j, range(j), range(j + 1, i)): the earlier depths other than j, whose
-    columns the union of the edge (j, i) must not cover.  Only the cover rule
-    reads those ranges, so without it they are empty tuples.  No field
-    depends on t, so one record serves a search at every row count.
+    Depth i assigns the column of vertex order[i].  nbrs[i] holds, for each
+    earlier depth j of a neighbour, in increasing order, (j, range(j),
+    range(j + 1, i)): the earlier depths other than j, whose columns the
+    union of the edge (j, i) must not cover.  Only the cover rule reads those
+    ranges, so without it they are empty tuples.  loops[i] says whether the
+    vertex has a loop; zero_ok[i] and full_ok[i] say whether the empty and
+    the full column may go there.  sperner asks neighbouring columns to be
+    incomparable, cover asks no column to lie inside the union of an edge (or
+    the column of a loop) that misses its vertex.  No field depends on t, so
+    one record serves a search at every row count.
     """
 
     order: tuple[int, ...]
-    prev_nbrs: tuple[tuple[int, ...], ...]
     loops: tuple[bool, ...]
     sperner: bool
     cover: bool
@@ -141,7 +140,7 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
     assignment reached, indexed by depth.  `nodes` counts the nodes of every
     subtree the memo skips, as if it had been walked.
     """
-    prev_nbrs, nbrs, loops = problem.prev_nbrs, problem.nbrs, problem.loops
+    nbrs, loops = problem.nbrs, problem.loops
     need_sperner, need_cover = problem.sperner, problem.cover
     n = len(problem.order)
     sub, sup, canon = _tables(t)
@@ -219,7 +218,7 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
         used[depth + 1] = used[depth] | c
         if need_cover:
             f = forb[depth]
-            for j in prev_nbrs[depth]:
+            for j, _, _ in nbrs[depth]:
                 f |= sub[cols[j] | c]
             if loops[depth]:
                 f |= sub[c]

@@ -290,7 +290,7 @@ class TestEveryTableRowIsABuiltCeiling:
     def test_rows_build_and_bound(self):
         for spec in TABLE_SPECS:
             g = make_family(spec)
-            name, args = family_of(g) or (None, ())
+            name, args = family_of(g)
             rep = bounds_for(g)
             stated = {(b.quantity, b.kind, b.value, b.source) for b in rep.bounds}
             counts = []
@@ -324,8 +324,8 @@ PROPERTY = {"t": "cff", "t_e": "ecff", "t_s": "sperner"}
 class TestEveryBoundAgainstTheSolver:
     def test_each_bound_brackets_the_exact_value(self):
         graphs = [(s, make_family(s)) for s in AUDIT_SPECS]
-        graphs += [(g.family, g) for g in (add_universal_vertex(star(4)),
-                                           add_universal_vertex(cycle(5)))]
+        graphs += [(g.tag, g) for g in (add_universal_vertex(star(4)),
+                                        add_universal_vertex(cycle(5)))]
         for spec, g in graphs:
             rep = bounds_for(g)
             for q, prop in PROPERTY.items():

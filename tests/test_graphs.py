@@ -24,7 +24,6 @@ from gcff.graphs import (
     loops_graph,
     make_family,
     matching,
-    parse_family,
     path,
     sperner_graph,
     star,
@@ -115,7 +114,7 @@ class TestHamming:
                            if sum(a != b for a, b in zip(words[i], words[j])) == 1)
         g = hamming(dims)
         assert (g.n, g.edges, g.loops) == (len(words), oracle, frozenset())
-        assert parse_family(g.family) == ("hamming", dims)
+        assert g.family == ("hamming", dims)
 
 
 class TestFileAndSpec:
@@ -128,12 +127,26 @@ class TestFileAndSpec:
         g = Graph.from_text("3 2\n0 1\n2 2\n")
         assert g.loops == frozenset({2}) and g.edges == frozenset({(0, 1)})
 
-    def test_make_family(self):
-        assert make_family("cycle:12").family == "cycle(12)"
+    def test_make_family(self, tmp_path):
         assert make_family("bipartite:2,3").n == 5
         assert make_family("hamming:2x2x3").n == 12
         assert make_family("windmill:3,4").n == 9
-        assert make_family("friendship:4").family == "windmill(3,4)"
+        f = tmp_path / "g.txt"
+        f.write_text("3 1\n0 1\n")
+        # each family's text, as the reports and messages print it
+        tags = {"path:5": "path(5)", "cycle:12": "cycle(12)", "star:4": "star(4)",
+                "wheel:6": "wheel(6)", "complete:5": "complete(5)",
+                "bipartite:2,3": "bipartite(2,3)", "matching:6": "matching(6)",
+                "windmill:3,4": "windmill(3,4)", "friendship:4": "windmill(3,4)",
+                "loops:3": "loops(3)", "hamming:2x2x3": "hamming(2,2,3)",
+                "sperner:3": "sperner(3)", f"file:{f}": "file"}
+        assert {spec.partition(":")[0] for spec in tags} == SPEC_FAMILIES.keys() | {"file"}
+        for spec, tag in tags.items():
+            assert make_family(spec).tag == tag, spec
+        assert add_universal_vertex(add_universal_vertex(cycle(5))).tag == \
+            "universal(universal(cycle(5)))"
+        assert add_universal_vertex(make_family(f"file:{f}")).tag == "universal(file)"
+        assert add_universal_vertex(Graph(2, frozenset({(0, 1)}))).tag is None
 
     def test_make_family_errors(self):
         for spec in ("nope:3", "cycle", "cycle:x", "bipartite:3", "hamming:2,3", "path:3x4",
@@ -183,6 +196,14 @@ class TestSpecSizeLimit:
         with pytest.raises(ResourceLimitError):
             make_family(f"file:{f}")
 
+    def test_oversized_file_header_refused_before_any_edge_line(self, tmp_path):
+        """The header's counts are checked first, so the malformed edge lines
+        behind an oversized header are never parsed."""
+        f = tmp_path / "g.txt"
+        f.write_text("600000 600000\n" + "x y\n" * 600_000)
+        with pytest.raises(ResourceLimitError, match="limited to"):
+            make_family(f"file:{f}")
+
 
 def _rebuild(parsed) -> Graph:
     name, args = parsed
@@ -192,6 +213,9 @@ def _rebuild(parsed) -> Graph:
 
 
 class TestParseFamily:
+    """A graph's family is the (name, args) its generator was called with,
+    so calling the generator again rebuilds the graph."""
+
     SAMPLE_ARGS = {"path": (5,), "cycle": (7,), "star": (4,), "wheel": (6,),
                    "complete": (5,), "bipartite": (2, 3), "matching": (6,),
                    "windmill": (3, 4), "friendship": (4,), "loops": (3,),
@@ -203,26 +227,27 @@ class TestParseFamily:
         graphs += [hamming([4]), add_universal_vertex(star(5)),
                    add_universal_vertex(add_universal_vertex(cycle(5)))]
         for g in graphs:
-            parsed = parse_family(g.family)
-            assert parsed is not None, g.family
-            assert _rebuild(parsed) == g, g.family
+            assert _rebuild(g.family) == g, g.tag
 
     def test_parsed_values(self):
-        assert parse_family("windmill(3,4)") == ("windmill", (3, 4))
-        assert parse_family(friendship(2).family) == ("windmill", (3, 2))
-        assert parse_family("universal(universal(cycle(5)))") == \
+        assert windmill(3, 4).family == ("windmill", (3, 4))
+        assert friendship(2).family == ("windmill", (3, 2))
+        assert hamming([2, 2, 3]).family == ("hamming", (2, 2, 3))
+        assert add_universal_vertex(add_universal_vertex(cycle(5))).family == \
             ("universal", ("universal", ("cycle", (5,))))
 
     def test_untagged_and_unknown_forms(self):
-        untagged = [
-            Graph(3, frozenset({(0, 1)})),
-            Graph.from_text("2 1\n0 1\n"),
-            add_universal_vertex(Graph(2, frozenset({(0, 1)}))),
-        ]
+        """A graph no generator built has no family, a read file has the
+        family "file", which builds nothing, and so does a universal vertex
+        over a file."""
+        read = Graph.from_text("3 1\n0 1\n")
+        assert read.family == ("file", ())
+        assert add_universal_vertex(read).family == ("universal", ("file", ()))
+        untagged = [Graph(3, frozenset({(0, 1)})), add_universal_vertex(Graph(2, frozenset({(0, 1)})))]
         for g in untagged:
-            assert parse_family(g.family) is None
-        for tag in ("file", "universal(file)", "cycle(8", "cycle()", "cycle(8,,1)"):
-            assert parse_family(tag) is None, tag
+            assert g.family is None and g.tag is None
+        for g in untagged + [read, add_universal_vertex(read)]:
+            assert family_of(g) == (None, ()), g.tag
 
 
 def _small_specs(limit: int = 12) -> list[str]:
@@ -255,7 +280,7 @@ class TestFamilyOf:
         renamed = 0
         for g in graphs:
             fam = family_of(g)
-            if fam is None or fam == parse_family(g.family):
+            if fam in ((None, ()), g.family):
                 continue
             name, args = fam
             built = SPEC_FAMILIES[name][0](*args)
@@ -275,13 +300,13 @@ class TestFamilyOf:
             (add_universal_vertex(cycle(6)), ("wheel", (7,))),
             (add_universal_vertex(complete(6)), ("complete", (7,))),
             (add_universal_vertex(star(6)), ("universal", ("star", (6,)))),
-            (add_universal_vertex(path(6)), None),
-            (add_universal_vertex(add_universal_vertex(star(4))), None),
-            (Graph(3, frozenset({(0, 1)})), None),
+            (add_universal_vertex(path(6)), (None, ())),
+            (add_universal_vertex(add_universal_vertex(star(4))), (None, ())),
+            (Graph(3, frozenset({(0, 1)})), (None, ())),
             (loops_graph(2), ("loops", (2,))),
         ]
         for g, want in cases:
-            assert family_of(g) == want, g.family
+            assert family_of(g) == want, g.tag
 
 
 def colored_specs():
@@ -334,7 +359,7 @@ def large_colored_graphs():
 
 
 class TestFamilyColorings:
-    @pytest.mark.parametrize("g", colored_specs(), ids=lambda g: g.family)
+    @pytest.mark.parametrize("g", colored_specs(), ids=lambda g: g.tag)
     def test_proper_in_exactly_chi_colours(self, g):
         name, args = family_of(g)
         colors = COLORINGS[name](g.n, args)
@@ -362,7 +387,7 @@ class TestFamilyColorings:
         from gcff.bounds import bounds_for
 
         with pytest.raises(TypeError):
-            Graph(5, frozenset({(0, 1), (0, 2), (1, 2)}), family="path(5)")
+            Graph(5, frozenset({(0, 1), (0, 2), (1, 2)}), family=("path", (5,)))
         report = bounds_for(Graph(12, complete(12).edges))
         assert report.lower() <= 9 <= report.upper()
 

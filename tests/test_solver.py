@@ -84,7 +84,7 @@ NAIVE_CASES = [
 
 class TestSoundness:
     @pytest.mark.parametrize("g,t,prop", NAIVE_CASES,
-                             ids=[f"{g.family or 'graph'}-t{t}-{p}" for g, t, p in NAIVE_CASES])
+                             ids=[f"{g.tag or 'graph'}-t{t}-{p}" for g, t, p in NAIVE_CASES])
     def test_matches_naive_enumeration(self, g, t, prop):
         assert (exists_cff(g, t, prop).status == "found") == naive_exists(g, t, prop)
 
@@ -122,6 +122,12 @@ KERNEL_CASES = [
 ]
 
 
+def prev_nbrs(problem) -> tuple[tuple[int, ...], ...]:
+    """Per depth, the depths of the neighbours assigned before it, as the
+    reference kernel takes them: the first field of each `nbrs` entry."""
+    return tuple(tuple(j for j, _, _ in nb) for nb in problem.nbrs)
+
+
 def by_degree(g: Graph) -> list[int]:
     """The vertex order of exists_cff: descending degree, then label."""
     return sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
@@ -136,12 +142,12 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("budget", BUDGETS, ids=["uncut", "cut7", "cut40"])
     @pytest.mark.parametrize("g,t,prop", KERNEL_CASES,
-                             ids=[f"{g.family}-t{t}-{p}" for g, t, p in KERNEL_CASES])
+                             ids=[f"{g.tag}-t{t}-{p}" for g, t, p in KERNEL_CASES])
     def test_search_exists(self, g, t, prop, budget):
         problem = _problem(g, prop, by_degree(g))
         status, cols, nodes = engine.walk(t, problem, budget)
         want, want_cols, want_nodes = reference_engine.search_exists(
-            t, len(problem.order), problem.prev_nbrs, problem.loops, problem.sperner,
+            t, len(problem.order), prev_nbrs(problem), problem.loops, problem.sperner,
             problem.cover, problem.zero_ok, problem.full_ok, budget)
         assert (status, nodes) == (self.REF_STATUS[want], want_nodes)
         assert (cols if status == "found" else None) == want_cols
@@ -190,7 +196,7 @@ class TestKernelMatchesReference:
             problem = _problem(Graph(n, edges, loops), prop, order)
             for budget in (1, 3, 7, 50, 400, oracle_cap):
                 want, want_cols, want_nodes = reference_engine.search_exists(
-                    t, n, problem.prev_nbrs, problem.loops, problem.sperner,
+                    t, n, prev_nbrs(problem), problem.loops, problem.sperner,
                     problem.cover, problem.zero_ok, problem.full_ok, budget)
                 if budget == oracle_cap:
                     if want == reference_engine.BUDGET:
@@ -232,7 +238,7 @@ class TestMemoMatchesReference:
         """The kernel equals the reference on (g, t) cut at each budget;
         returns the size of the uncut tree."""
         problem = _problem(g, "cff", by_degree(g))
-        args = (t, len(problem.order), problem.prev_nbrs, problem.loops, problem.sperner,
+        args = (t, len(problem.order), prev_nbrs(problem), problem.loops, problem.sperner,
                 problem.cover, problem.zero_ok, problem.full_ok)
         for budget in budgets:
             want, want_cols, want_nodes = reference_engine.search_exists(*args, budget)
@@ -241,7 +247,7 @@ class TestMemoMatchesReference:
                 (TestKernelMatchesReference.REF_STATUS[want], want_cols, want_nodes), budget
         return nodes
 
-    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.family}-t{t}" for g, t in MEMO_CASES])
+    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.tag}-t{t}" for g, t in MEMO_CASES])
     def test_uncut_and_cut(self, g, t):
         # seeded budgets in six strata of [1, min(tree, 4000)]; on these trees
         # they stop the walk both inside a subtree the memo skips uncut and
@@ -250,7 +256,7 @@ class TestMemoMatchesReference:
         rng = random.Random(100 * t + g.n)
         self.check(g, t, [1 + round(span * (k + rng.random()) / 6) for k in range(6)])
 
-    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.family}-t{t}" for g, t in MEMO_CASES])
+    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.tag}-t{t}" for g, t in MEMO_CASES])
     def test_every_early_budget(self, g, t):
         """Each budget up to 150 nodes: the first skips of three- and
         four-column prefixes lie there, so some budgets stop inside them."""
@@ -297,11 +303,13 @@ class TestProblemRecord:
         ranges of depths below j and between j and i; a sperner record, whose
         walk never reads them, holds none."""
         order = by_degree(g)
+        pos = {v: i for i, v in enumerate(order)}
+        earlier = [sorted(pos[u] for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order)]
         for prop in ("cff", "ecff", "sperner"):
             problem = _problem(g, prop, order)
             want = tuple(tuple((j, range(j), range(j + 1, i)) if prop != "sperner" else (j, (), ())
                                for j in nb)
-                         for i, nb in enumerate(problem.prev_nbrs))
+                         for i, nb in enumerate(earlier))
             assert problem.nbrs == want, prop
 
 
@@ -467,7 +475,7 @@ class TestLevels:
              (cycle(9), "cff", 300), (complete(5), "sperner", 10 ** 9)]
 
     @pytest.mark.parametrize("g,prop,budget", CASES,
-                             ids=[f"{g.family}-{p}-b{b}" for g, p, b in CASES])
+                             ids=[f"{g.tag}-{p}-b{b}" for g, p, b in CASES])
     def test_levels_account_for_the_solve(self, g, prop, budget):
         """Level nodes sum to the total, level times fit in the wall time,
         and the exhausted levels are the row counts ruled out by search."""
@@ -484,7 +492,7 @@ class TestLevels:
             assert res.levels[-1].t == res.t_min
 
     @pytest.mark.parametrize("g,prop,budget", CASES,
-                             ids=[f"{g.family}-{p}-b{b}" for g, p, b in CASES])
+                             ids=[f"{g.tag}-{p}-b{b}" for g, p, b in CASES])
     def test_levels_are_the_outcomes(self, g, prop, budget, monkeypatch):
         """Each level is the `SearchOutcome` `exists_cff` returned for its row
         count, and the last one carries the result's witness."""
