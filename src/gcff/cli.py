@@ -8,6 +8,10 @@ argument, or a file that cannot be read or written as text), 3 budget
 exceeded.  `solve` stops at a default budget of 10^6 search nodes
 (`--budget`), so a search too large for it, such as `solve complete:40`,
 exits 3 after about 20 s instead of searching for most of an hour.
+
+Output files (`--output`, and the files `reproduce` writes) are rewritten in
+place and cut to length, not truncated first; as before, they are not
+written atomically.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -38,9 +44,32 @@ EXIT_BUDGET = 3
 SOLVE_BUDGET = 10 ** 6
 
 
+def _write(path, text: str) -> None:
+    """Write text to path as UTF-8: the one way the CLI writes a file.
+
+    The file is opened without O_TRUNC, written from its first byte and then
+    cut to the written length.  Truncating to zero first, as `open(path, "w")`
+    does, makes ext4 (by its default `auto_da_alloc` rule) start writeback
+    when the file is closed, so each rewrite of an existing output would pay
+    for a flush.  Only a regular file is cut, so `/dev/null`, pipes and
+    `/dev/stdout` take the bytes as written.  There is no fsync, and the
+    write is not atomic: one that fails part way can leave new bytes over
+    old ones."""
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _emit(text: str, output: Optional[str]) -> None:
     if output:
-        Path(output).write_text(text)
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -122,7 +151,7 @@ def cmd_solve(args) -> int:
                   f"(exhausted {list(res.searched_exhaustively)}); "
                   f"rerun with a larger --budget")
     if res.witness is not None and args.output:
-        Path(args.output).write_text(res.witness.to_text())
+        _write(args.output, res.witness.to_text())
     elif res.witness is not None and not args.format == "json-lines":
         sys.stdout.write(res.witness.to_text())
     return EXIT_OK if res.status in ("found", "exhausted") else EXIT_BUDGET
@@ -170,7 +199,7 @@ def _reproduce_figures(outdir: Path) -> list[str]:
     lines = []
     for fname, fam, n in _FIGURES:
         m, _ = construct(make_family(f"{fam}:{n}"), "gray")
-        (outdir / fname).write_text(m.to_text())
+        _write(outdir / fname, m.to_text())
         lines.append(f"{fname}: {m.t}x{m.n} cycle-CFF, verified")
     return lines
 
@@ -212,7 +241,7 @@ def _reproduce_table4(outdir: Path, budget: int) -> list[str]:
                 "bounds_lower": lo, "bounds_upper": up,
                 "solver_status": status, "solver_t": tmin,
             })
-    (outdir / "table4.json").write_text(json.dumps(records, indent=1))
+    _write(outdir / "table4.json", json.dumps(records, indent=1))
     return lines
 
 
@@ -225,7 +254,7 @@ def cmd_reproduce(args) -> int:
     else:
         lines = _reproduce_table4(outdir, args.budget)
     report = "\n".join(lines) + f"\nelapsed {time.perf_counter() - begin:.1f}s\n"
-    (outdir / f"{args.what}.txt").write_text(report)
+    _write(outdir / f"{args.what}.txt", report)
     sys.stdout.write(report)
     if args.what == "table4" and "budget-exceeded" in report:
         return EXIT_BUDGET

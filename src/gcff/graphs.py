@@ -123,6 +123,10 @@ class Graph:
             n, m = map(int, lines[0].split())
         except ValueError:
             raise InvalidInputError(f"bad header {lines[0]!r}, expected 'n m'") from None
+        if n < 1:  # before the size check, which a negative n would pass
+            raise InvalidInputError(f"graph needs at least one vertex, header gives n = {n}")
+        if m < 0:
+            raise InvalidInputError(f"bad header {lines[0]!r}, edge count is negative")
         _check_size("graph file", n, m)
         if len(lines) != m + 1:
             raise InvalidInputError(f"expected {m} edge lines, got {len(lines) - 1}")

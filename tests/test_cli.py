@@ -290,6 +290,22 @@ class TestGraphFiles:
         assert run(["construct", c5_loop]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_negative_vertex_count_refused_before_edge_lines(self, tmp_path, capsys):
+        """n + m of this header is under the size limit, so only a vertex
+        check made on the header keeps its malformed edge lines unread."""
+        path = tmp_path / "neg.txt"
+        path.write_text("-500000 1400000\n" + "x y\n" * 1_400_000)
+        assert run(["construct", f"file:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph needs at least one vertex, header gives n = -500000")
+        assert "edge line" not in err
+
+    def test_negative_edge_count(self, tmp_path, capsys):
+        path = tmp_path / "neg.txt"
+        path.write_text("3 -1\nx y\n")
+        assert run(["bounds", f"file:{path}"]) == 2
+        assert capsys.readouterr().err == "error: bad header '3 -1', edge count is negative\n"
+
 
 class TestGray:
     def test_reflected_with_map(self, tmp_path, capsys):
@@ -365,6 +381,77 @@ class TestFileErrors:
         argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestOutputFiles:
+    """Every file the CLI writes is rewritten in place and cut to length: an
+    existing, longer file ends up holding exactly the new bytes."""
+
+    LONGER = "9" * 20_000 + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "path:5"],
+        ["construct", "wheel:9", "--method", "coloring"],
+        ["gray", "2,2,3", "--map"],
+        ["gray", "3,3", "--kind", "modular"],
+    ], ids=["construct", "construct-coloring", "gray-map", "gray-modular"])
+    def test_output_equals_stdout(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.txt"
+        out.write_text(self.LONGER)
+        assert run(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode()
+
+    def test_solve_output_equals_stdout_witness(self, tmp_path, capsys):
+        out = tmp_path / "w.mat"
+        out.write_text(self.LONGER)
+        assert run(["solve", "cycle:6", "--output", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("t = 5 for cycle:6")
+        assert run(["solve", "cycle:6"]) == 0
+        _result, witness = capsys.readouterr().out.split("\n", 1)
+        assert out.read_bytes() == witness.encode()
+
+    def test_second_reproduce_into_same_outdir(self, tmp_path, capsys):
+        fresh, again = tmp_path / "fresh", tmp_path / "again"
+        assert run(["reproduce", "figures", "--outdir", str(fresh)]) == 0
+        assert run(["reproduce", "figures", "--outdir", str(again)]) == 0
+        names = sorted(f.name for f in again.iterdir())
+        assert names == sorted(f.name for f in fresh.iterdir())
+        for name in names:
+            (again / name).write_text((again / name).read_text() + self.LONGER)
+        capsys.readouterr()
+        assert run(["reproduce", "figures", "--outdir", str(again)]) == 0
+        report = capsys.readouterr().out
+        for name in names:
+            want = report.encode() if name == "figures.txt" else (fresh / name).read_bytes()
+            assert (again / name).read_bytes() == want, name
+
+    def test_dev_null(self, capsys):
+        assert run(["construct", "path:5", "--output", "/dev/null"]) == 0
+        out, err = capsys.readouterr()
+        assert out == "" and err == "gray: 5x5 matrix for path(5), verified\n"
+
+    def test_through_symlink(self, tmp_path, capsys):
+        target, link = tmp_path / "target.mat", tmp_path / "link.mat"
+        target.write_text(self.LONGER)
+        link.symlink_to(target)
+        assert run(["construct", "path:5", "--output", str(link)]) == 0
+        capsys.readouterr()
+        assert run(["construct", "path:5"]) == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "path:5", "--output", "{missing}/o.mat"],
+        ["solve", "path:5", "--output", "{missing}/o.mat"],
+        ["gray", "2,2", "--output", "{missing}/o.txt"],
+    ], ids=["construct", "solve", "gray"])
+    def test_missing_parent_directory(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert run([a.format(missing=missing) for a in argv]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert not missing.exists()
 
 
 class TestOversizedSpecs:
