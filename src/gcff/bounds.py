@@ -13,11 +13,11 @@ member is a t ceiling, read from `constructions.table` with the row count
 stated there.  Every simple graph G on n vertices, none isolated, has
 t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)), chi the colour count
 of `Graph.coloring` where there is one; `_family` states these once for
-every graph, with the central-binomial floor.  The dispatch reads the
-family from `graphs.family_of`, as `construct` does, and adds one rename
-up to isomorphism: K_{a,1} is a star, hub last.  `_family` caches each
-complete list, and the cycle, wheel and Hamming bounds read the path and
-cycle intervals from it, so a new fact is one entry in one list.
+every graph, with the central-binomial floor.  The dispatch reads
+`Graph.family`, renamed when the graph was built, as `construct` does, and
+adds one rename up to isomorphism: K_{a,1} is a star, hub last.  `_family`
+caches each complete list, and the cycle, wheel and Hamming bounds read the
+path and cycle intervals from it, so a new fact is one entry in one list.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .constructions import table
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, family_of
+from .graphs import Graph, chromatic_number
 from .sperner import doubling_increment, t1
 
 # ---------------------------------------------------------------------------
@@ -265,7 +265,7 @@ def bounds_for(g: Graph) -> BoundsReport:
     empty report; a graph with loops gets the t and t_e floors without them.
     """
     graph_id = g.tag or f"graph(n={g.n},m={len(g.edges)})"
-    name, args = family_of(g)
+    name, args = g.family
 
     if name == "loops":
         b = _pair("t", t1(g.n), "loops-exact") + _pair("t_e", t1(g.n), "loops-exact")

@@ -5,9 +5,11 @@ and prints; `gcff.constructions.construct` chooses and checks constructions.
 
 Exit codes: 0 success/verified, 1 property failure, 2 input error (a bad
 argument, or a file that cannot be read or written as text), 3 budget
-exceeded.  `solve` stops at a default budget of 10^6 search nodes
-(`--budget`), so a search too large for it, such as `solve complete:40`,
-exits 3 after about 20 s instead of searching for most of an hour.
+exceeded, 141 (128 + SIGPIPE) when the reader closes stdout first, as
+`| head -0` does, with no error line.  `solve` stops at a default budget of
+10^6 search nodes (`--budget`), so a search too large for it, such as
+`solve complete:40`, exits 3 after about 20 s instead of searching for most
+of an hour.
 
 Output files (`--output`, and the files `reproduce` writes) are rewritten in
 place and cut to length, not truncated first; as before, they are not
@@ -31,13 +33,14 @@ from .bounds import bounds_for, smaller_inner_block
 from .constructions import METHODS, construct
 from .core import PROPERTIES, IncidenceMatrix, find_violation
 from .errors import InvalidInputError, ResourceLimitError
-from .graphs import family_of, make_family
+from .graphs import make_family
 from .solver import DEFAULT_BUDGET, exact_t
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 #: `gcff solve` node budget: about 20 s on K_40, whose t = 11 tree is far
 #: larger.  Nodes, not seconds, so that verdicts are deterministic.
@@ -77,7 +80,7 @@ def _emit(text: str, output: Optional[str]) -> None:
 def cmd_construct(args) -> int:
     g = make_family(args.graph)
     m, used = construct(g, args.method)
-    k = family_of(g)[1][0] if used == "windmill" else 0
+    k = g.family[1][0] if used == "windmill" else 0
     if smaller_inner_block(k):
         print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
     _emit(m.to_text(), args.output)
@@ -246,13 +249,15 @@ def _reproduce_table4(outdir: Path, budget: int) -> list[str]:
 
 
 def cmd_reproduce(args) -> int:
+    if args.what == "figures" and args.budget is not None:
+        raise InvalidInputError("--budget applies to reproduce table4 only; figures runs no search")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     begin = time.perf_counter()
     if args.what == "figures":
         lines = _reproduce_figures(outdir)
     else:
-        lines = _reproduce_table4(outdir, args.budget)
+        lines = _reproduce_table4(outdir, args.budget or DEFAULT_BUDGET)
     report = "\n".join(lines) + f"\nelapsed {time.perf_counter() - begin:.1f}s\n"
     _write(outdir / f"{args.what}.txt", report)
     sys.stdout.write(report)
@@ -320,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("reproduce", help="regenerate the reference table and figure matrices")
     r.add_argument("what", choices=["table4", "figures"])
     r.add_argument("--outdir", default="reproduction")
-    r.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    r.add_argument("--budget", type=_positive_int, default=None,
+                   help=f"search nodes per table4 solve (default {DEFAULT_BUDGET:,})")
     r.set_defaults(fn=cmd_reproduce)
     return p
 
@@ -328,7 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; the interpreter's last flush goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     # OSError covers a missing file, a directory given as a file and an
     # unwritable output; UnicodeDecodeError a binary file read as text
     except (InvalidInputError, ResourceLimitError, OSError, UnicodeDecodeError) as exc:

@@ -1,7 +1,7 @@
 """Explicit cover-free-family constructions and `table`, the one list of
-those that apply to a family member as `graphs.family_of` reads it: method,
-bound source, row count and builder.  `construct` builds and checks from it,
-and `bounds.bounds_for` states each row count as a ceiling.  The coloring
+those that apply to a member of a family, as `Graph.family` names it:
+method, bound source, row count and builder.  `construct` builds and checks
+from it, and `bounds.bounds_for` states each row count as a ceiling.  The coloring
 row builds over `Graph.coloring` and counts over `graphs.family_coloring`.
 
 Layout conventions shared with the graph generators: hub vertices occupy
@@ -18,36 +18,28 @@ import numpy as np
 
 from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, family_coloring, family_of, matching, path
+from .graphs import Graph, chromatic_number, family_coloring, matching, path
 from .graycode import cycle_cff_rows, path_cycle_cff, product_matrix
 from .sperner import optimal_1cff, t1
 
 
-def from_coloring(g: Graph, coloring: Optional[list[int]] = None) -> IncidenceMatrix:
-    """Block-diagonal construction over the color classes of a proper coloring.
+def from_coloring(g: Graph) -> IncidenceMatrix:
+    """Block-diagonal construction over the color classes of `Graph.coloring`,
+    so a family that states its colouring builds at any size.
 
     Each class of size n_i > 1 contributes an optimal 1-disjunct block on its
-    own rows; singleton classes contribute one row with a single 1.  Without
-    an explicit coloring it takes `Graph.coloring`, so a family that states
-    its colouring builds at any size.  Classes are laid out largest first,
-    ties broken by lowest vertex id, as a product: each class's block gains
-    a leading zero column, which every vertex outside the class takes.
+    own rows; singleton classes contribute one row with a single 1.  Classes
+    are laid out largest first, ties broken by lowest vertex id, as a
+    product: each class's block gains a leading zero column, which every
+    vertex outside the class takes.
     """
     if g.loops:
         raise InvalidInputError("coloring construction needs a simple graph")
-    if coloring is None:
-        chromatic_number(g)  # raises where g has no colouring
-        coloring = g.coloring
-    elif len(coloring) != g.n:
-        raise InvalidInputError("coloring must assign a color to every vertex")
-    else:
-        for u, v in g.edges:
-            if coloring[u] == coloring[v]:
-                raise InvalidInputError(f"coloring is not proper on edge ({u},{v})")
+    chromatic_number(g)  # raises where g has no colouring
 
     classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(coloring[v], []).append(v)
+    for v, c in enumerate(g.coloring):
+        classes.setdefault(c, []).append(v)
     ordered = sorted(classes.values(), key=lambda vs: (-len(vs), min(vs)))
 
     blocks, words = [], np.zeros((g.n, len(ordered)), dtype=np.uint32)
@@ -193,10 +185,10 @@ Construction = namedtuple("Construction", "method source rows build")
 
 def table(name: Optional[str], args: tuple, n: int) -> list[Construction]:
     """The constructions that apply to a family member on n vertices (name
-    None for a simple graph no family builds), in the order `auto` tries them."""
+    None or "file" for a graph no family builds), in the order `auto` tries them."""
     # a cataloged witness serves its own graph; a path witness, every shorter path
-    entry, size = next(((key, cg.n) for key, (cg, _) in CATALOG.items() if family_of(cg) == (name, args)
-                        or name == "path" == family_of(cg)[0] and n <= cg.n), (None, 0))
+    entry, size = next(((key, cg.n) for key, (cg, _) in CATALOG.items() if cg.family == (name, args)
+                        or name == "path" == cg.family[0] and n <= cg.n), (None, 0))
     candidates = [
         ("optimal-1cff", "loops-exact", name == "loops", lambda: t1(n), lambda g: optimal_1cff(n)),
         ("gray", "gray-cycle", name in ("path", "cycle"), lambda: cycle_cff_rows(n),
@@ -233,7 +225,7 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
     checked with `find_violation` first, and RuntimeError names a method
     whose matrix fails; InvalidInputError names the methods that apply.  A
     graph with loops outside the loops family has none."""
-    name, args = family_of(g)
+    name, args = g.family
     rows = [] if g.loops and name != "loops" else table(name, args, g.n)
     for row in rows:
         if method in ("auto", row.method):

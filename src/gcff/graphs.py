@@ -1,12 +1,13 @@
 """Graph families, the colouring each states, and small exact graph solvers.
 
 Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
-paths and cycles are numbered in traversal order.  Only `_tagged` writes a
-graph's `family`, the (name, args) its generator was called with, such as
-("cycle", (8,)), so every layer trusts it; `Graph.tag` is its text.
-`family_of`, which bounds and constructions read, renames a graph one family
-builds under another's name.  chi is the colour count of `Graph.coloring`,
-the one colouring all layers read.
+paths and cycles are numbered in traversal order.  A graph's `family`, as
+(name, args) such as ("cycle", (8,)), names the family whose generator
+builds it with its own vertex labels.  Only the generators write it, through
+`_tagged`, which applies every rename once as the graph is built (such as
+windmill(2, b) = star(b + 1); `Graph` itself names every K_2 star(2)), so
+every layer reads it unchecked; `Graph.tag` is its text.  chi is the colour
+count of `Graph.coloring`, the one colouring all layers read.
 """
 
 from __future__ import annotations
@@ -42,9 +43,11 @@ class Graph:
     n: int
     edges: frozenset[tuple[int, int]] = frozenset()
     loops: frozenset[int] = frozenset()
-    family: Optional[tuple] = field(default=None, init=False)
+    family: tuple = field(default=(None, ()), init=False)
 
     def __post_init__(self) -> None:
+        if self.n == 2 and self.edges and not self.loops:  # K_2, however it was built
+            object.__setattr__(self, "family", ("star", (2,)))
         if self.n < 1:
             raise InvalidInputError("graph needs at least one vertex")
         for u, v in self.edges:
@@ -78,8 +81,8 @@ class Graph:
 
     @property
     def tag(self) -> Optional[str]:
-        """The family as text, such as "cycle(8)", "universal(cycle(8))" or "file";
-        None where no generator built the graph."""
+        """The family as text, such as "cycle(8)", "universal(star(8))" or "file";
+        None where no family builds the graph."""
         return _tag(self.family)
 
     @cached_property
@@ -88,7 +91,7 @@ class Graph:
         writes the family, else DSATUR's up to `EXACT_VERTEX_LIMIT` vertices."""
         if self.loops:
             return None
-        name, args = family_of(self)
+        name, args = self.family
         if name in COLORINGS:
             return tuple(COLORINGS[name](self.n, args))
         return tuple(_dsatur(self)) if self.n <= EXACT_VERTEX_LIMIT else None
@@ -149,14 +152,30 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 def _tagged(g: Graph, name: str, args: tuple) -> Graph:
+    """Give g the family (name, args) its generator was called with, renamed
+    to the one whose generator builds g with g's own labels: a K_2 keeps the
+    star(2) `Graph` gave it, windmill(2, b) and bipartite(1, b) are stars,
+    windmill(k, 1) and W_3 complete, and a universal vertex over the (renamed)
+    inner family args is a wheel over a cycle, complete over a complete graph
+    or K_2, "universal" over another star, and (None, ()) over the rest."""
+    if g.family != (None, ()):
+        return g
+    if name == "universal":
+        inner = "complete" if args == ("star", (2,)) else args[0]
+        name, args = {"star": (name, args), "cycle": ("wheel", (g.n,)),
+                      "complete": ("complete", (g.n,))}.get(inner, (None, ()))
+    elif (name, args[:1]) in (("windmill", (2,)), ("bipartite", (1,))):
+        name, args = "star", (g.n,)
+    elif (name, args[-1:]) == ("windmill", (1,)) or (name, g.n) == ("wheel", 3):
+        name, args = "complete", (g.n,)
     object.__setattr__(g, "family", (name, args))
     return g
 
 
-def _tag(family: Optional[tuple]) -> Optional[str]:
-    if family is None:
-        return None
+def _tag(family: tuple) -> Optional[str]:
     name, args = family
+    if name is None:
+        return None
     inside = _tag(args) if name == "universal" else ",".join(map(str, args))
     return f"{name}({inside})" if inside else name
 
@@ -270,8 +289,7 @@ def add_universal_vertex(g: Graph) -> Graph:
         raise InvalidInputError("universal-vertex extension needs a simple graph")
     edges = {(_norm_edge(u + 1, v + 1)) for u, v in g.edges}
     edges.update((0, v + 1) for v in range(g.n))
-    h = Graph(g.n + 1, frozenset(edges))
-    return _tagged(h, "universal", g.family) if g.family else h
+    return _tagged(Graph(g.n + 1, frozenset(edges)), "universal", g.family)
 
 
 #: Each spec family: (generator, argument count, argument separator,
@@ -302,29 +320,6 @@ def _check_size(spec: str, n: int, m: int) -> None:
             f"{spec} would have {n:,} vertices and {m:,} edges; graph specs are "
             f"limited to {SPEC_SIZE_LIMIT:,} vertices plus edges"
         )
-
-
-def family_of(g: Graph) -> tuple:
-    """The family whose generator builds g with g's own vertex labels, as
-    (name, args): g.family, or g.family renamed.  Every K_2 is star(2),
-    windmill(2, b) and bipartite(1, b) are stars, windmill(k, 1) and W_3 are
-    complete, and a universal vertex over a cycle or a complete graph is a
-    wheel or a complete graph.  Where no family builds g (no generator built
-    it, it was read from a file, or it is a universal vertex over any other
-    graph) it gives (None, ())."""
-    if g.n == 2 and g.edges and not g.loops:
-        return "star", (2,)
-    if g.family in (None, ("file", ())):
-        return None, ()
-    name, args = g.family
-    if name == "universal":
-        return {"star": g.family, "cycle": ("wheel", (g.n,)),
-                "complete": ("complete", (g.n,))}.get(args[0], (None, ()))
-    if (name, args[0]) in (("windmill", 2), ("bipartite", 1)):
-        return "star", (g.n,)
-    if (name, args[-1]) == ("windmill", 1) or (name, g.n) == ("wheel", 3):
-        return "complete", (g.n,)
-    return g.family
 
 
 def make_family(spec: str) -> Graph:
@@ -362,7 +357,7 @@ def _hamming_coloring(n: int, dims: tuple) -> list[int]:
 
 
 #: The colouring in chi colours each family states, from (n, args) as
-#: `family_of` reads them (a universal family it keeps is over a star).
+#: `Graph.family` holds them (a universal family is over a star).
 COLORINGS = {
     "path": lambda n, args: [v % 2 for v in range(n)],
     "matching": lambda n, args: [v % 2 for v in range(n)],

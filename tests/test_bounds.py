@@ -5,7 +5,8 @@ from math import comb, prod
 import pytest
 
 from gcff.bounds import Bound, bounds_for, t2_lower, t2_upper
-from gcff.constructions import construct, table
+from gcff.constructions import METHODS, construct, table
+from gcff.core import find_violation
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
     Graph,
@@ -14,7 +15,7 @@ from gcff.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    family_of,
+    friendship,
     hamming,
     loops_graph,
     make_family,
@@ -191,7 +192,7 @@ class TestFamilyBounds:
 
     def test_ts_untagged_up_to_the_chromatic_solver_limit(self):
         g = Graph(18, cycle(18).edges)  # an untagged even cycle: chi = 2
-        assert g.family is None
+        assert g.family == (None, ())
         assert bounds_for(g).exact_value("t_s") == t1(2) == 2
 
     def test_generic_graph_sources(self):
@@ -290,7 +291,7 @@ class TestEveryTableRowIsABuiltCeiling:
     def test_rows_build_and_bound(self):
         for spec in TABLE_SPECS:
             g = make_family(spec)
-            name, args = family_of(g)
+            name, args = g.family
             rep = bounds_for(g)
             stated = {(b.quantity, b.kind, b.value, b.source) for b in rep.bounds}
             counts = []
@@ -399,3 +400,45 @@ class TestGraphIndependentBounds:
             assert {q: (rep.lower(q), rep.upper(q)) for q in want} == want, spec
             assert rep.bounds == star_report, spec
         assert bounds_for(Graph(2, frozenset({(0, 1)}))).bounds == star_report
+
+
+def _answers(g: Graph):
+    """g's family, full report and `construct` result for auto and every method."""
+    built = {}
+    for method in ("auto",) + METHODS:
+        try:
+            m, used = construct(g, method)
+            built[method] = (used, m)
+        except (InvalidInputError, ResourceLimitError) as exc:
+            built[method] = str(exc)
+    rep = bounds_for(g)
+    return g.family, rep.graph_id, rep.bounds, built
+
+
+class TestOneFamilyPerGraph:
+    """A graph's family is renamed as it is built, inner graph first, so one
+    labelled graph gets one family, one report and one matrix however it was
+    spelled, also under a universal vertex."""
+
+    SPELLINGS = [
+        [star(31), windmill(2, 30), complete_bipartite(1, 30)],
+        [star(6), windmill(2, 5), complete_bipartite(1, 5)],
+        [complete(3), wheel(3), windmill(3, 1), friendship(1), add_universal_vertex(star(2))],
+        [star(2), path(2), complete(2), matching(2), hamming([2])],
+    ]
+
+    def test_universal_over_a_renamed_star_is_exact(self):
+        g = add_universal_vertex(windmill(2, 30))
+        assert bounds_for(g).exact_value("t") == t1(30) + 2 == 9
+        m, used = construct(g)
+        assert (used, m.t) == ("universal", 9)
+        assert find_violation(m, g, "cff") is None
+
+    @pytest.mark.parametrize("spellings", SPELLINGS, ids=lambda gs: gs[0].tag)
+    def test_every_spelling_answers_alike(self, spellings):
+        for depth in range(2):
+            answers = [_answers(g) for g in spellings]
+            for g, got in zip(spellings[1:], answers[1:]):
+                assert (g.n, g.edges) == (spellings[0].n, spellings[0].edges)
+                assert got == answers[0], (depth, g.family)
+            spellings = [add_universal_vertex(g) for g in spellings]

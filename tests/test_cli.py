@@ -3,15 +3,23 @@ machine-readable output, and the reproduction batches."""
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from gcff import cli
 from gcff.cli import build_parser, main
 from gcff.constructions import METHODS
 from gcff.core import IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
 from gcff.graphs import make_family
 from gcff.graycode import word_to_subset
+from gcff.solver import DEFAULT_BUDGET
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv):
@@ -353,6 +361,20 @@ class TestReproduce:
             if r["solver_status"] == "found":
                 assert r["solver_t"] == r["printed"] or not r["printed_exact"]
 
+    def test_figures_refuses_a_budget(self, tmp_path, capsys):
+        """figures runs no search, so a budget would be a flag that does nothing."""
+        outdir = tmp_path / "figs"
+        assert run(["reproduce", "figures", "--outdir", str(outdir), "--budget", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "table4" in err
+        assert not outdir.exists()
+
+    def test_table4_default_budget(self, monkeypatch, tmp_path):
+        seen = []
+        monkeypatch.setattr(cli, "_reproduce_table4", lambda outdir, budget: seen.append(budget) or [])
+        assert run(["reproduce", "table4", "--outdir", str(tmp_path)]) == 0
+        assert seen == [DEFAULT_BUDGET]
+
     def test_table4_tight_budget_reports_partial(self, tmp_path):
         outdir = tmp_path / "t4b"
         code = run(["reproduce", "table4", "--outdir", str(outdir), "--budget", "3"])
@@ -452,6 +474,27 @@ class TestOutputFiles:
         assert run([a.format(missing=missing) for a in argv]) == 2
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
         assert not missing.exists()
+
+
+class TestClosedStdout:
+    """A reader that closes stdout first, as `gcff bounds ... | head -0` does,
+    is no input error: exit 141 (128 + SIGPIPE) with nothing on stderr,
+    whether stdout is buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["bounds", "windmill:3,100"], ["solve", "path:10"],
+                                      ["construct", "path:20000"]], ids=["bounds", "solve", "construct"])
+    def test_exit_141_and_no_error_line(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader, before the CLI writes a byte
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "gcff.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (141, "")
 
 
 class TestOversizedSpecs:

@@ -48,7 +48,7 @@ def random_graph(rng, n, p=0.5) -> Graph:
 
 class TestFromColoring:
     def test_c6_bipartition(self):
-        m = from_coloring(cycle(6), [0, 1, 0, 1, 0, 1])
+        m = from_coloring(cycle(6))  # classes {0, 2, 4} and {1, 3, 5}
         assert m.t == 2 * t1(3) == 6
         assert is_g_cff(m, cycle(6))
 
@@ -66,21 +66,6 @@ class TestFromColoring:
         m = from_coloring(complete(4))
         assert m.t == 4
         assert is_g_cff(m, complete(4))
-
-    def test_improper_coloring_rejected(self):
-        with pytest.raises(InvalidInputError):
-            from_coloring(cycle(4), [0, 0, 1, 1])
-
-    @pytest.mark.parametrize("g,coloring", [
-        (cycle(6), [0, 1, 0, 1, 1, 0]), (path(5), [0, 1, 1, 0, 1]), (complete(4), [0, 1, 2, 0]),
-        (cycle(5), [0, 1, 0]),
-    ], ids=["cycle-edge", "path-edge", "complete-edge", "short"])
-    def test_explicit_coloring_still_checked(self, g, coloring):
-        """Only the colouring taken from `Graph.coloring` goes unchecked
-        here; one passed in, improper or too short, raises even when the
-        graph's family states a proper one."""
-        with pytest.raises(InvalidInputError):
-            from_coloring(g, coloring)
 
     def test_random_graphs_row_formula(self):
         rng = random.Random(31)
@@ -345,8 +330,9 @@ class TestConstruct:
 
 
 class TestFamilyRoutes:
-    """Graphs that `family_of` reads as another family build past the exact
-    coloring solver's 20 vertices."""
+    """Graphs whose family is renamed as they are built (a universal vertex
+    over a cycle is a wheel) build past the exact coloring solver's 20
+    vertices."""
 
     @pytest.mark.parametrize("inner,method", [(cycle, "universal"), (star, "universal"),
                                               (complete, "coloring")])

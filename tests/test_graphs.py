@@ -18,7 +18,6 @@ from gcff.graphs import (
     complete,
     complete_bipartite,
     cycle,
-    family_of,
     friendship,
     hamming,
     loops_graph,
@@ -143,10 +142,13 @@ class TestFileAndSpec:
         assert {spec.partition(":")[0] for spec in tags} == SPEC_FAMILIES.keys() | {"file"}
         for spec, tag in tags.items():
             assert make_family(spec).tag == tag, spec
-        assert add_universal_vertex(add_universal_vertex(cycle(5))).tag == \
-            "universal(universal(cycle(5)))"
-        assert add_universal_vertex(make_family(f"file:{f}")).tag == "universal(file)"
-        assert add_universal_vertex(Graph(2, frozenset({(0, 1)}))).tag is None
+        # a tag names the family whose theorems apply: renamed, and renamed again
+        # when a universal vertex is added; no family builds W_6 plus a hub
+        assert make_family("windmill:2,5").tag == "star(6)"
+        assert add_universal_vertex(cycle(5)).tag == "wheel(6)"
+        assert add_universal_vertex(add_universal_vertex(cycle(5))).tag is None
+        assert add_universal_vertex(make_family(f"file:{f}")).tag is None
+        assert add_universal_vertex(Graph(2, frozenset({(0, 1)}))).tag == "complete(3)"
 
     def test_make_family_errors(self):
         for spec in ("nope:3", "cycle", "cycle:x", "bipartite:3", "hamming:2,3", "path:3x4",
@@ -213,7 +215,7 @@ def _rebuild(parsed) -> Graph:
 
 
 class TestParseFamily:
-    """A graph's family is the (name, args) its generator was called with,
+    """A graph's family names a generator and its arguments, renamed or not,
     so calling the generator again rebuilds the graph."""
 
     SAMPLE_ARGS = {"path": (5,), "cycle": (7,), "star": (4,), "wheel": (6,),
@@ -224,8 +226,8 @@ class TestParseFamily:
     def test_every_generator_round_trips(self):
         assert self.SAMPLE_ARGS.keys() == SPEC_FAMILIES.keys()
         graphs = [entry[0](*self.SAMPLE_ARGS[name]) for name, entry in SPEC_FAMILIES.items()]
-        graphs += [hamming([4]), add_universal_vertex(star(5)),
-                   add_universal_vertex(add_universal_vertex(cycle(5)))]
+        graphs += [hamming([4]), add_universal_vertex(star(5)), add_universal_vertex(cycle(5)),
+                   windmill(2, 5), wheel(3), path(2), add_universal_vertex(windmill(2, 4))]
         for g in graphs:
             assert _rebuild(g.family) == g, g.tag
 
@@ -233,21 +235,23 @@ class TestParseFamily:
         assert windmill(3, 4).family == ("windmill", (3, 4))
         assert friendship(2).family == ("windmill", (3, 2))
         assert hamming([2, 2, 3]).family == ("hamming", (2, 2, 3))
-        assert add_universal_vertex(add_universal_vertex(cycle(5))).family == \
-            ("universal", ("universal", ("cycle", (5,))))
+        assert add_universal_vertex(windmill(2, 4)).family == ("universal", ("star", (5,)))
+        assert add_universal_vertex(add_universal_vertex(cycle(5))).family == (None, ())
 
     def test_untagged_and_unknown_forms(self):
-        """A graph no generator built has no family, a read file has the
-        family "file", which builds nothing, and so does a universal vertex
-        over a file."""
+        """A graph no family builds has the family (None, ()), whether no
+        generator built it or it is a universal vertex over one that is not a
+        star; a read file has the family "file", which builds nothing.  A K_2
+        is star(2) however it was built."""
         read = Graph.from_text("3 1\n0 1\n")
-        assert read.family == ("file", ())
-        assert add_universal_vertex(read).family == ("universal", ("file", ()))
-        untagged = [Graph(3, frozenset({(0, 1)})), add_universal_vertex(Graph(2, frozenset({(0, 1)})))]
+        assert read.family == ("file", ()) and read.tag == "file"
+        untagged = [Graph(3, frozenset({(0, 1)})), add_universal_vertex(Graph(3, frozenset({(0, 1)}))),
+                    add_universal_vertex(read), Graph(2, frozenset({(0, 1)}), frozenset({0}))]
         for g in untagged:
-            assert g.family is None and g.tag is None
-        for g in untagged + [read, add_universal_vertex(read)]:
-            assert family_of(g) == (None, ()), g.tag
+            assert g.family == (None, ()) and g.tag is None
+        for g in (Graph(2, frozenset({(0, 1)})), Graph.from_text("2 1\n1 0\n"), complete(2),
+                  add_universal_vertex(complete(1)), Graph(3, frozenset({(0, 2)})).without_isolated()[0]):
+            assert g.family == ("star", (2,)), g
 
 
 def _small_specs(limit: int = 12) -> list[str]:
@@ -269,23 +273,27 @@ def _small_specs(limit: int = 12) -> list[str]:
 
 
 class TestFamilyOf:
+    """The family of a graph, as `Graph.family` holds it, is renamed when the
+    graph is built, so that every layer reads the family whose theorems
+    apply and one graph gets one family however it was spelled."""
+
     def test_every_rename_keeps_the_labels(self):
-        graphs = [make_family(spec) for spec in _small_specs()]
-        for gen in (path, cycle, star, complete):
-            for m in range(1, 12):
-                try:
-                    graphs.append(add_universal_vertex(gen(m)))
-                except InvalidInputError:
-                    pass
+        """For every small CLI spec, and a universal vertex over it one and two
+        levels deep, the family is (None, ()), "file", or one whose own
+        generator builds the same labelled graph (for "universal", a universal
+        vertex over that star)."""
         renamed = 0
-        for g in graphs:
-            fam = family_of(g)
-            if fam in ((None, ()), g.family):
-                continue
-            name, args = fam
-            built = SPEC_FAMILIES[name][0](*args)
-            assert (built.n, built.edges) == (g.n, g.edges), (g.family, fam)
-            renamed += 1
+        for spec in _small_specs():
+            g = make_family(spec)
+            name = spec.partition(":")[0]
+            spelled = "windmill" if name == "friendship" else name
+            for depth in range(3):
+                if g.family[0] not in (None, "file"):
+                    assert _rebuild(g.family) == g, (spec, depth, g.tag)
+                    renamed += g.family[0] != (spelled if depth == 0 else "universal")
+                if g.loops:
+                    break
+                g = add_universal_vertex(g)
         assert renamed >= 40
 
     def test_renamed_values(self):
@@ -304,14 +312,21 @@ class TestFamilyOf:
             (add_universal_vertex(add_universal_vertex(star(4))), (None, ())),
             (Graph(3, frozenset({(0, 1)})), (None, ())),
             (loops_graph(2), ("loops", (2,))),
+            # renames compose: the inner graph is renamed first
+            (add_universal_vertex(windmill(2, 5)), ("universal", ("star", (6,)))),
+            (add_universal_vertex(complete_bipartite(1, 5)), ("universal", ("star", (6,)))),
+            (add_universal_vertex(wheel(3)), ("complete", (4,))),
+            (add_universal_vertex(windmill(5, 1)), ("complete", (6,))),
+            (add_universal_vertex(path(2)), ("complete", (3,))),  # K_2 is complete(2) too
         ]
         for g, want in cases:
-            assert family_of(g) == want, g.tag
+            assert g.family == want, g.tag
 
 
 def colored_specs():
     """Every CLI spec of at most 20 vertices whose family states a colouring,
-    and the universal vertex over each star."""
+    and the universal vertex over each star, each with the generator call it
+    makes as its id (friendship:4 calls windmill(3,4))."""
     specs = [f"{name}:{n}" for name in ("path", "cycle", "star", "wheel", "complete", "matching")
              for n in range(1, 21)]
     specs += [f"bipartite:{a},{b}" for a in range(1, 20) for b in range(1, 21 - a)]
@@ -320,17 +335,22 @@ def colored_specs():
     specs += [f"friendship:{b}" for b in range(1, 10)]
     specs += ["hamming:" + "x".join(map(str, dims)) for k in (1, 2, 3, 4)
               for dims in product(range(2, 21), repeat=k) if prod(dims) <= 20]
-    graphs = []
+    params = []
     for spec in specs:
         try:
-            graphs.append(make_family(spec))
+            g = make_family(spec)
         except InvalidInputError:  # below the family's least n, or an odd matching
-            pass
-    return graphs + [add_universal_vertex(star(m)) for m in range(2, 20)]
+            continue
+        name, _, arg = spec.partition(":")
+        if name == "friendship":
+            name, arg = "windmill", f"3,{arg}"
+        params.append(pytest.param(g, id=f"{name}({arg.replace('x', ',')})"))
+    return params + [pytest.param(add_universal_vertex(star(m)), id=f"universal(star({m}))")
+                     for m in range(2, 20)]
 
 
-#: chi of each family that states a colouring, from (n, args) as `family_of`
-#: reads them: a wheel's hub takes a colour of its own beside its rim cycle.
+#: chi of each family that states a colouring, from (n, args) as `Graph.family`
+#: holds them: a wheel's hub takes a colour of its own beside its rim cycle.
 CHI = {
     "path": lambda n, args: 2,
     "matching": lambda n, args: 2,
@@ -347,7 +367,7 @@ CHI = {
 
 def large_colored_graphs():
     """Members of every family in `COLORINGS` past DSATUR's 20 vertices, up to
-    about 2,000, with each rename `family_of` makes among them."""
+    about 2,000, with each rename `_tagged` makes among them."""
     specs = ["path:21", "path:2000", "matching:22", "matching:2000", "cycle:1999",
              "cycle:2000", "wheel:1999", "wheel:2000", "wheel:3", "star:2000",
              "bipartite:40,50", "bipartite:1,1999", "bipartite:1999,1", "complete:21",
@@ -359,9 +379,9 @@ def large_colored_graphs():
 
 
 class TestFamilyColorings:
-    @pytest.mark.parametrize("g", colored_specs(), ids=lambda g: g.tag)
+    @pytest.mark.parametrize("g", colored_specs())
     def test_proper_in_exactly_chi_colours(self, g):
-        name, args = family_of(g)
+        name, args = g.family
         colors = COLORINGS[name](g.n, args)
         assert len(colors) == g.n
         assert all(colors[u] != colors[v] for u, v in g.edges)
@@ -373,9 +393,9 @@ class TestFamilyColorings:
         """`Graph.coloring` trusts the tag, so each family's formula is proved
         here on its generator's edges, past the sizes DSATUR can check."""
         graphs = large_colored_graphs()
-        assert {family_of(g)[0] for g in graphs} == COLORINGS.keys()
+        assert {g.family[0] for g in graphs} == COLORINGS.keys()
         for g in graphs:
-            name, args = family_of(g)
+            name, args = g.family
             colors = g.coloring
             assert len(colors) == g.n, g.family
             assert all(colors[u] != colors[v] for u, v in g.edges), g.family
@@ -413,7 +433,7 @@ class TestOneColoringPerGraph:
         from gcff.sperner import g_sperner_witness, t_s
 
         g = make_family(spec)
-        name, _ = family_of(g)
+        name, _ = g.family
         built, entry = [], COLORINGS[name]
 
         def counted(n, args):
