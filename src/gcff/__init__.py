@@ -4,12 +4,8 @@ exact exhaustive search."""
 from .core import (
     IncidenceMatrix,
     SetSystem,
-    is_coverfree_for_edge,
     is_d_disjunct,
     is_g_cff,
-    is_g_disjunct,
-    is_g_sperner,
-    is_sperner_for_edge,
     matrix_from_sets,
 )
 from .errors import InvalidInputError, ResourceLimitError
@@ -30,12 +26,8 @@ __all__ = [
     "InvalidInputError",
     "ResourceLimitError",
     "SetSystem",
-    "is_coverfree_for_edge",
     "is_d_disjunct",
     "is_g_cff",
-    "is_g_disjunct",
-    "is_g_sperner",
-    "is_sperner_for_edge",
     "make_family",
     "matrix_from_sets",
     "bounds_for",

@@ -294,7 +294,7 @@ def bounds_for(g: Graph) -> BoundsReport:
             out.append(Bound("t_e", "upper", t_up, "ecff-below-cff"))
         if t_lo is not None:
             deg = g.degrees
-            if g.min_degree() >= 2:
+            if min(deg) >= 2:
                 out.append(Bound("t_e", "lower", t_lo, "min-degree-two"))
             elif not any(deg[u] == deg[v] == 1 for u, v in g.edges):
                 # no component is a single edge

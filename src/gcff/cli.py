@@ -12,8 +12,8 @@ exceeded, 141 (128 + SIGPIPE) when the reader closes stdout first, as
 of an hour.
 
 Output files (`--output`, and the files `reproduce` writes) are rewritten in
-place and cut to length, not truncated first; as before, they are not
-written atomically.
+place and cut to length, not truncated first; they are not written
+atomically.
 """
 
 from __future__ import annotations
@@ -119,12 +119,10 @@ def cmd_bounds(args) -> int:
         star = " (exact)" if b.exact else ""
         print(f"  {b.quantity:3s} {b.kind:5s} {b.value:3d}  {b.source}{star}")
     for q in ("t", "t_e", "t_s"):
-        lo, up = rep.lower(q), rep.upper(q)
-        if lo is None and up is None:
-            continue
-        if lo is not None and lo == up:
-            print(f"  => {q} = {lo}")
-        else:
+        lo, up, exact = rep.lower(q), rep.upper(q), rep.exact_value(q)
+        if exact is not None:
+            print(f"  => {q} = {exact}")
+        elif lo is not None or up is not None:
             print(f"  => {q} in [{lo}, {up}]")
     return EXIT_OK
 

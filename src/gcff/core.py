@@ -186,35 +186,11 @@ class Violation:
         return f"column {self.column} covered by edge {self.edge}"
 
 
-def _check_vertex(m: IncidenceMatrix, v: int) -> None:
-    if not 0 <= v < m.n:
-        raise InvalidInputError(f"vertex {v} is not a column label (n={m.n})")
-
-
 def _check_graph(m: IncidenceMatrix, g: Graph) -> None:
     if g.n != m.n:
         raise InvalidInputError(
             f"graph has {g.n} vertices but matrix has {m.n} columns"
         )
-
-
-def is_sperner_for_edge(m: IncidenceMatrix, a: int, b: int) -> bool:
-    """Neither endpoint's block contains the other's."""
-    _check_vertex(m, a)
-    _check_vertex(m, b)
-    if a == b:
-        raise InvalidInputError("Sperner test needs a proper edge, got a loop")
-    ca, cb = m.cols[a], m.cols[b]
-    return bool(ca & ~cb) and bool(cb & ~ca)
-
-
-def is_coverfree_for_edge(m: IncidenceMatrix, a: int, b: int) -> bool:
-    """No other block is contained in the union of the two endpoint blocks."""
-    _check_vertex(m, a)
-    _check_vertex(m, b)
-    if a == b:
-        raise InvalidInputError("cover test needs a proper edge, got a loop")
-    return not m.inside(m.cols[a] | m.cols[b]) & ~(1 << a | 1 << b)
 
 
 def find_sperner_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
@@ -272,14 +248,6 @@ def find_violation(m: IncidenceMatrix, g: Graph, prop: str = "cff") -> Optional[
     if bad is None and sperner:
         bad = find_sperner_violation(m, g)
     return bad
-
-
-def is_g_sperner(m: IncidenceMatrix, g: Graph) -> bool:
-    return find_sperner_violation(m, g) is None
-
-
-def is_g_disjunct(m: IncidenceMatrix, g: Graph) -> bool:
-    return find_cover_violation(m, g) is None
 
 
 def is_g_cff(m: IncidenceMatrix, g: Graph) -> bool:

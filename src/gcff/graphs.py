@@ -100,9 +100,6 @@ class Graph:
     def isolated_vertices(self) -> frozenset[int]:
         return frozenset(v for v, d in enumerate(self.degrees) if d == 0)
 
-    def min_degree(self) -> int:
-        return min(self.degrees)
-
     def without_isolated(self) -> tuple["Graph", tuple[int, ...]]:
         """Drop isolated vertices and the family; also return the kept (old) vertex labels."""
         keep = [v for v, d in enumerate(self.degrees) if d > 0]
@@ -155,9 +152,10 @@ def _tagged(g: Graph, name: str, args: tuple) -> Graph:
     """Give g the family (name, args) its generator was called with, renamed
     to the one whose generator builds g with g's own labels: a K_2 keeps the
     star(2) `Graph` gave it, windmill(2, b) and bipartite(1, b) are stars,
-    windmill(k, 1) and W_3 complete, and a universal vertex over the (renamed)
-    inner family args is a wheel over a cycle, complete over a complete graph
-    or K_2, "universal" over another star, and (None, ()) over the rest."""
+    windmill(k, 1), W_3 and a one-dimensional hamming(k) complete, and a
+    universal vertex over the (renamed) inner family args is a wheel over a
+    cycle, complete over a complete graph or K_2, "universal" over another
+    star, and (None, ()) over the rest."""
     if g.family != (None, ()):
         return g
     if name == "universal":
@@ -166,7 +164,8 @@ def _tagged(g: Graph, name: str, args: tuple) -> Graph:
                       "complete": ("complete", (g.n,))}.get(inner, (None, ()))
     elif (name, args[:1]) in (("windmill", (2,)), ("bipartite", (1,))):
         name, args = "star", (g.n,)
-    elif (name, args[-1:]) == ("windmill", (1,)) or (name, g.n) == ("wheel", 3):
+    elif (name, args[-1:]) == ("windmill", (1,)) or (name, g.n) == ("wheel", 3) \
+            or (name, args) == ("hamming", (g.n,)):
         name, args = "complete", (g.n,)
     object.__setattr__(g, "family", (name, args))
     return g

@@ -188,19 +188,6 @@ def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
     )
 
 
-def exact_ts(g: Graph, budget: int = DEFAULT_BUDGET,
-             start: Optional[int] = None) -> int:
-    """Minimum rows of a g-Sperner matrix, by search.
-
-    Pass start=1 to make the search prove the infeasible levels itself
-    instead of starting from the theorem floor.
-    """
-    res = exact_t(g, "sperner", budget=budget, start=start)
-    if res.status != "found":
-        raise InvalidInputError(f"Sperner search did not finish: {res.status}")
-    return res.t_min
-
-
 @dataclass(frozen=True)
 class LongestPathResult:
     status: str  # "complete" | "budget-exceeded"

@@ -55,15 +55,9 @@ def optimal_1cff(n: int) -> IncidenceMatrix:
     return IncidenceMatrix(t, cols)
 
 
-def t_s(g: Graph) -> int:
-    """Minimum rows of a g-Sperner matrix: t1 of the chromatic number, read
-    from `Graph.coloring`.  Isolated vertices carry no Sperner condition
-    (their columns can repeat any class column)."""
-    return t1(chromatic_number(g))
-
-
 def g_sperner_witness(g: Graph) -> IncidenceMatrix:
-    """A checked t_s(g)-row g-Sperner matrix: color classes get distinct half-size subsets."""
+    """A checked g-Sperner matrix on t1(chi) rows, the minimum (`bounds_for`'s
+    "sperner-chromatic"): color classes get distinct half-size subsets."""
     classes = optimal_1cff(chromatic_number(g))
     m = IncidenceMatrix(classes.t, tuple(classes.cols[c] for c in g.coloring))
     bad = find_violation(m, g, "sperner")

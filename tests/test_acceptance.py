@@ -18,7 +18,7 @@ from gcff.constructions import (
     star_cff,
     windmill_cff,
 )
-from gcff.core import is_g_cff, is_g_disjunct, is_g_sperner
+from gcff.core import find_violation, is_g_cff
 from gcff.graphs import (
     Graph,
     chromatic_number,
@@ -42,7 +42,7 @@ from gcff.graycode import (
     path_cycle_cff,
     reflected,
 )
-from gcff.solver import exact_t, exact_ts, exists_cff, longest_path_cff
+from gcff.solver import exact_t, exists_cff, longest_path_cff
 from gcff.sperner import doubling_increment, t1
 
 
@@ -168,7 +168,7 @@ def test_criterion_6_sperner_layer():
         g = Graph(n, edges)
         if g.isolated_vertices:
             continue
-        assert exact_ts(g, start=1) == t1(chromatic_number(g)), (n, sorted(edges))
+        assert exact_t(g, "sperner", start=1).t_min == t1(chromatic_number(g)), (n, sorted(edges))
         checked += 1
     print("PASS criterion 6: doubling classifier exact on [2,2000], "
           "half-central-binomial rows for k in [2,12], 50 random Sperner solves")
@@ -233,7 +233,8 @@ def test_criterion_10_cross_layer_consistency():
         assert is_g_cff(m, g), g.family
     # min degree >= 2: edge-cover verification alone already implies Sperner
     for m, g in instances:
-        if g.min_degree() >= 2:
-            assert is_g_disjunct(m, g) and is_g_sperner(m, g), g.family
+        if min(g.degrees) >= 2:
+            assert find_violation(m, g, "ecff") is None, g.family
+            assert find_violation(m, g, "sperner") is None, g.family
     print("PASS criterion 10: bounds sandwich all constructed instances; "
           "min-degree-2 collapse holds on each")

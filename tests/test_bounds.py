@@ -434,6 +434,12 @@ class TestOneFamilyPerGraph:
         assert (used, m.t) == ("universal", 9)
         assert find_violation(m, g, "cff") is None
 
+    def test_one_dimensional_hamming_is_complete(self):
+        """hamming(k) is K_k with the same labels: the same family, report
+        and matrices as complete(k), not a wider interval and the gray code."""
+        for k in range(3, 41):
+            assert _answers(hamming([k])) == _answers(complete(k)), k
+
     @pytest.mark.parametrize("spellings", SPELLINGS, ids=lambda gs: gs[0].tag)
     def test_every_spelling_answers_alike(self, spellings):
         for depth in range(2):

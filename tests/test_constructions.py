@@ -22,7 +22,7 @@ from gcff.constructions import (
     windmill_cff,
     with_isolated_vertices,
 )
-from gcff.core import IncidenceMatrix, find_violation, is_g_cff, is_g_disjunct, is_g_sperner
+from gcff.core import IncidenceMatrix, find_violation, is_g_cff
 from gcff.errors import InvalidInputError
 from gcff.graphs import (
     Graph,
@@ -396,9 +396,9 @@ class TestMinDegreeTwoCollapse:
             (add_universal(path_cycle_cff(6), cycle(6)), wheel(7)),
         ]
         for m, g in cases:
-            assert g.min_degree() >= 2
-            assert is_g_disjunct(m, g)
-            assert is_g_sperner(m, g)
+            assert min(g.degrees) >= 2
+            assert find_violation(m, g, "ecff") is None
+            assert find_violation(m, g, "sperner") is None
 
     def test_pendant_counterexample_exists(self):
         # min degree 1 admits disjunct-but-not-Sperner matrices: the star's
@@ -408,5 +408,5 @@ class TestMinDegreeTwoCollapse:
         leaves = optimal_1cff(4)
         m1 = IncidenceMatrix(leaves.t, (0,) + leaves.cols)
         g = star(5)
-        assert is_g_disjunct(m1, g)
-        assert not is_g_sperner(m1, g)
+        assert find_violation(m1, g, "ecff") is None
+        assert find_violation(m1, g, "sperner") is not None

@@ -14,12 +14,8 @@ from gcff.core import (
     find_cover_violation,
     find_sperner_violation,
     find_violation,
-    is_coverfree_for_edge,
     is_d_disjunct,
     is_g_cff,
-    is_g_disjunct,
-    is_g_sperner,
-    is_sperner_for_edge,
     matrix_from_sets,
 )
 from gcff.errors import InvalidInputError
@@ -148,63 +144,60 @@ class TestTextFormat:
         assert IncidenceMatrix.from_text(m.to_text()) == m
 
 
+def one_edge(m, a, b, prop):
+    """Whether `prop` holds on the graph whose only edge is a -- b."""
+    return find_violation(m, Graph(m.n, frozenset({(a, b)})), prop) is None
+
+
 class TestEdgePredicates:
     def test_identity_edge_is_sperner(self):
-        assert is_sperner_for_edge(IncidenceMatrix.identity(3), 0, 1)
+        assert one_edge(IncidenceMatrix.identity(3), 0, 1, "sperner")
 
     def test_equal_columns_not_sperner(self):
         m = IncidenceMatrix(2, (1, 1))
-        assert not is_sperner_for_edge(m, 0, 1)
+        assert not one_edge(m, 0, 1, "sperner")
 
     def test_contained_column_not_sperner(self):
         m = matrix_from_sets(SetSystem(3, (frozenset({1, 2}), frozenset({1, 2, 3}))))
-        assert not is_sperner_for_edge(m, 0, 1)
+        assert not one_edge(m, 0, 1, "sperner")
 
     def test_identity_edge_coverfree(self):
-        assert is_coverfree_for_edge(IncidenceMatrix.identity(3), 0, 1)
+        assert one_edge(IncidenceMatrix.identity(3), 0, 1, "ecff")
 
     def test_disjoint_pair_covers_everything(self):
         m = all_two_subsets_matrix()
         # columns 0 and 5 are {1,2} and {3,4}
-        assert not is_coverfree_for_edge(m, 0, 5)
+        assert not one_edge(m, 0, 5, "ecff")
 
     def test_fig6_cycle_edges_coverfree(self):
         m = fig6_matrix()
         for a in range(8):
-            assert is_coverfree_for_edge(m, a, (a + 1) % 8)
-
-    def test_unknown_vertex(self):
-        with pytest.raises(InvalidInputError):
-            is_sperner_for_edge(IncidenceMatrix.identity(3), 0, 3)
-
-    def test_loop_rejected(self):
-        with pytest.raises(InvalidInputError):
-            is_coverfree_for_edge(IncidenceMatrix.identity(3), 1, 1)
+            assert one_edge(m, *sorted((a, (a + 1) % 8)), "ecff")
 
 
 class TestGraphPredicates:
     def test_identity_is_complete_sperner(self):
-        assert is_g_sperner(IncidenceMatrix.identity(5), complete(5))
+        assert find_violation(IncidenceMatrix.identity(5), complete(5), "sperner") is None
 
     def test_duplicate_columns_fail_any_joining_graph(self):
         m = IncidenceMatrix(2, (1, 1, 2))
         g = Graph(3, frozenset({(0, 1)}))
-        assert not is_g_sperner(m, g)
+        assert find_violation(m, g, "sperner") is not None
 
     def test_fig6_is_c8_sperner(self):
-        assert is_g_sperner(fig6_matrix(), cycle(8))
+        assert find_violation(fig6_matrix(), cycle(8), "sperner") is None
 
     def test_identity_is_disjunct_for_any_graph(self):
-        assert is_g_disjunct(IncidenceMatrix.identity(6), complete(6))
+        assert find_violation(IncidenceMatrix.identity(6), complete(6), "ecff") is None
 
     def test_fig6_c8(self):
         m = fig6_matrix()
-        assert is_g_disjunct(m, cycle(8))
+        assert find_violation(m, cycle(8), "ecff") is None
         assert is_g_cff(m, cycle(8))
 
     def test_fig6_fails_k8(self):
         m = fig6_matrix()
-        assert not is_g_disjunct(m, complete(8))
+        assert find_violation(m, complete(8), "ecff") is not None
         assert not is_g_cff(m, complete(8))
 
     def test_fig6_k8_brute_force_witness(self):
@@ -265,7 +258,8 @@ class TestSpecInvariants:
         g = cycle(5)
         for _ in range(200):
             m = random_matrix(rng, 4, 5)
-            assert is_g_cff(m, g) == (is_g_disjunct(m, g) and is_g_sperner(m, g))
+            holds = [find_violation(m, g, p) is None for p in ("ecff", "sperner")]
+            assert is_g_cff(m, g) == all(holds)
 
     def test_complete_graph_collapse(self):
         rng = random.Random(13)
@@ -274,7 +268,7 @@ class TestSpecInvariants:
             m = random_matrix(rng, 4, n)
             k = complete(n)
             assert is_g_cff(m, k) == is_d_disjunct(m, 2)
-            assert is_g_sperner(m, k) == is_d_disjunct(m, 1)
+            assert (find_violation(m, k, "sperner") is None) == is_d_disjunct(m, 1)
 
     def test_gcff_implies_1cff(self):
         # graphs with no isolated vertex: any full-property matrix is 1-disjunct
@@ -413,7 +407,8 @@ class TestInsideMatchesColumnScan:
                 assert find_violation(m, g, prop) == expected, (m, g, prop)
                 seen[expected and expected.kind] += 1
             for a, b in g.edges:
-                assert is_coverfree_for_edge(m, a, b) == scan_coverfree_for_edge(m, a, b)
+                assert (m.inside(m.cols[a] | m.cols[b]) & ~(1 << a | 1 << b) == 0) == \
+                    scan_coverfree_for_edge(m, a, b)
             for d in (1, 2):
                 if d < n:
                     assert is_d_disjunct(m, d) == scan_d_disjunct(m, d), (m, d)

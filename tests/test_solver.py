@@ -25,7 +25,6 @@ from gcff.graphs import (
 from gcff.solver import (
     SEARCH_ROW_CAP,
     exact_t,
-    exact_ts,
     exists_cff,
     longest_path_cff,
 )
@@ -349,9 +348,9 @@ class TestExactValues:
         assert exact_t(loops_graph(6), "cff", start=1).t_min == t1(6)
 
     def test_exact_ts(self):
-        assert exact_ts(complete(4), start=1) == t1(4) == 4
-        assert exact_ts(cycle(5), start=1) == t1(3) == 3
-        assert exact_ts(cycle(6), start=1) == 2
+        assert exact_t(complete(4), "sperner", start=1).t_min == t1(4) == 4
+        assert exact_t(cycle(5), "sperner", start=1).t_min == t1(3) == 3
+        assert exact_t(cycle(6), "sperner", start=1).t_min == 2
 
     def test_min_degree_two_collapse(self):
         for g in (cycle(5), cycle(6), wheel(5), hamming([2, 2]), windmill(3, 2)):

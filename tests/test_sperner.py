@@ -6,7 +6,8 @@ from math import comb
 
 import pytest
 
-from gcff.core import is_d_disjunct, is_g_sperner
+from gcff.bounds import bounds_for
+from gcff.core import find_violation, is_d_disjunct
 from gcff.errors import InvalidInputError
 from gcff.graphs import COLORINGS, Graph, complete, cycle, path, sperner_graph, star, wheel
 from gcff.sperner import (
@@ -16,7 +17,6 @@ from gcff.sperner import (
     nbar,
     optimal_1cff,
     t1,
-    t_s,
 )
 
 
@@ -118,28 +118,28 @@ class TestDoubling:
 class TestGraphSperner:
     def test_ts_complete(self):
         for n in (2, 3, 6, 12):
-            assert t_s(complete(n)) == t1(n)
+            assert bounds_for(complete(n)).exact_value("t_s") == t1(n)
 
     def test_ts_bipartite_cycle(self):
-        assert t_s(cycle(6)) == t1(2) == 2
+        assert bounds_for(cycle(6)).exact_value("t_s") == t1(2) == 2
 
     def test_ts_sperner_graph(self):
-        assert t_s(sperner_graph(3)) == t1(3) == 3
+        assert bounds_for(sperner_graph(3)).exact_value("t_s") == t1(3) == 3
 
     def test_witness_c5(self):
         m = g_sperner_witness(cycle(5))
         assert m.t == t1(3) == 3
-        assert is_g_sperner(m, cycle(5))
+        assert find_violation(m, cycle(5), "sperner") is None
 
     def test_witness_c6_uses_two_singletons(self):
         m = g_sperner_witness(cycle(6))
         assert m.t == 2
         assert set(m.cols) == {1, 2}
-        assert is_g_sperner(m, cycle(6))
+        assert find_violation(m, cycle(6), "sperner") is None
 
     def test_witness_k3(self):
         m = g_sperner_witness(complete(3))
-        assert m.t == 3 and is_g_sperner(m, complete(3))
+        assert m.t == 3 and find_violation(m, complete(3), "sperner") is None
 
     def test_witness_random_graphs(self):
         rng = random.Random(21)
@@ -150,13 +150,13 @@ class TestGraphSperner:
             )
             g = Graph(n, edges)
             m = g_sperner_witness(g)
-            assert is_g_sperner(m, g)
+            assert find_violation(m, g, "sperner") is None
             from gcff.graphs import chromatic_number
 
             assert m.t == t1(chromatic_number(g))
 
     def test_star_ts(self):
-        assert t_s(star(9)) == 2
+        assert bounds_for(star(9)).exact_value("t_s") == 2
 
     def test_witness_is_checked(self, monkeypatch):
         """An improper family colouring gives RuntimeError, not a matrix."""
@@ -168,7 +168,7 @@ class TestGraphSperner:
     @pytest.mark.parametrize("g, chi", [(cycle(30), 2), (cycle(31), 3), (wheel(30), 4),
                                         (wheel(31), 3)])
     def test_beyond_twenty_vertices(self, g, chi):
-        assert t_s(g) == t1(chi)
+        assert bounds_for(g).exact_value("t_s") == t1(chi)
         m = g_sperner_witness(g)
-        assert m.t == t1(chi) and is_g_sperner(m, g)
+        assert m.t == t1(chi) and find_violation(m, g, "sperner") is None
 
