@@ -10,9 +10,10 @@ applicable theorems; consumers take max of lowers / min of uppers.
 This module states theorems only: floors, exact values, and the ceilings
 no construction here builds.  Every construction that applies to a family
 member is a t ceiling, read from `constructions.table` with the row count
-stated there.  Every simple graph G on n vertices, none isolated, has
-t(1, n) <= t(G) <= t(2, n) and t_s(G) = t(1, chi(G)), chi the colour count
-of `Graph.coloring` where there is one; `_family` states these once for
+stated there (the coloring row's from `constructions.class_sizes`).  Every
+simple graph G on n vertices, none isolated, has t(1, n) <= t(G) <= t(2, n)
+and t_s(G) = t(1, chi(G)), chi the number of those colour classes where
+there are any; `_family` states these once for
 every graph, with the central-binomial floor.  The dispatch reads
 `Graph.family`, renamed when the graph was built, as `construct` does, and
 adds one rename up to isomorphism: K_{a,1} is a star, hub last.  `_family`
@@ -28,9 +29,9 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from .constructions import table
+from .constructions import class_sizes, table
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number
+from .graphs import Graph
 from .sperner import doubling_increment, t1
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def _central_binomial(n: int) -> list[Bound]:
 
 
 def _read(name: str, n: int) -> tuple[Optional[int], Optional[int]]:
-    """The t interval of the path or cycle on n vertices, from its full list."""
+    """The t interval of the path or cycle on n vertices, from its list with no colouring."""
     return _extremes(_family(name, (n,), n, None))
 
 
@@ -210,9 +211,9 @@ def _complete_bounds(n: int) -> list[Bound]:
 # -- family dispatch --------------------------------------------------------
 
 @lru_cache(maxsize=512)
-def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Bound, ...]:
-    """The t and t_s bounds of a graph on n >= 2 vertices, none isolated, of
-    chromatic number chi: the family's own theorems (none for a graph no
+def _family(name: Optional[str], args, n: int, sizes: Optional[tuple]) -> tuple[Bound, ...]:
+    """The t and t_s bounds of a graph on n >= 2 vertices, none isolated, with
+    these `class_sizes`: the family's own theorems (none for a graph no
     family builds), a ceiling per construction `constructions.table` lists
     for it, then the bounds every graph obeys, then "interval"."""
     own: list[Bound] = []
@@ -235,22 +236,22 @@ def _family(name: Optional[str], args, n: int, chi: Optional[int]) -> tuple[Boun
         own = _windmill_bounds(*args)
     elif name == "hamming":
         own = [Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle")]
-    elif name == "sperner":  # no family colouring is stated, but t_s is
+    elif name == "sperner":  # t_s is stated, though no family colouring is
         own = _pair("t_s", args[0], "sperner-graph-exact")
     elif name == "universal":  # over the star on n - 1 vertices
         own = [Bound("t", "lower", t1(n - 2) + 2, "star-universal-exact", exact=True)]
     # each construction is a ceiling; one that meets an exact floor is exact
     exact = {b.source for b in own if b.exact}
     for c in table(name, args, n):
-        rows = c.rows()
+        rows = c.rows(sizes)
         if rows is not None:
             own.append(Bound("t", "upper", rows, c.source, exact=c.source in exact))
     # every simple graph: t(1, n) <= t <= t(2, n) and t_s = t(1, chi)
     out = own + [Bound("t", "lower", t1(n), "trivial-sperner")] + _central_binomial(n)
     if n >= 3:
         out.append(Bound("t", "upper", t2_upper(n)[0], "trivial-two-disjunct"))
-    if chi is not None:
-        out += _pair("t_s", t1(chi), "sperner-chromatic")
+    if sizes is not None:  # chi is the number of colour classes
+        out += _pair("t_s", t1(len(sizes)), "sperner-chromatic")
     return tuple(out + _interval(out))
 
 
@@ -260,9 +261,9 @@ def bounds_for(g: Graph) -> BoundsReport:
     A graph a family builds gets its family's theorems.  Every graph then
     gets the bounds that hold for all graphs (the chromatic Sperner value
     wherever `Graph.coloring` has a colouring) and the minimum-degree
-    relations between the full and edge-only quantities.  Isolated vertices are
-    dropped and the family kept, and fewer than three vertices left give an
-    empty report; a graph with loops gets the t and t_e floors without them.
+    relations between the full and edge-only quantities, all of `Graph.core`
+    under g's family (no core, an empty report); a graph with loops gets
+    the t and t_e floors without them.
     """
     graph_id = g.tag or f"graph(n={g.n},m={len(g.edges)})"
     name, args = g.family
@@ -277,15 +278,13 @@ def bounds_for(g: Graph) -> BoundsReport:
         return BoundsReport(graph_id, tuple(
             Bound(q, "lower", v, "loopless-subgraph") for q, v in floors if v is not None))
 
-    if g.isolated_vertices:
-        if g.n - len(g.isolated_vertices) < 3:
-            return BoundsReport(graph_id, ())
-        g, _ = g.without_isolated()
+    g, sizes = g.core, class_sizes(g)
+    if g is None:
+        return BoundsReport(graph_id, ())
 
     if name == "bipartite" and args[1] == 1:  # K_{a,1}: a star, hub last
         name, args = "star", (g.n,)
-    chi = chromatic_number(g) if g.coloring is not None else None
-    out = list(_family(name, args, g.n, chi))
+    out = list(_family(name, args, g.n, sizes))
 
     # Minimum-degree relations between the full and edge-only quantities.
     if not any(b.quantity == "t_e" for b in out):

@@ -2,7 +2,7 @@
 those that apply to a member of a family, as `Graph.family` names it:
 method, bound source, row count and builder.  `construct` builds and checks
 from it, and `bounds.bounds_for` states each row count as a ceiling.  The coloring
-row builds over `Graph.coloring` and counts over `graphs.family_coloring`.
+row builds over, and counts, the colour classes `class_sizes` reads.
 
 Layout conventions shared with the graph generators: hub vertices occupy
 column 0, clique/leaf columns follow in vertex order, and stacked blocks
@@ -18,14 +18,14 @@ import numpy as np
 
 from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError
-from .graphs import Graph, chromatic_number, family_coloring, matching, path
+from .graphs import Graph, chromatic_number, matching, path
 from .graycode import cycle_cff_rows, path_cycle_cff, product_matrix
 from .sperner import optimal_1cff, t1
 
 
 def from_coloring(g: Graph) -> IncidenceMatrix:
-    """Block-diagonal construction over the color classes of `Graph.coloring`,
-    so a family that states its colouring builds at any size.
+    """Block-diagonal construction over the color classes of `Graph.coloring`
+    on `Graph.core` (or g), padded by `with_isolated_vertices`, at any size.
 
     Each class of size n_i > 1 contributes an optimal 1-disjunct block on its
     own rows; singleton classes contribute one row with a single 1.  Classes
@@ -35,6 +35,8 @@ def from_coloring(g: Graph) -> IncidenceMatrix:
     """
     if g.loops:
         raise InvalidInputError("coloring construction needs a simple graph")
+    if g.core is not None and g.core is not g:  # the core, then its isolated vertices
+        return with_isolated_vertices(from_coloring(g.core), g)
     chromatic_number(g)  # raises where g has no colouring
 
     classes: dict[int, list[int]] = {}
@@ -48,6 +50,12 @@ def from_coloring(g: Graph) -> IncidenceMatrix:
         blocks.append(IncidenceMatrix(block.t, (0, *block.cols)))
         words[vs, i] = range(1, len(vs) + 1)
     return product_matrix(blocks, words)
+
+
+def class_sizes(g: Graph) -> Optional[tuple[int, ...]]:
+    """The colour-class sizes `from_coloring` builds over, largest first; None for none."""
+    colors = g.core and g.core.coloring
+    return None if colors is None else tuple(sorted(Counter(colors).values(), reverse=True))
 
 
 def star_cff(n: int) -> IncidenceMatrix:
@@ -116,16 +124,11 @@ def windmill_cff(k: int, n: int, inner: Optional[IncidenceMatrix] = None) -> Inc
 
 
 def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:
-    """Extend a CFF on g minus its isolated vertices to all of g by giving
-    each isolated vertex an all-ones column."""
-    isolated = g.isolated_vertices
-    if g.n - len(isolated) < 3:
-        raise InvalidInputError("need at least 3 non-isolated vertices")
-    if m.n != g.n - len(isolated):
-        raise InvalidInputError(
-            f"matrix has {m.n} columns but g has {g.n - len(isolated)} non-isolated vertices"
-        )
-    kept = iter(m.cols)
+    """Extend a CFF on `Graph.core` to all of g by giving each isolated vertex
+    an all-ones column."""
+    if g.core is None or m.n != g.core.n:
+        raise InvalidInputError(f"need a matrix on g's (3 or more) non-isolated vertices, got {m.n} columns")
+    kept, isolated = iter(m.cols), g.isolated_vertices
     return IncidenceMatrix(m.t, tuple((1 << m.t) - 1 if v in isolated else next(kept) for v in range(g.n)))
 
 
@@ -178,8 +181,8 @@ def catalog(name: str) -> tuple[Graph, IncidenceMatrix]:
 #: coloring fallback in `table`, so only an explicit method reaches them.
 METHODS = ("optimal-1cff", "gray", "star", "windmill", "universal", "coloring", "double", "catalog")
 
-#: A row of `table`.  `rows()` is the row count (None where the family states
-#: no colouring to count) and `build(g)` the g-CFF; both run only when called.
+#: A row of `table`.  `rows(sizes)` is the row count given `class_sizes`, which
+#: only the coloring row reads, and `build(g)` the g-CFF; both run when called.
 Construction = namedtuple("Construction", "method source rows build")
 
 
@@ -190,29 +193,27 @@ def table(name: Optional[str], args: tuple, n: int) -> list[Construction]:
     entry, size = next(((key, cg.n) for key, (cg, _) in CATALOG.items() if cg.family == (name, args)
                         or name == "path" == cg.family[0] and n <= cg.n), (None, 0))
     candidates = [
-        ("optimal-1cff", "loops-exact", name == "loops", lambda: t1(n), lambda g: optimal_1cff(n)),
-        ("gray", "gray-cycle", name in ("path", "cycle"), lambda: cycle_cff_rows(n),
+        ("optimal-1cff", "loops-exact", name == "loops", lambda _: t1(n), lambda g: optimal_1cff(n)),
+        ("gray", "gray-cycle", name in ("path", "cycle"), lambda _: cycle_cff_rows(n),
          lambda g: path_cycle_cff(n)),
         # identity blocks in the graph's lexicographic vertex order
-        ("gray", "gray-transversal", name == "hamming", lambda: sum(args), lambda g: product_matrix(
+        ("gray", "gray-transversal", name == "hamming", lambda _: sum(args), lambda g: product_matrix(
             tuple(map(IncidenceMatrix.identity, args)), np.indices(args).reshape(len(args), -1).T)),
-        ("star", "star-exact", name == "star" and n >= 3, lambda: t1(n - 1) + 1, lambda g: star_cff(n)),
+        ("star", "star-exact", name == "star" and n >= 3, lambda _: t1(n - 1) + 1, lambda g: star_cff(n)),
         # blades, an identity inner block on k - 1 rows, and the hub row
-        ("windmill", "windmill-construction", name == "windmill", lambda: t1(args[1]) + args[0],
+        ("windmill", "windmill-construction", name == "windmill", lambda _: t1(args[1]) + args[0],
          lambda g: windmill_cff(*args)),
         # the wheel's own check in `construct` covers every rim edge and rim column
         ("universal", "universal-vertex-upper", name == "wheel" and n >= 5,
-         lambda: cycle_cff_rows(n - 1) + 1, lambda g: _universal(path_cycle_cff(n - 1))),
+         lambda _: cycle_cff_rows(n - 1) + 1, lambda g: _universal(path_cycle_cff(n - 1))),
         ("universal", "star-universal-exact", name == "universal" and n >= 4,
-         lambda: t1(n - 2) + 2, lambda g: _universal(star_cff(n - 1))),
-        # one block per colour class of the family's colouring; no classes, no count
+         lambda _: t1(n - 2) + 2, lambda g: _universal(star_cff(n - 1))),
         ("coloring", "coloring-construction", name != "loops",
-         lambda: sum(map(t1, Counter(family_coloring(name, args, n)).values())) or None,
-         lambda g: from_coloring(g)),
+         lambda sizes: None if sizes is None else sum(map(t1, sizes)), from_coloring),
         # the check in `construct` covers the half, as it does the wheel's rim
         ("double", "double-cycle", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
-         lambda: cycle_cff_rows(n // 2) + 2, lambda g: _double(path_cycle_cff(n // 2))),
-        ("catalog", f"explicit-{name}{size}", entry is not None, lambda: len(CATALOG[entry][1]),
+         lambda _: cycle_cff_rows(n // 2) + 2, lambda g: _double(path_cycle_cff(n // 2))),
+        ("catalog", f"explicit-{name}{size}", entry is not None, lambda _: len(CATALOG[entry][1]),
          lambda g: IncidenceMatrix(len(CATALOG[entry][1]), catalog(entry)[1].cols[:n])),
     ]
     return [Construction(method, source, rows, build)

@@ -100,13 +100,18 @@ class Graph:
     def isolated_vertices(self) -> frozenset[int]:
         return frozenset(v for v, d in enumerate(self.degrees) if d == 0)
 
-    def without_isolated(self) -> tuple["Graph", tuple[int, ...]]:
-        """Drop isolated vertices and the family; also return the kept (old) vertex labels."""
+    @cached_property
+    def core(self) -> Optional["Graph"]:
+        """g without its isolated vertices or family, the graph the bounds and the
+        coloring construction read; g where it has none (as has every family member
+        with a stated colouring on 2 or more vertices), None where under 3 remain."""
+        if self.n > 1 and self.family[0] in COLORINGS or not self.isolated_vertices:
+            return self
         keep = [v for v, d in enumerate(self.degrees) if d > 0]
         relabel = {v: i for i, v in enumerate(keep)}
         edges = frozenset(_norm_edge(relabel[u], relabel[v]) for u, v in self.edges)
         loops = frozenset(relabel[v] for v in self.loops)
-        return Graph(len(keep), edges, loops), tuple(keep)
+        return Graph(len(keep), edges, loops) if len(keep) >= 3 else None
 
     def to_text(self) -> str:
         lines = [f"{self.n} {len(self.edges) + len(self.loops)}"]
@@ -369,11 +374,6 @@ COLORINGS = {
     "hamming": _hamming_coloring,
     "universal": lambda n, args: [0, 1] + [2] * (n - 2),
 }
-
-
-def family_coloring(name: Optional[str], args: tuple, n: int) -> list[int]:
-    """A family member's colouring from `COLORINGS`, unchecked; [] for none."""
-    return COLORINGS[name](n, args) if name in COLORINGS else []
 
 
 def _require_small_simple(g: Graph, what: str) -> None:

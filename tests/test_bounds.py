@@ -1,11 +1,13 @@
 """Theorem bounds, the 2-disjunct table, and max-product partitions."""
 
+import random
+from itertools import combinations
 from math import comb, prod
 
 import pytest
 
 from gcff.bounds import Bound, bounds_for, t2_lower, t2_upper
-from gcff.constructions import METHODS, construct, table
+from gcff.constructions import METHODS, class_sizes, construct, table
 from gcff.core import find_violation
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
@@ -296,8 +298,8 @@ class TestEveryTableRowIsABuiltCeiling:
             stated = {(b.quantity, b.kind, b.value, b.source) for b in rep.bounds}
             counts = []
             for row in table(name, args, g.n):
-                rows = row.rows()
-                if rows is None:  # a family that states no colouring
+                rows = row.rows(class_sizes(g))
+                if rows is None:  # a graph with no colouring to count
                     continue
                 m, used = construct(g, row.method)
                 assert (used, m.t) == (row.method, rows), (spec, row.source)
@@ -308,6 +310,40 @@ class TestEveryTableRowIsABuiltCeiling:
                 at_ceiling = {b.source for b in rep.bounds
                               if (b.quantity, b.kind, b.value) == ("t", "upper", rep.upper("t"))}
                 assert at_ceiling & UNBUILT, (spec, rep.upper("t"), min(counts), at_ceiling)
+
+    def test_graphs_no_family_builds(self):
+        """File copies of K_{a,b}, seeded random graphs (the sparse ones with
+        isolated vertices) and the Sperner graphs DSATUR colours: the stated
+        coloring ceiling is the built count, and no built row is below the
+        smallest ceiling."""
+        rng = random.Random(5)
+        graphs = [Graph.from_text(complete_bipartite(a, b).to_text())
+                  for a in range(2, 9) for b in range(a, 9)]
+        for _ in range(60):
+            n, p = rng.randrange(4, 21), rng.choice([0.1, 0.2, 0.5, 0.8])
+            graphs.append(Graph(n, frozenset(e for e in combinations(range(n), 2) if rng.random() < p)))
+        graphs += [sperner_graph(3), sperner_graph(4)]
+        padded = 0
+        for g in graphs:
+            rep = bounds_for(g)
+            stated = [b.value for b in rep.bounds
+                      if (b.quantity, b.kind, b.source) == ("t", "upper", "coloring-construction")]
+            built = {row.method: construct(g, row.method)[0].t for row in table(*g.family, g.n)}
+            assert stated == ([] if g.core is None else [built["coloring"]]), g.to_text()
+            assert g.core is None or rep.upper("t") <= min(built.values()), g.to_text()
+            padded += g.core is not None and g.core is not g
+        assert padded >= 5
+
+    @pytest.mark.parametrize("build", [path, cycle])
+    def test_coloring_row_is_never_the_lowest_path_or_cycle_ceiling(self, build):
+        """The path and cycle intervals the wheel, cycle and Hamming bounds read
+        are counted with no colouring, which leaves the coloring row out."""
+        for n in range(3, 2001):
+            g = build(n)
+            name, args = g.family
+            rows = table(name, args, n)
+            others = min(r.rows(None) for r in rows if r.method != "coloring")
+            assert next(r for r in rows if r.method == "coloring").rows(class_sizes(g)) >= others, n
 
 
 # Every CLI family on at most 8 vertices, plus two universal-vertex tags.

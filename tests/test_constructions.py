@@ -68,16 +68,21 @@ class TestFromColoring:
         assert is_g_cff(m, complete(4))
 
     def test_random_graphs_row_formula(self):
+        """One row block per colour class of the graph without its isolated
+        vertices where at least 3 vertices remain, else of the whole graph."""
         rng = random.Random(31)
         for _ in range(25):
             g = random_graph(rng, rng.randrange(3, 15))
             m = from_coloring(g)
             assert is_g_cff(m, g)
-            colors = g.coloring
+            kept = [v for v in range(g.n) if v not in g.isolated_vertices]
+            core = Graph(len(kept), frozenset((kept.index(u), kept.index(v)) for u, v in g.edges))
+            colors = core.coloring if len(kept) >= 3 else g.coloring
             sizes = {}
-            for v in range(g.n):
-                sizes[colors[v]] = sizes.get(colors[v], 0) + 1
+            for c in colors:
+                sizes[c] = sizes.get(c, 0) + 1
             assert m.t == sum(t1(s) for s in sizes.values())
+            assert all(m.cols[v] == (1 << m.t) - 1 for v in g.isolated_vertices if len(kept) >= 3)
 
 
 class TestStar:

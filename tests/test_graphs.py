@@ -98,9 +98,13 @@ class TestGenerators:
 
     def test_isolated_detection(self):
         g = Graph(4, frozenset({(0, 1)}))
-        assert g.isolated_vertices == frozenset({2, 3})
-        stripped, kept = g.without_isolated()
-        assert stripped.n == 2 and kept == (0, 1)
+        assert g.isolated_vertices == frozenset({2, 3}) and g.core is None  # under 3 remain
+        g = Graph(6, frozenset({(0, 3), (3, 5)}), frozenset({5}))
+        assert g.isolated_vertices == frozenset({1, 2, 4})
+        assert (g.core.n, g.core.edges, g.core.loops, g.core.family) == (
+            3, frozenset({(0, 1), (1, 2)}), frozenset({2}), (None, ()))
+        p = path(5)
+        assert p.core is p
 
 
 class TestHamming:
@@ -251,7 +255,7 @@ class TestParseFamily:
         for g in untagged:
             assert g.family == (None, ()) and g.tag is None
         for g in (Graph(2, frozenset({(0, 1)})), Graph.from_text("2 1\n1 0\n"), complete(2),
-                  add_universal_vertex(complete(1)), Graph(3, frozenset({(0, 2)})).without_isolated()[0]):
+                  add_universal_vertex(complete(1))):
             assert g.family == ("star", (2,)), g
 
 
@@ -426,9 +430,9 @@ class CountedColors(list):
 class TestOneColoringPerGraph:
     @pytest.mark.parametrize("spec", ["cycle:1001", "bipartite:30,40", "hamming:3x4"])
     def test_built_once_and_never_read_by_index(self, monkeypatch, spec):
-        """Every reader of a graph's colouring shares one build, and nothing
-        checks it on the edges; the only other build is `table`'s
-        coloring-row count.  Neither list has a colour read by index."""
+        """Every reader of a graph's colouring, the coloring-row count in the
+        bounds included, shares one build, nothing checks it on the edges,
+        and no colour is read by index."""
         from gcff import bounds
         from gcff.constructions import construct
         from gcff.sperner import g_sperner_witness
@@ -442,13 +446,12 @@ class TestOneColoringPerGraph:
             return built[-1]
 
         monkeypatch.setitem(COLORINGS, name, counted)
-        bounds._family.cache_clear()  # so that the table count is built here
         chromatic_number(g)
         bounds.bounds_for(g)
         construct(g, "coloring")
         g_sperner_witness(g)
-        assert len(built) == 2
-        assert [c.reads for c in built] == [0, 0]
+        assert len(built) == 1
+        assert built[0].reads == 0
 
 
 class TestExactSolvers:
