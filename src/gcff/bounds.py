@@ -262,8 +262,9 @@ def bounds_for(g: Graph) -> BoundsReport:
     gets the bounds that hold for all graphs (the chromatic Sperner value
     wherever `Graph.coloring` has a colouring) and the minimum-degree
     relations between the full and edge-only quantities, all of `Graph.core`
-    under g's family (no core, an empty report); a graph with loops gets
-    the t and t_e floors without them.
+    under g's family (no core, one edge's floor and the coloring row over g;
+    no edge, an empty report); a graph with loops gets the t and t_e floors
+    without them.
     """
     graph_id = g.tag or f"graph(n={g.n},m={len(g.edges)})"
     name, args = g.family
@@ -278,9 +279,13 @@ def bounds_for(g: Graph) -> BoundsReport:
         return BoundsReport(graph_id, tuple(
             Bound(q, "lower", v, "loopless-subgraph") for q, v in floors if v is not None))
 
+    if g.core is None:  # one edge at most: its floor, and the coloring row over all of g
+        row = next(r for r in table(name, args, g.n) if r.method == "coloring")
+        rows = row.rows(class_sizes(g))
+        return BoundsReport(graph_id, () if rows is None else (
+            Bound("t", "lower", t1(2), "trivial-sperner"), Bound("t", "upper", rows, row.source)))
+
     g, sizes = g.core, class_sizes(g)
-    if g is None:
-        return BoundsReport(graph_id, ())
 
     if name == "bipartite" and args[1] == 1:  # K_{a,1}: a star, hub last
         name, args = "star", (g.n,)

@@ -53,8 +53,9 @@ def from_coloring(g: Graph) -> IncidenceMatrix:
 
 
 def class_sizes(g: Graph) -> Optional[tuple[int, ...]]:
-    """The colour-class sizes `from_coloring` builds over, largest first; None for none."""
-    colors = g.core and g.core.coloring
+    """The colour-class sizes `from_coloring` builds over, of `Graph.core` or of g
+    with no core, largest first; None for none, or for no edge (t = 1, any row)."""
+    colors = (g.core or g).coloring if g.core or g.edges else None
     return None if colors is None else tuple(sorted(Counter(colors).values(), reverse=True))
 
 

@@ -4,20 +4,24 @@ A family of n subsets of the ground set [1, t] is stored column-wise: column
 j is a t-bit integer whose bit i (0-based) is set iff ground element i+1
 belongs to block j.  Columns are indexed by graph vertices 0..n-1, in label
 order.  Every containment test is `IncidenceMatrix.inside(u)`, or its loop
-inlined in the edge scan of `find_cover_violation`.  It reads one table per
+inlined in the edge scan of `find_violation`.  It reads one table per
 block of up to eight rows (row i is an n-bit integer, bit j = entry (i, j); a
 block of r rows has a table of 2^r entries, one for every subset of the
 block, holding the columns absent from all rows of that subset, built by
 doubling once per row), so it costs one lookup and one big-integer AND per
 block, ceil(t / 8) in all, instead of a scan over the n columns.
+
+`find_violation` tests a property's rules in one scan: each edge's union
+U = cols[a] | cols[b] is formed once, compared with the edge's two blocks
+(Sperner) and counted through the tables (cover).  A cover violation returns
+at once and loops follow the edges, so both come before Sperner ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, repeat
-from operator import xor
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -61,13 +65,13 @@ class IncidenceMatrix:
         from that row, giving 2^r entries; row 8k + i is entry 0 XOR entry
         1 << i."""
         t, full = self.t, (1 << len(self.cols)) - 1
-        # Each column as "0b1" and its t complemented digits (XOR with
-        # 2^(t+1) - 1 flips them and sets the bit above), last column first;
-        # row i's digits, every (t + 3)-th character, spell in binary the
-        # columns absent from row i.
-        s = "".join(map(bin, map(xor, reversed(self.cols), repeat((2 << t) - 1))))
-        step = t + 3
-        absent = [int(s[step - 1 - i::step], 2) for i in range(t)]
+        # The complemented columns shifted by 0..t-1 in one broadcast; the
+        # low bits of shift i, packed eight columns a byte little-endian,
+        # spell in binary the columns absent from row i.
+        bits = ~np.array(self.cols, dtype=np.uint64) >> np.arange(t, dtype=np.uint64)[:, None]
+        packed = np.packbits(bits.astype(np.uint8) & 1, axis=1, bitorder="little")
+        data, width = packed.tobytes(), packed.shape[1]
+        absent = [int.from_bytes(data[i:i + width], "little") for i in range(0, t * width, width)]
         tables = []
         for k in range(0, t, 8):
             tab = [full]
@@ -186,48 +190,6 @@ class Violation:
         return f"column {self.column} covered by edge {self.edge}"
 
 
-def _check_graph(m: IncidenceMatrix, g: Graph) -> None:
-    if g.n != m.n:
-        raise InvalidInputError(
-            f"graph has {g.n} vertices but matrix has {m.n} columns"
-        )
-
-
-def find_sperner_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
-    _check_graph(m, g)
-    cols = m.cols
-    for a, b in g.edges:
-        ca, cb = cols[a], cols[b]
-        if not (ca & ~cb) or not (cb & ~ca):
-            return Violation("sperner", (a, b))
-    return None
-
-
-def find_cover_violation(m: IncidenceMatrix, g: Graph) -> Optional[Violation]:
-    _check_graph(m, g)
-    cols, tables, rows = m.cols, m.tables, (1 << m.t) - 1
-    first, tables = tables[0], tables[1:]
-    # `inside` inlined: the rows outside an edge's union index the tables.
-    # The columns inside the union always include the edge's own two, so
-    # counting bits finds a violation without masking them out first.
-    for a, b in g.edges:
-        rest = (cols[a] | cols[b]) ^ rows
-        hit = first[rest & 255]
-        for tab in tables:
-            rest >>= 8
-            hit &= tab[rest & 255]
-        if hit.bit_count() > 2:
-            hit &= ~(1 << a | 1 << b)
-            return Violation("cover", (a, b), (hit & -hit).bit_length() - 1)
-    # A loop on v forbids any other column from being contained in column v.
-    for v in g.loops:
-        hit = m.inside(cols[v])
-        if hit.bit_count() > 1:
-            hit &= ~(1 << v)
-            return Violation("loop", (v, v), (hit & -hit).bit_length() - 1)
-    return None
-
-
 #: Each property: (the quantity bounds report for it, whether each edge must
 #: be Sperner, whether no other column may lie in an edge's union).
 PROPERTIES = {"cff": ("t", True, True), "ecff": ("t_e", False, True),
@@ -242,16 +204,45 @@ def property_terms(prop: str) -> tuple[str, bool, bool]:
 
 
 def find_violation(m: IncidenceMatrix, g: Graph, prop: str = "cff") -> Optional[Violation]:
-    """First violation of `prop` in `PROPERTIES`, or None; cover first."""
+    """First violation of `prop` in `PROPERTIES`, or None: cover, then loop,
+    then Sperner, each the first in edge order."""
     _, sperner, cover = property_terms(prop)
-    bad = find_cover_violation(m, g) if cover else None
-    if bad is None and sperner:
-        bad = find_sperner_violation(m, g)
-    return bad
+    if g.n != m.n:
+        raise InvalidInputError(f"graph has {g.n} vertices but matrix has {m.n} columns")
+    cols, rows = m.cols, (1 << m.t) - 1
+    if cover:  # a Sperner-only scan builds no tables
+        first, *tables = m.tables
+    # the first comparable edge; False where the property waives the Sperner rule
+    comparable = None if sperner else False
+    for a, b in g.edges:
+        ca, cb = cols[a], cols[b]
+        u = ca | cb
+        if comparable is None and (u == ca or u == cb):
+            comparable = a, b
+            if not cover:
+                break
+        if cover:
+            # `inside` inlined; the columns inside U always include the edge's
+            # own two, so counting bits finds a violation without masking them
+            rest = u ^ rows
+            hit = first[rest & 255]
+            for tab in tables:
+                rest >>= 8
+                hit &= tab[rest & 255]
+            if hit.bit_count() > 2:
+                hit &= ~(1 << a | 1 << b)
+                return Violation("cover", (a, b), (hit & -hit).bit_length() - 1)
+    # A loop on v forbids any other column from being contained in column v.
+    for v in g.loops if cover else ():
+        hit = m.inside(cols[v])
+        if hit.bit_count() > 1:
+            hit &= ~(1 << v)
+            return Violation("loop", (v, v), (hit & -hit).bit_length() - 1)
+    return Violation("sperner", comparable) if comparable else None
 
 
 def is_g_cff(m: IncidenceMatrix, g: Graph) -> bool:
-    return find_cover_violation(m, g) is None and find_sperner_violation(m, g) is None
+    return find_violation(m, g) is None
 
 
 def is_d_disjunct(m: IncidenceMatrix, d: int) -> bool:

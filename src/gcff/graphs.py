@@ -7,14 +7,15 @@ builds it with its own vertex labels.  Only the generators write it, through
 `_tagged`, which applies every rename once as the graph is built (such as
 windmill(2, b) = star(b + 1); `Graph` itself names every K_2 star(2)), so
 every layer reads it unchecked; `Graph.tag` is its text.  chi is the colour
-count of `Graph.coloring`, the one colouring all layers read.
+count of `Graph.coloring`, the one colouring all layers read.  The set
+operations building `Graph.edges` fix its order, which picks the first violation found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from math import prod
 from typing import Iterable, Optional
 
@@ -50,14 +51,16 @@ class Graph:
             object.__setattr__(self, "family", ("star", (2,)))
         if self.n < 1:
             raise InvalidInputError("graph needs at least one vertex")
-        for u, v in self.edges:
+        # one pass checks every edge; a second names the first bad one
+        n = self.n
+        if not all(0 <= u < v < n for u, v in self.edges):
+            u, v = next((u, v) for u, v in self.edges if not 0 <= u < v < n)
             if u == v:
                 raise InvalidInputError(f"loop ({u},{u}) must go in `loops`, not `edges`")
-            if not (0 <= u < self.n and 0 <= v < self.n) or u > v:
-                raise InvalidInputError(f"bad edge ({u},{v}) for n={self.n}")
+            raise InvalidInputError(f"bad edge ({u},{v}) for n={n}")
         for v in self.loops:
-            if not 0 <= v < self.n:
-                raise InvalidInputError(f"bad loop vertex {v} for n={self.n}")
+            if not 0 <= v < n:
+                raise InvalidInputError(f"bad loop vertex {v} for n={n}")
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -187,13 +190,13 @@ def _tag(family: tuple) -> Optional[str]:
 def path(n: int) -> Graph:
     if n < 2:
         raise InvalidInputError("path needs n >= 2")
-    return _tagged(Graph(n, frozenset((i, i + 1) for i in range(n - 1))), "path", (n,))
+    return _tagged(Graph(n, frozenset(zip(range(n - 1), range(1, n)))), "path", (n,))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidInputError("cycle needs n >= 3")
-    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    edges = {*zip(range(n - 1), range(1, n))} | {(0, n - 1)}
     return _tagged(Graph(n, frozenset(edges)), "cycle", (n,))
 
 
@@ -201,7 +204,7 @@ def star(n: int) -> Graph:
     """K_{1,n-1}: hub 0 joined to leaves 1..n-1."""
     if n < 2:
         raise InvalidInputError("star needs n >= 2")
-    return _tagged(Graph(n, frozenset((0, i) for i in range(1, n))), "star", (n,))
+    return _tagged(Graph(n, frozenset(zip(repeat(0), range(1, n)))), "star", (n,))
 
 
 def complete(n: int) -> Graph:
@@ -212,8 +215,8 @@ def wheel(n: int) -> Graph:
     """Hub 0 joined to a cycle 1..n-1.  n=3 degenerates to a triangle."""
     if n < 3:
         raise InvalidInputError("wheel needs n >= 3")
-    rim = {_norm_edge(i, i % (n - 1) + 1) for i in range(1, n)}
-    hub = {(0, i) for i in range(1, n)}
+    rim = {*zip(range(1, n - 1), range(2, n)), (1, n - 1)}
+    hub = {*zip(repeat(0), range(1, n))}
     return _tagged(Graph(n, frozenset(rim | hub)), "wheel", (n,))
 
 

@@ -222,6 +222,14 @@ class TestDegenerateFamilyMembers:
             rep, ref = bounds_for(windmill(k, 1)), bounds_for(complete(k))
             assert (rep.lower("t"), rep.upper("t")) == (ref.lower("t"), ref.upper("t")), k
 
+    def test_one_edge_and_no_core(self):
+        """sperner(2) is one edge and two isolated vertices: the edge's floor
+        and the coloring ceiling over all four vertices bracket its t of 3."""
+        g = sperner_graph(2)
+        rep = bounds_for(g)
+        assert (g.core, rep.lower("t"), rep.upper("t")) == (None, 2, construct(g)[0].t) == (None, 2, 4)
+        assert exact_t(g, "cff", start=1, use_bounds=False).t_min == 3
+
     def test_edgeless_graphs_have_empty_report(self):
         for g in (complete(1), sperner_graph(1), Graph(1), Graph(5)):
             assert bounds_for(g).bounds == (), g
@@ -314,23 +322,24 @@ class TestEveryTableRowIsABuiltCeiling:
     def test_graphs_no_family_builds(self):
         """File copies of K_{a,b}, seeded random graphs (the sparse ones with
         isolated vertices) and the Sperner graphs DSATUR colours: the stated
-        coloring ceiling is the built count, and no built row is below the
-        smallest ceiling."""
+        coloring ceiling is the built count, also where one edge leaves no
+        core, and no built row is below the smallest ceiling; an edgeless
+        graph states none."""
         rng = random.Random(5)
         graphs = [Graph.from_text(complete_bipartite(a, b).to_text())
                   for a in range(2, 9) for b in range(a, 9)]
         for _ in range(60):
             n, p = rng.randrange(4, 21), rng.choice([0.1, 0.2, 0.5, 0.8])
             graphs.append(Graph(n, frozenset(e for e in combinations(range(n), 2) if rng.random() < p)))
-        graphs += [sperner_graph(3), sperner_graph(4)]
+        graphs += [sperner_graph(1), sperner_graph(2), sperner_graph(3), sperner_graph(4)]
         padded = 0
         for g in graphs:
             rep = bounds_for(g)
             stated = [b.value for b in rep.bounds
                       if (b.quantity, b.kind, b.source) == ("t", "upper", "coloring-construction")]
             built = {row.method: construct(g, row.method)[0].t for row in table(*g.family, g.n)}
-            assert stated == ([] if g.core is None else [built["coloring"]]), g.to_text()
-            assert g.core is None or rep.upper("t") <= min(built.values()), g.to_text()
+            assert stated == ([built["coloring"]] if g.edges else []), g.to_text()
+            assert not g.edges or rep.upper("t") <= min(built.values()), g.to_text()
             padded += g.core is not None and g.core is not g
         assert padded >= 5
 

@@ -11,8 +11,6 @@ from gcff.core import (
     IncidenceMatrix,
     SetSystem,
     Violation,
-    find_cover_violation,
-    find_sperner_violation,
     find_violation,
     is_d_disjunct,
     is_g_cff,
@@ -217,10 +215,10 @@ class TestGraphPredicates:
 
     def test_violation_reporting(self):
         m = IncidenceMatrix(2, (1, 1, 2))
-        v = find_sperner_violation(m, Graph(3, frozenset({(0, 1)})))
+        v = find_violation(m, Graph(3, frozenset({(0, 1)})), "sperner")
         assert v == Violation("sperner", (0, 1))
         m2 = all_two_subsets_matrix()
-        v2 = find_cover_violation(m2, complete(6))
+        v2 = find_violation(m2, complete(6), "ecff")
         assert v2 is not None and v2.kind == "cover"
         assert find_violation(fig6_matrix(), cycle(8), "cff") is None
         # cover violations are reported before Sperner ones

@@ -96,6 +96,25 @@ class TestGenerators:
             with pytest.raises(InvalidInputError):
                 bad()
 
+    @pytest.mark.parametrize("edges, loops, message", [
+        ({(1, 2), (2, 2)}, (), r"loop \(2,2\) must go in `loops`, not `edges`"),
+        ({(0, 1), (3, 1)}, (), r"bad edge \(3,1\) for n=4"),
+        ({(0, 4)}, (), r"bad edge \(0,4\) for n=4"),
+        ({(-1, 2)}, (), r"bad edge \(-1,2\) for n=4"),
+        ({(0, 1)}, (1, 4), "bad loop vertex 4 for n=4"),
+        ((), (-1,), "bad loop vertex -1 for n=4"),
+    ])
+    def test_bad_edges_are_named(self, edges, loops, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Graph(4, frozenset(edges), frozenset(loops))
+
+    def test_first_bad_edge_is_named(self):
+        """Of several bad edges, the message names the first in edge order."""
+        edges = frozenset({(0, 1), (5, 2), (1, 9), (3, 3), (2, 3)})
+        u, v = next(e for e in edges if e not in {(0, 1), (2, 3)})
+        with pytest.raises(InvalidInputError, match=rf"\({u},{v}\)"):
+            Graph(6, edges)
+
     def test_isolated_detection(self):
         g = Graph(4, frozenset({(0, 1)}))
         assert g.isolated_vertices == frozenset({2, 3}) and g.core is None  # under 3 remain
