@@ -221,6 +221,10 @@ def _family(name: Optional[str], args, n: int, sizes: Optional[tuple]) -> tuple[
         # the exhaustive short-ground lemmas: a path CFF on 4 ground points
         # has at most 4 blocks, on 5 at most 6
         own = [Bound("t", "lower", 6 if n >= 7 else 5, "short-ground-lemma")]
+        if n >= 11:
+            # `longest_path_cff(6)` completes with n_max = 10 (57,526 nodes,
+            # re-proved in tier-1), and P_11 lies in every longer path
+            own.append(Bound("t", "lower", 7, "longest-path-search"))
     elif name == "cycle":  # a path is a subgraph of the cycle
         own = [Bound("t", "lower", _read("path", n)[0], "path-subgraph")]
     elif name == "wheel":

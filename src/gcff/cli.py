@@ -218,7 +218,8 @@ _TABLE4 = {
 
 #: Families and sizes the batch report re-solves by exhaustive search.
 #: Complete graphs stop at 9: the witness search for ten columns on nine
-#: rows alone visits 9.8 million nodes, over two minutes.
+#: rows alone counts 9.8 million nodes, about 6.4 s on a 2-core host, where
+#: the rest of the report takes under 1 s.
 _SOLVE_SCOPE = {"path": 12, "cycle": 12, "wheel": 12, "complete": 9}
 
 

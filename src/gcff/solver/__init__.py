@@ -29,8 +29,10 @@ from .engine import Problem, walk
 #: Default node budget; "exhausted" is only ever claimed for completed trees.
 DEFAULT_BUDGET = 10 ** 9
 
-#: The kernel's candidate tables take about 2^(2t) bits: 3.5 MB at t = 12,
-#: 13 MB at t = 13 and 52 MB at t = 14, so cap the row count.
+#: The kernel's two candidate tables (the subsets and the non-supersets of
+#: each column; the in-place filter reads no other) take about 2^(2t) bits:
+#: 3.6 MB at t = 12, 13.9 MB at t = 13 and 54.6 MB at t = 14, so cap the row
+#: count.
 SEARCH_ROW_CAP = 13
 
 @dataclass(frozen=True)
@@ -72,9 +74,13 @@ def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
     _, sperner, cover = property_terms(prop)
     order = tuple(order)
     pos = {v: i for i, v in enumerate(order)}
-    zero_ok, full_ok = [], []
-    for v in order:
-        linked, looped = bool(g.adj[v]), v in g.loops
+    loops = tuple(v in g.loops for v in order)
+    zero_ok, full_ok, earlier, lone, scans = [], [], [], [], []
+    # settled[j]: a completed union already holds column j, as one does once
+    # the vertex has a loop or a neighbour at an earlier depth
+    settled = list(loops)
+    for i, v in enumerate(order):
+        linked, looped = bool(g.adj[v]), loops[i]
         # The empty and the full column are comparable to every column.
         ends = not (sperner and linked)
         # An empty column at v lies inside the union of any edge or loop
@@ -83,17 +89,26 @@ def _problem(g: Graph, prop: str, order: Iterable[int]) -> Problem:
         zero_ok.append(ends and not (cover and missed))
         full_ok.append(ends and not (
             cover and ((linked and g.n >= 3) or (looped and g.n >= 2))))
-    earlier = (sorted(pos[u] for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order))
+        nb = tuple(sorted(pos[u] for u in g.adj[v] if pos[u] < i))
+        earlier.append(nb)
+        if cover:
+            lone.append(tuple(j for j in nb if not settled[j]))
+            # the other depths of each edge, most recent first
+            scans.append(tuple((j, range(i - 1, j, -1), range(j - 1, -1, -1)) for j in nb))
+            for j in nb:
+                settled[j] = True
+            settled[i] = looped or bool(nb)
+    nbrs = tuple(earlier)
     return Problem(
         order=order,
-        loops=tuple(v in g.loops for v in order),
+        loops=loops,
         sperner=sperner,
         cover=cover,
         zero_ok=tuple(zero_ok),
         full_ok=tuple(full_ok),
-        # the ranges are read only under the cover rule
-        nbrs=tuple(tuple((j, range(j), range(j + 1, i)) if cover else (j, (), ()) for j in nb)
-                   for i, nb in enumerate(earlier)),
+        nbrs=nbrs,
+        lone=tuple(lone) if cover else nbrs,
+        scans=tuple(scans),
     )
 
 

@@ -173,7 +173,7 @@ class TestBoundsAndSolve:
     def test_bounds_text(self, capsys):
         assert run(["bounds", "cycle:12"]) == 0
         out = capsys.readouterr().out
-        assert "t in [6, 7]" in out
+        assert "=> t = 7" in out
         assert "gray-cycle" in out
 
     def test_bounds_json_lines(self, capsys):

@@ -121,15 +121,23 @@ KERNEL_CASES = [
 ]
 
 
-def prev_nbrs(problem) -> tuple[tuple[int, ...], ...]:
-    """Per depth, the depths of the neighbours assigned before it, as the
-    reference kernel takes them: the first field of each `nbrs` entry."""
-    return tuple(tuple(j for j, _, _ in nb) for nb in problem.nbrs)
-
-
 def by_degree(g: Graph) -> list[int]:
     """The vertex order of exists_cff: descending degree, then label."""
     return sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
+
+
+def match_reference(g, t, budgets):
+    """The kernel equals the reference on the cff search of (g, t) cut at
+    each budget; returns the node count of the last walk."""
+    problem = _problem(g, "cff", by_degree(g))
+    args = (t, len(problem.order), problem.nbrs, problem.loops, problem.sperner,
+            problem.cover, problem.zero_ok, problem.full_ok)
+    for budget in budgets:
+        want, want_cols, want_nodes = reference_engine.search_exists(*args, budget)
+        status, cols, nodes = engine.walk(t, problem, budget)
+        assert (status, cols if status == "found" else None, nodes) == \
+            (TestKernelMatchesReference.REF_STATUS[want], want_cols, want_nodes), budget
+    return nodes
 
 
 class TestKernelMatchesReference:
@@ -146,7 +154,7 @@ class TestKernelMatchesReference:
         problem = _problem(g, prop, by_degree(g))
         status, cols, nodes = engine.walk(t, problem, budget)
         want, want_cols, want_nodes = reference_engine.search_exists(
-            t, len(problem.order), prev_nbrs(problem), problem.loops, problem.sperner,
+            t, len(problem.order), problem.nbrs, problem.loops, problem.sperner,
             problem.cover, problem.zero_ok, problem.full_ok, budget)
         assert (status, nodes) == (self.REF_STATUS[want], want_nodes)
         assert (cols if status == "found" else None) == want_cols
@@ -195,7 +203,7 @@ class TestKernelMatchesReference:
             problem = _problem(Graph(n, edges, loops), prop, order)
             for budget in (1, 3, 7, 50, 400, oracle_cap):
                 want, want_cols, want_nodes = reference_engine.search_exists(
-                    t, n, prev_nbrs(problem), problem.loops, problem.sperner,
+                    t, n, problem.nbrs, problem.loops, problem.sperner,
                     problem.cover, problem.zero_ok, problem.full_ok, budget)
                 if budget == oracle_cap:
                     if want == reference_engine.BUDGET:
@@ -207,6 +215,16 @@ class TestKernelMatchesReference:
                     (n, sorted(edges), sorted(loops), prop, t, order, budget)
                 checked += 1
         assert uncut >= instances // 2 and checked > 5 * instances
+
+    @pytest.mark.parametrize("g,t", [(complete(9), 8), (wheel(11), 7)],
+                             ids=["complete(9)-t8", "wheel(11)-t7"])
+    def test_dead_end_trees(self, g, t):
+        """Trees where most nodes leave their child no candidate, so the
+        cover scan stops early on most of them: cut at one seeded budget in
+        each of six strata of [1, 4000], which keeps the reference's walks
+        short."""
+        rng = random.Random(100 * t + g.n)
+        match_reference(g, t, [1 + round(4000 * (k + rng.random()) / 6) for k in range(6)])
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
     def test_longest_path_budget_sweep(self, t):
@@ -232,34 +250,20 @@ class TestMemoMatchesReference:
     """Trees with isomorphic subtrees, which the kernel's memo counts once
     instead of walking: the reference walks every one of them."""
 
-    @staticmethod
-    def check(g, t, budgets):
-        """The kernel equals the reference on (g, t) cut at each budget;
-        returns the size of the uncut tree."""
-        problem = _problem(g, "cff", by_degree(g))
-        args = (t, len(problem.order), prev_nbrs(problem), problem.loops, problem.sperner,
-                problem.cover, problem.zero_ok, problem.full_ok)
-        for budget in budgets:
-            want, want_cols, want_nodes = reference_engine.search_exists(*args, budget)
-            status, cols, nodes = engine.walk(t, problem, budget)
-            assert (status, cols if status == "found" else None, nodes) == \
-                (TestKernelMatchesReference.REF_STATUS[want], want_cols, want_nodes), budget
-        return nodes
-
     @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.tag}-t{t}" for g, t in MEMO_CASES])
     def test_uncut_and_cut(self, g, t):
         # seeded budgets in six strata of [1, min(tree, 4000)]; on these trees
         # they stop the walk both inside a subtree the memo skips uncut and
         # after one, and the cap keeps the reference's walks short
-        span = min(self.check(g, t, [10 ** 9]), 4000)
+        span = min(match_reference(g, t, [10 ** 9]), 4000)
         rng = random.Random(100 * t + g.n)
-        self.check(g, t, [1 + round(span * (k + rng.random()) / 6) for k in range(6)])
+        match_reference(g, t, [1 + round(span * (k + rng.random()) / 6) for k in range(6)])
 
     @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.tag}-t{t}" for g, t in MEMO_CASES])
     def test_every_early_budget(self, g, t):
         """Each budget up to 150 nodes: the first skips of three- and
         four-column prefixes lie there, so some budgets stop inside them."""
-        self.check(g, t, range(1, 151))
+        match_reference(g, t, range(1, 151))
 
 
 class TestProblemRecord:
@@ -298,18 +302,39 @@ class TestProblemRecord:
     @pytest.mark.parametrize("g", [wheel(7), windmill(3, 3), Graph(5, cycle(5).edges, frozenset({2}))],
                              ids=["wheel7", "windmill3_3", "c5_loop"])
     def test_depth_ranges_only_under_cover(self, g):
-        """cff and ecff records hold, per earlier neighbour j of depth i, the
-        ranges of depths below j and between j and i; a sperner record, whose
-        walk never reads them, holds none."""
+        """Every record holds, per depth i, the earlier depths of its
+        neighbours; cff and ecff records also hold, per such depth j, the
+        other earlier depths as two ranges, most recent first.  A sperner
+        record, whose walk never reads them, holds no ranges.  Under the
+        cover rule only a neighbour j with no loop whose first neighbour is
+        at depth i still needs its subsets ruled out there."""
         order = by_degree(g)
         pos = {v: i for i, v in enumerate(order)}
-        earlier = [sorted(pos[u] for u in g.adj[v] if pos[u] < i) for i, v in enumerate(order)]
+        earlier = tuple(tuple(sorted(pos[u] for u in g.adj[v] if pos[u] < i))
+                        for i, v in enumerate(order))
+        first = [min(pos[u] for u in g.adj[v]) for v in order]
+        lone = tuple(tuple(j for j in nb if first[j] == i and order[j] not in g.loops)
+                     for i, nb in enumerate(earlier))
         for prop in ("cff", "ecff", "sperner"):
             problem = _problem(g, prop, order)
-            want = tuple(tuple((j, range(j), range(j + 1, i)) if prop != "sperner" else (j, (), ())
-                               for j in nb)
+            assert problem.nbrs == earlier, prop
+            assert problem.lone == (lone if prop != "sperner" else earlier), prop
+            want = tuple(tuple((j, range(i - 1, j, -1), range(j - 1, -1, -1)) for j in nb)
                          for i, nb in enumerate(earlier))
-            assert problem.nbrs == want, prop
+            assert problem.scans == (want if prop != "sperner" else ()), prop
+            for i, scan in enumerate(problem.scans):
+                for j, later, below in scan:
+                    assert [*later, *below] == sorted(set(range(i)) - {j}, reverse=True)
+
+    def test_long_path_record_is_linear(self):
+        """The cff record of a 300,000-vertex path states every cover scan as
+        two ranges, so building it is linear in n."""
+        problem = _problem(path(300_000), "cff", range(300_000))
+        assert len(problem.scans) == 300_000
+        for i, scan in enumerate(problem.scans):
+            assert len(scan) == (i > 0)
+            for j, later, below in scan:
+                assert (j, type(later), type(below)) == (i - 1, range, range)
 
 
 class TestExactValues:
@@ -599,7 +624,9 @@ class TestOpenQuestionRefinements:
         assert exists_cff(path(11), 6).status == "exhausted"
 
     def test_w11_needs_eight(self):
-        res = exact_t(wheel(11), "cff")
+        # the bounds floor is 7 (the cycle C_11 inside); start below it so
+        # that search proves both levels
+        res = exact_t(wheel(11), "cff", start=6)
         assert (res.status, res.t_min) == ("found", 8)
         assert set(res.searched_exhaustively) == {6, 7}
 
