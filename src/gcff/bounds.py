@@ -267,7 +267,7 @@ def bounds_for(g: Graph) -> BoundsReport:
     wherever `Graph.coloring` has a colouring) and the minimum-degree
     relations between the full and edge-only quantities, all of `Graph.core`
     under g's family (no core, one edge's floor and the coloring row over g;
-    no edge, an empty report); a graph with loops gets the t and t_e floors
+    no edge, t = 1 exactly); a graph with loops gets the t and t_e floors
     without them.
     """
     graph_id = g.tag or f"graph(n={g.n},m={len(g.edges)})"
@@ -286,8 +286,11 @@ def bounds_for(g: Graph) -> BoundsReport:
     if g.core is None:  # one edge at most: its floor, and the coloring row over all of g
         row = next(r for r in table(name, args, g.n) if r.method == "coloring")
         rows = row.rows(class_sizes(g))
-        return BoundsReport(graph_id, () if rows is None else (
-            Bound("t", "lower", t1(2), "trivial-sperner"), Bound("t", "upper", rows, row.source)))
+        if rows is None:  # no colouring to count
+            return BoundsReport(graph_id, ())
+        out = [Bound("t", "lower", t1(2) if g.edges else 1, "trivial-sperner"),
+               Bound("t", "upper", rows, row.source)]
+        return BoundsReport(graph_id, tuple(out + _interval(out)))
 
     g, sizes = g.core, class_sizes(g)
 

@@ -8,8 +8,8 @@ argument, or a file that cannot be read or written as text), 3 budget
 exceeded, 141 (128 + SIGPIPE) when the reader closes stdout first, as
 `| head -0` does, with no error line.  `solve` stops at a default budget of
 10^6 search nodes (`--budget`), so a search too large for it, such as
-`solve complete:40`, exits 3 after about 20 s instead of searching for most
-of an hour.
+`solve complete:40`, exits 3 after about 7 s (best of three runs on a
+2-core host) instead of searching for most of an hour.
 
 Output files (`--output`, and the files `reproduce` writes) are rewritten in
 place and cut to length, not truncated first; they are not written
@@ -42,8 +42,9 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
-#: `gcff solve` node budget: about 20 s on K_40, whose t = 11 tree is far
-#: larger.  Nodes, not seconds, so that verdicts are deterministic.
+#: `gcff solve` node budget: about 7 s on K_40 (best of three, 2-core
+#: host), whose t = 11 tree is far larger.  Nodes, not seconds, so that
+#: verdicts are deterministic.
 SOLVE_BUDGET = 10 ** 6
 
 

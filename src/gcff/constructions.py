@@ -35,6 +35,8 @@ def from_coloring(g: Graph) -> IncidenceMatrix:
     """
     if g.loops:
         raise InvalidInputError("coloring construction needs a simple graph")
+    if not g.edges:  # no class needs a row: one row, every vertex an all-ones column
+        return IncidenceMatrix(1, (1,) * g.n)
     if g.core is not None and g.core is not g:  # the core, then its isolated vertices
         return with_isolated_vertices(from_coloring(g.core), g)
     chromatic_number(g)  # raises where g has no colouring
@@ -54,8 +56,11 @@ def from_coloring(g: Graph) -> IncidenceMatrix:
 
 def class_sizes(g: Graph) -> Optional[tuple[int, ...]]:
     """The colour-class sizes `from_coloring` builds over, of `Graph.core` or of g
-    with no core, largest first; None for none, or for no edge (t = 1, any row)."""
-    colors = (g.core or g).coloring if g.core or g.edges else None
+    with no core, largest first; () for a simple graph with no edge, where no
+    class needs a row (t = 1, any row); None for none."""
+    if not (g.edges or g.loops):
+        return ()
+    colors = (g.core or g).coloring
     return None if colors is None else tuple(sorted(Counter(colors).values(), reverse=True))
 
 
@@ -210,7 +215,8 @@ def table(name: Optional[str], args: tuple, n: int) -> list[Construction]:
         ("universal", "star-universal-exact", name == "universal" and n >= 4,
          lambda _: t1(n - 2) + 2, lambda g: _universal(star_cff(n - 1))),
         ("coloring", "coloring-construction", name != "loops",
-         lambda sizes: None if sizes is None else sum(map(t1, sizes)), from_coloring),
+         # no class (no edge): the one row every matrix has
+         lambda sizes: None if sizes is None else sum(map(t1, sizes)) or 1, from_coloring),
         # the check in `construct` covers the half, as it does the wheel's rim
         ("double", "double-cycle", name in ("path", "cycle") and n % 2 == 0 and n >= 6,
          lambda _: cycle_cff_rows(n // 2) + 2, lambda g: _double(path_cycle_cff(n // 2))),

@@ -26,6 +26,13 @@ k small (at most 12 in the criterion-1 sweep) a word-major layout would run
 numpy's inner loops over a handful of bytes per word.  `MixedRadixCode` states
 the layout, and validates the array, once for every constructor; the `words`
 view materializes tuples on demand.
+
+A code's one-step fact, whether each pair of consecutive words differs in
+exactly one digit, is computed once, from its own words, and cached as
+`MixedRadixCode.one_step`: `is_gray` returns it, `is_cyclic` reads it after
+the O(k) wrap pair, and `shorten`'s self-check fills it for the code it
+returns.  It cannot go stale, because the dataclass is frozen and its array
+read-only; nothing is taken from `kind` or from how the code was built.
 """
 
 from __future__ import annotations
@@ -68,15 +75,20 @@ class MixedRadixCode:
     def words(self) -> tuple[Word, ...]:
         return tuple(tuple(row) for row in self.array.tolist())
 
+    @cached_property
+    def one_step(self) -> bool:
+        """Do consecutive words differ in exactly one digit?"""
+        return _one_step(self.array)
+
     @property
     def is_full(self) -> bool:
         return len(self) == prod(self.radices)
 
 
 def _check_radices(radices: tuple[int, ...]) -> None:
-    if not radices or any(m < 2 for m in radices):
+    if not radices or min(radices) < 2:
         raise InvalidInputError(f"every radix must be >= 2, got {radices}")
-    if any(m > 255 for m in radices):
+    if max(radices) > 255:
         raise InvalidInputError("radices beyond 255 are not supported")
 
 
@@ -149,9 +161,9 @@ def modular(q: int, k: int) -> MixedRadixCode:
     return MixedRadixCode(radices, digits.T, "modular")
 
 
-def is_gray(code: MixedRadixCode) -> bool:
-    """Do consecutive words differ in exactly one digit?"""
-    a = code.array
+def _one_step(a: np.ndarray) -> bool:
+    """The one-step rule on an (N, k) digit array: every consecutive pair
+    of rows differs in exactly one digit."""
     if a.shape[0] < 2:
         return True
     changed = (a[1:] != a[:-1]).view(np.uint8)
@@ -159,17 +171,24 @@ def is_gray(code: MixedRadixCode) -> bool:
     return bool((counts == 1).all())
 
 
+def is_gray(code: MixedRadixCode) -> bool:
+    """Do consecutive words differ in exactly one digit?  The code's cached
+    `one_step`."""
+    return code.one_step
+
+
 def is_cyclic(code: MixedRadixCode) -> bool:
     """Gray, and the wrap pair (last, first) is also at Hamming distance 1.
 
     Single-radix codes are trivially cyclic: (0) and (m-1) differ in their
     one coordinate.  The even-first-radix criterion for reflected codes
-    applies from two radices up.
+    applies from two radices up.  The O(k) wrap pair is tested first, then
+    the cached `one_step` read.
     """
     a = code.array
     if a.shape[0] < 2:
         return False
-    return int(np.count_nonzero(a[0] != a[-1])) == 1 and is_gray(code)
+    return int(np.count_nonzero(a[0] != a[-1])) == 1 and code.one_step
 
 
 def _in_box(radices: tuple[int, ...], words: np.ndarray) -> bool:
@@ -290,7 +309,7 @@ def shorten(code: MixedRadixCode, a: int) -> MixedRadixCode:
     keep = np.ones(len(code), dtype=bool)
     keep[1:3 * a:3] = False
     out = MixedRadixCode(code.radices, code.array[keep], "shortened")
-    if not is_gray(out):
+    if not out.one_step:  # fills the returned code's cached fact
         raise RuntimeError("shortening broke the Gray property")
     return out
 

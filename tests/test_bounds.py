@@ -237,9 +237,19 @@ class TestDegenerateFamilyMembers:
         assert (g.core, rep.lower("t"), rep.upper("t")) == (None, 2, construct(g)[0].t) == (None, 2, 4)
         assert exact_t(g, "cff", start=1, use_bounds=False).t_min == 3
 
-    def test_edgeless_graphs_have_empty_report(self):
-        for g in (complete(1), sperner_graph(1), Graph(1), Graph(5)):
-            assert bounds_for(g).bounds == (), g
+    def test_edgeless_graphs_have_one_row(self):
+        """With no edge one row of anything is a CFF: the report states t = 1
+        exactly, and the coloring row builds it."""
+        for g in (complete(1), sperner_graph(1), Graph(1), Graph(5), Graph(30)):
+            rep, (m, used) = bounds_for(g), construct(g)
+            assert (rep.exact_value("t"), m.t, m.n, used) == (1, 1, g.n, "coloring"), g
+            assert [b.value for b in rep.bounds if b.source == "coloring-construction"] == [1], g
+            assert exact_t(g, "cff", start=1, use_bounds=False).t_min == 1, g
+
+    def test_one_edge_and_no_colouring_states_nothing(self):
+        """One edge among 30 vertices of no family: beyond DSATUR's reach there
+        is no colouring to count, so the report is empty."""
+        assert bounds_for(Graph(30, frozenset({(0, 1)}))).bounds == ()
 
 
 class TestConsistencyAndCrossChecks:
@@ -285,12 +295,12 @@ def _hamming_dims(limit: int, prefix=()) -> list[tuple[int, ...]]:
     return out
 
 
-# Every CLI family spec on at most 40 vertices, except the edgeless complete:1,
-# plus paths and cycles to 60 and the windmills where the two-disjunct inner
-# block beats the identity.
+# Every CLI family spec on at most 40 vertices, the edgeless complete:1 and
+# sperner:1 among them, plus paths and cycles to 60 and the windmills where
+# the two-disjunct inner block beats the identity.
 TABLE_SPECS = (
     [f"path:{n}" for n in range(2, 61)] + [f"cycle:{n}" for n in range(3, 61)]
-    + [f"star:{n}" for n in range(2, 41)] + [f"complete:{n}" for n in range(2, 41)]
+    + [f"star:{n}" for n in range(2, 41)] + [f"complete:{n}" for n in range(1, 41)]
     + [f"loops:{n}" for n in range(1, 41)] + [f"wheel:{n}" for n in range(3, 41)]
     + [f"matching:{n}" for n in range(2, 41, 2)]
     + [f"bipartite:{a},{b}" for a in range(1, 40) for b in range(1, 41 - a)]
@@ -331,7 +341,7 @@ class TestEveryTableRowIsABuiltCeiling:
         isolated vertices) and the Sperner graphs DSATUR colours: the stated
         coloring ceiling is the built count, also where one edge leaves no
         core, and no built row is below the smallest ceiling; an edgeless
-        graph states none."""
+        graph states its one row."""
         rng = random.Random(5)
         graphs = [Graph.from_text(complete_bipartite(a, b).to_text())
                   for a in range(2, 9) for b in range(a, 9)]
@@ -345,8 +355,8 @@ class TestEveryTableRowIsABuiltCeiling:
             stated = [b.value for b in rep.bounds
                       if (b.quantity, b.kind, b.source) == ("t", "upper", "coloring-construction")]
             built = {row.method: construct(g, row.method)[0].t for row in table(*g.family, g.n)}
-            assert stated == ([built["coloring"]] if g.edges else []), g.to_text()
-            assert not g.edges or rep.upper("t") <= min(built.values()), g.to_text()
+            assert stated == [built["coloring"]], g.to_text()
+            assert rep.upper("t") <= min(built.values()), g.to_text()
             padded += g.core is not None and g.core is not g
         assert padded >= 5
 

@@ -194,6 +194,12 @@ class TestBoundsAndSolve:
         assert run(["solve", "complete:1"]) == 0
         assert "t = 1" in capsys.readouterr().out
 
+    def test_edgeless_bounds_and_construct_agree_on_one_row(self, capsys):
+        assert run(["bounds", "sperner:1"]) == 0
+        assert "=> t = 1" in capsys.readouterr().out
+        assert run(["construct", "sperner:1"]) == 0
+        assert capsys.readouterr().out == "1 2\n11\n"
+
     def test_solve_single_edge_ecff(self, capsys):
         # one edge: no third column exists, so one row suffices
         for spec in ("complete:2", "path:2", "matching:2"):

@@ -7,6 +7,7 @@ from math import prod
 import numpy as np
 import pytest
 
+import gcff.graycode as graycode
 from gcff.core import GROUND_CAP, IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import cycle, path
@@ -478,6 +479,44 @@ class TestShorten:
     def test_codes_outside_the_construction_refuse_any_deletion(self, radices):
         with pytest.raises(InvalidInputError, match="at most 0 words"):
             shorten(reflected(radices), 1)
+
+
+class TestOneStepFact:
+    """Each code's one-step fact is computed once, from its own words."""
+
+    def test_shortened_code_runs_the_rule_once(self, monkeypatch):
+        rule, seen = graycode._one_step, []
+        monkeypatch.setattr(graycode, "_one_step", lambda a: seen.append(len(a)) or rule(a))
+        code = shorten(modular(3, 3), 8)
+        assert (is_gray(code), is_cyclic(code), is_gray(code)) == (True, True, True)
+        assert seen == [19]
+
+    def test_cached_answer_matches_the_uncached_rule(self):
+        rng = random.Random(35)
+        cases = [(r, np.array(w, dtype=np.uint8).reshape(len(w), len(r)))
+                 for r, w in _random_codes()]
+        # not Gray, yet the wrap pair differs in one digit: two interior words of a
+        # binary code swapped, as no bit of it changes twice in a row
+        for radices in ((2, 2), (2, 2, 2), (2, 2, 2, 2), (2,) * 6):
+            words = list(reflected(radices).words)
+            i = rng.randrange(1, len(words) - 2)
+            words[i], words[i + 1] = words[i + 1], words[i]
+            cases.append((radices, np.array(words, dtype=np.uint8)))
+        cases += [(r, np.array([[rng.randrange(m) for m in r]], dtype=np.uint8))
+                  for r in ((2,), (3, 5), (2, 2, 2))]
+        cases += [(c.radices, c.array) for c in map(cycle_code, rng.sample(range(5, 2000), 20))]
+        wraps = 0
+        for radices, words in cases:
+            want = graycode._one_step(words.copy())
+            code = MixedRadixCode(radices, words, "shortened")
+            # the wrap pair first on half the codes, so either predicate may fill the cache
+            if rng.random() < 0.5:
+                assert is_cyclic(code) == cyclic_oracle(code.words)
+            assert is_gray(code) == code.one_step == want == gray_oracle(code.words), radices
+            assert is_cyclic(code) == cyclic_oracle(code.words), radices
+            first, last = code.words[0], code.words[-1]
+            wraps += not want and sum(x != y for x, y in zip(first, last)) == 1
+        assert wraps >= 4  # the swapped binary codes at least
 
 
 class TestPathCycleCFF:
