@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
-from .constructions import class_sizes, table
+from .constructions import class_sizes, loopless, table
 from .errors import InvalidInputError
 from .graphs import Graph
 from .sperner import doubling_increment, t1
@@ -242,8 +242,6 @@ def _family(name: Optional[str], args, n: int, sizes: Optional[tuple]) -> tuple[
         own = [Bound("t", "lower", _read("cycle", n)[0], "hamilton-cycle")]
     elif name == "sperner":  # t_s is stated, though no family colouring is
         own = _pair("t_s", args[0], "sperner-graph-exact")
-    elif name == "universal":  # over the star on n - 1 vertices
-        own = [Bound("t", "lower", t1(n - 2) + 2, "star-universal-exact", exact=True)]
     # each construction is a ceiling; one that meets an exact floor is exact
     exact = {b.source for b in own if b.exact}
     for c in table(name, args, n):
@@ -267,8 +265,9 @@ def bounds_for(g: Graph) -> BoundsReport:
     wherever `Graph.coloring` has a colouring) and the minimum-degree
     relations between the full and edge-only quantities, all of `Graph.core`
     under g's family (no core, one edge's floor and the coloring row over g;
-    no edge, t = 1 exactly); a graph with loops gets the t and t_e floors
-    without them.
+    no edge, t = 1 exactly).  A graph with loops gets the t_e floor of the
+    graph without them, and its t and t_s bounds where `loopless` says the
+    loops add no cff rule, else its t floor.
     """
     graph_id = g.tag or f"graph(n={g.n},m={len(g.edges)})"
     name, args = g.family
@@ -278,10 +277,13 @@ def bounds_for(g: Graph) -> BoundsReport:
         return BoundsReport(graph_id, tuple(b))
 
     if g.loops:  # a matrix for g is one for g without its loops
-        loopless = bounds_for(Graph(g.n, g.edges))
-        floors = ((q, loopless.lower(q)) for q in ("t", "t_e"))
-        return BoundsReport(graph_id, tuple(
-            Bound(q, "lower", v, "loopless-subgraph") for q, v in floors if v is not None))
+        plain = loopless(g)
+        rep = bounds_for(plain or Graph(g.n, g.edges))
+        # loops that add no cff rule leave t, and t_s, the loopless graph's
+        same = ("t", "t_s") if plain else ()
+        floors = ((q, rep.lower(q)) for q in ("t", "t_e") if q not in same)
+        return BoundsReport(graph_id, tuple([b for b in rep.bounds if b.quantity in same] + [
+            Bound(q, "lower", v, "loopless-subgraph") for q, v in floors if v is not None]))
 
     if g.core is None:  # one edge at most: its floor, and the coloring row over all of g
         row = next(r for r in table(name, args, g.n) if r.method == "coloring")

@@ -64,6 +64,17 @@ def class_sizes(g: Graph) -> Optional[tuple[int, ...]]:
     return None if colors is None else tuple(sorted(Counter(colors).values(), reverse=True))
 
 
+def loopless(g: Graph) -> Optional[Graph]:
+    """g without its loops where each sits on a vertex with an edge (v, u): the
+    cover rule then keeps every column but X_u out of X_v and the Sperner rule
+    keeps X_u out, so the loops add no cff rule and g has the loopless graph's
+    t and matrices; g where it has no loop; None where a loop sits on a vertex
+    with no edge, a rule of its own."""
+    if not g.loops:
+        return g
+    return Graph(g.n, g.edges) if all(g.adj[v] for v in g.loops) else None
+
+
 def star_cff(n: int) -> IncidenceMatrix:
     """Optimal star CFF: zero hub column over an optimal 1-disjunct leaf block,
     plus one row that is 1 only at the hub."""
@@ -212,8 +223,6 @@ def table(name: Optional[str], args: tuple, n: int) -> list[Construction]:
         # the wheel's own check in `construct` covers every rim edge and rim column
         ("universal", "universal-vertex-upper", name == "wheel" and n >= 5,
          lambda _: cycle_cff_rows(n - 1) + 1, lambda g: _universal(path_cycle_cff(n - 1))),
-        ("universal", "star-universal-exact", name == "universal" and n >= 4,
-         lambda _: t1(n - 2) + 2, lambda g: _universal(star_cff(n - 1))),
         ("coloring", "coloring-construction", name != "loops",
          # no class (no edge): the one row every matrix has
          lambda sizes: None if sizes is None else sum(map(t1, sizes)) or 1, from_coloring),
@@ -232,12 +241,14 @@ def construct(g: Graph, method: str = "auto") -> tuple[IncidenceMatrix, str]:
     `table` for g's family; return (matrix, method used).  The matrix is
     checked with `find_violation` first, and RuntimeError names a method
     whose matrix fails; InvalidInputError names the methods that apply.  A
-    graph with loops outside the loops family has none."""
+    graph with loops outside the loops family is built as its `loopless`
+    graph, and has none where that is None."""
     name, args = g.family
-    rows = [] if g.loops and name != "loops" else table(name, args, g.n)
+    plain = g if name == "loops" else loopless(g)
+    rows = [] if plain is None else table(name, args, g.n)
     for row in rows:
         if method in ("auto", row.method):
-            m = row.build(g)
+            m = row.build(plain)
             bad = find_violation(m, g, "cff")
             if bad is not None:
                 raise RuntimeError(f"construction {row.method} failed verification: {bad}")

@@ -3,7 +3,9 @@
 Vertices are 0-based; hub vertices (star, wheel, windmill) are vertex 0,
 paths and cycles are numbered in traversal order.  A graph's `family`, as
 (name, args) such as ("cycle", (8,)), names the family whose generator
-builds it with its own vertex labels.  Only the generators write it, through
+builds it with its own vertex labels: a `SPEC_FAMILIES` name and its integer
+arguments, ("file", ()) for a read file, or (None, ()) where no family
+builds the graph.  Only the generators write it, through
 `_tagged`, which applies every rename once as the graph is built (such as
 windmill(2, b) = star(b + 1); `Graph` itself names every K_2 star(2)), so
 every layer reads it unchecked; `Graph.tag` is its text.  chi is the colour
@@ -84,9 +86,10 @@ class Graph:
 
     @property
     def tag(self) -> Optional[str]:
-        """The family as text, such as "cycle(8)", "universal(star(8))" or "file";
+        """The family as text, such as "cycle(8)", "hamming(2,2,3)" or "file";
         None where no family builds the graph."""
-        return _tag(self.family)
+        name, args = self.family
+        return f"{name}({','.join(map(str, args))})" if args else name
 
     @cached_property
     def coloring(self) -> Optional[tuple[int, ...]]:
@@ -160,31 +163,16 @@ def _tagged(g: Graph, name: str, args: tuple) -> Graph:
     """Give g the family (name, args) its generator was called with, renamed
     to the one whose generator builds g with g's own labels: a K_2 keeps the
     star(2) `Graph` gave it, windmill(2, b) and bipartite(1, b) are stars,
-    windmill(k, 1), W_3 and a one-dimensional hamming(k) complete, and a
-    universal vertex over the (renamed) inner family args is a wheel over a
-    cycle, complete over a complete graph or K_2, "universal" over another
-    star, and (None, ()) over the rest."""
+    and windmill(k, 1), W_3 and a one-dimensional hamming(k) complete."""
     if g.family != (None, ()):
         return g
-    if name == "universal":
-        inner = "complete" if args == ("star", (2,)) else args[0]
-        name, args = {"star": (name, args), "cycle": ("wheel", (g.n,)),
-                      "complete": ("complete", (g.n,))}.get(inner, (None, ()))
-    elif (name, args[:1]) in (("windmill", (2,)), ("bipartite", (1,))):
+    if (name, args[:1]) in (("windmill", (2,)), ("bipartite", (1,))):
         name, args = "star", (g.n,)
     elif (name, args[-1:]) == ("windmill", (1,)) or (name, g.n) == ("wheel", 3) \
             or (name, args) == ("hamming", (g.n,)):
         name, args = "complete", (g.n,)
     object.__setattr__(g, "family", (name, args))
     return g
-
-
-def _tag(family: tuple) -> Optional[str]:
-    name, args = family
-    if name is None:
-        return None
-    inside = _tag(args) if name == "universal" else ",".join(map(str, args))
-    return f"{name}({inside})" if inside else name
 
 
 def path(n: int) -> Graph:
@@ -290,15 +278,6 @@ def sperner_graph(z: int) -> Graph:
     return _tagged(Graph(n, frozenset(edges)), "sperner", (z,))
 
 
-def add_universal_vertex(g: Graph) -> Graph:
-    """New universal vertex becomes vertex 0; old vertices shift up by one."""
-    if g.loops:
-        raise InvalidInputError("universal-vertex extension needs a simple graph")
-    edges = {(_norm_edge(u + 1, v + 1)) for u, v in g.edges}
-    edges.update((0, v + 1) for v in range(g.n))
-    return _tagged(Graph(g.n + 1, frozenset(edges)), "universal", g.family)
-
-
 #: Each spec family: (generator, argument count, argument separator,
 #: (vertices, edges + loops) from the arguments), so that `make_family` can
 #: refuse an oversized spec before building it.  Hamming specs take any
@@ -364,7 +343,7 @@ def _hamming_coloring(n: int, dims: tuple) -> list[int]:
 
 
 #: The colouring in chi colours each family states, from (n, args) as
-#: `Graph.family` holds them (a universal family is over a star).
+#: `Graph.family` holds them.
 COLORINGS = {
     "path": lambda n, args: [v % 2 for v in range(n)],
     "matching": lambda n, args: [v % 2 for v in range(n)],
@@ -375,7 +354,6 @@ COLORINGS = {
     "complete": lambda n, args: list(range(n)),
     "windmill": lambda n, args: [0] + list(range(1, args[0])) * args[1],
     "hamming": _hamming_coloring,
-    "universal": lambda n, args: [0, 1] + [2] * (n - 2),
 }
 
 

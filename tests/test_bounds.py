@@ -8,11 +8,9 @@ import pytest
 
 from gcff.bounds import Bound, bounds_for, t2_lower, t2_upper
 from gcff.constructions import METHODS, class_sizes, construct, table
-from gcff.core import find_violation
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
     Graph,
-    add_universal_vertex,
     chromatic_number,
     complete,
     complete_bipartite,
@@ -125,12 +123,12 @@ class TestFamilyBounds:
             assert rep.exact_value("t") == t1(n)
 
     def test_star_plus_universal(self):
-        g = add_universal_vertex(star(9))
-        assert bounds_for(g).exact_value("t") == t1(8) + 2
-
-    def test_wheel_from_universal_tag(self):
-        g = add_universal_vertex(cycle(5))
-        assert bounds_for(g).exact_value("t") == 6
+        """A hub over the star on 9 vertices is a graph no family builds: its
+        ceiling is the coloring row over classes of 1, 1 and 8 vertices."""
+        g = Graph(10, frozenset({(0, v) for v in range(1, 10)} | {(1, v) for v in range(2, 10)}))
+        rep = bounds_for(g)
+        assert g.family == (None, ()) and rep.upper("t") == t1(8) + 2
+        assert Bound("t", "upper", t1(8) + 2, "coloring-construction") in rep.bounds
 
     def test_cataloged_p10_bounds_shorter_paths(self):
         # a sub-path of the 6x10 path witness is a witness
@@ -372,7 +370,7 @@ class TestEveryTableRowIsABuiltCeiling:
             assert next(r for r in rows if r.method == "coloring").rows(class_sizes(g)) >= others, n
 
 
-# Every CLI family on at most 8 vertices, plus two universal-vertex tags.
+# Every CLI family on at most 8 vertices.
 AUDIT_SPECS = (
     [f"{fam}:{n}" for fam in ("path", "star", "complete") for n in range(2, 9)]
     + [f"{fam}:{n}" for fam in ("cycle", "wheel") for n in range(3, 9)]
@@ -386,10 +384,8 @@ PROPERTY = {"t": "cff", "t_e": "ecff", "t_s": "sperner"}
 
 class TestEveryBoundAgainstTheSolver:
     def test_each_bound_brackets_the_exact_value(self):
-        graphs = [(s, make_family(s)) for s in AUDIT_SPECS]
-        graphs += [(g.tag, g) for g in (add_universal_vertex(star(4)),
-                                        add_universal_vertex(cycle(5)))]
-        for spec, g in graphs:
+        for spec in AUDIT_SPECS:
+            g = make_family(spec)
             rep = bounds_for(g)
             for q, prop in PROPERTY.items():
                 stated = [b for b in rep.bounds if b.quantity == q]
@@ -401,6 +397,25 @@ class TestEveryBoundAgainstTheSolver:
                     assert holds, (spec, b, value)
                     assert not b.exact or b.value == value, (spec, b, value)
 
+
+    def test_loops_at_vertices_with_edges_add_no_cff_rule(self):
+        """Seeded graphs on 3-7 vertices with loops only where a vertex has an
+        edge: t is the loopless graph's, each stated bound brackets the exact
+        value, and `construct` builds the stated coloring ceiling."""
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.randrange(3, 8)
+            edges = frozenset(e for e in combinations(range(n), 2) if rng.random() < 0.5) | {(0, 1)}
+            ends = sorted({v for e in edges for v in e})
+            g = Graph(n, edges, frozenset(rng.sample(ends, rng.randrange(1, len(ends) + 1))))
+            value = {q: exact_t(g, prop, start=1, use_bounds=False).t_min for q, prop in PROPERTY.items()}
+            assert value["t"] == exact_t(Graph(n, edges), "cff", start=1, use_bounds=False).t_min, g
+            rep = bounds_for(g)
+            for b in rep.bounds:
+                holds = b.value <= value[b.quantity] if b.kind == "lower" else b.value >= value[b.quantity]
+                assert holds, (g, b, value)
+            m, used = construct(g)
+            assert (used, m.t) == ("coloring", rep.upper("t")), g
 
 class TestGraphIndependentBounds:
     def test_each_stated_once(self):
@@ -448,10 +463,6 @@ class TestGraphIndependentBounds:
             answered.append(want)
         assert answered == [3, 4, 2]  # complete(21), untagged, is past DSATUR's reach
 
-    def test_universal_tags_get_the_chromatic_sperner_value(self):
-        for g in (add_universal_vertex(star(5)), add_universal_vertex(cycle(8))):
-            assert bounds_for(g).exact_value("t_s") == 3, g.family
-
     def test_two_vertex_reports_agree(self):
         # every spelling of K_2 gets the star's report
         want = {"t": (2, 2), "t_e": (1, 1), "t_s": (2, 2)}
@@ -478,23 +489,15 @@ def _answers(g: Graph):
 
 
 class TestOneFamilyPerGraph:
-    """A graph's family is renamed as it is built, inner graph first, so one
-    labelled graph gets one family, one report and one matrix however it was
-    spelled, also under a universal vertex."""
+    """A graph's family is renamed as it is built, so one labelled graph gets
+    one family, one report and one matrix however it was spelled."""
 
     SPELLINGS = [
         [star(31), windmill(2, 30), complete_bipartite(1, 30)],
         [star(6), windmill(2, 5), complete_bipartite(1, 5)],
-        [complete(3), wheel(3), windmill(3, 1), friendship(1), add_universal_vertex(star(2))],
+        [complete(3), wheel(3), windmill(3, 1), friendship(1)],
         [star(2), path(2), complete(2), matching(2), hamming([2])],
     ]
-
-    def test_universal_over_a_renamed_star_is_exact(self):
-        g = add_universal_vertex(windmill(2, 30))
-        assert bounds_for(g).exact_value("t") == t1(30) + 2 == 9
-        m, used = construct(g)
-        assert (used, m.t) == ("universal", 9)
-        assert find_violation(m, g, "cff") is None
 
     def test_one_dimensional_hamming_is_complete(self):
         """hamming(k) is K_k with the same labels: the same family, report
@@ -504,9 +507,7 @@ class TestOneFamilyPerGraph:
 
     @pytest.mark.parametrize("spellings", SPELLINGS, ids=lambda gs: gs[0].tag)
     def test_every_spelling_answers_alike(self, spellings):
-        for depth in range(2):
-            answers = [_answers(g) for g in spellings]
-            for g, got in zip(spellings[1:], answers[1:]):
-                assert (g.n, g.edges) == (spellings[0].n, spellings[0].edges)
-                assert got == answers[0], (depth, g.family)
-            spellings = [add_universal_vertex(g) for g in spellings]
+        answers = [_answers(g) for g in spellings]
+        for g, got in zip(spellings[1:], answers[1:]):
+            assert (g.n, g.edges) == (spellings[0].n, spellings[0].edges)
+            assert got == answers[0], g.family

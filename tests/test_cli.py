@@ -288,21 +288,40 @@ class TestGraphFiles:
         rec = json.loads(capsys.readouterr().out)
         assert (rec["status"], rec["t_min"], rec["floor"]) == ("found", 5, 4)
 
-    def test_loop(self, c5_loop, capsys):
-        # a matrix for the looped graph is one for the graph without its loops,
-        # so that graph's t and t_e floors hold; no ceiling and no t_s is stated
+    def test_loop(self, c5_loop, tmp_path, capsys):
+        # a loop at a vertex with an edge adds no cff rule: the report states the
+        # loopless C_5's t and t_s bounds, and only its t_e floor
         assert run(["bounds", c5_loop]) == 0
-        assert "=> t in [4, None]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "=> t in [4, 5]" in out and "=> t_s = 3" in out and "=> t_e in [4, None]" in out
         assert run(["bounds", c5_loop, "--format", "json-lines"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert rows == [{"quantity": q, "kind": "lower", "value": 4, "source": "loopless-subgraph",
-                         "exact": False} for q in ("t", "t_e")]
+        assert {"quantity": "t", "kind": "upper", "value": 5, "source": "coloring-construction",
+                "exact": False} in rows
+        assert rows[-1] == {"quantity": "t_e", "kind": "lower", "value": 4,
+                            "source": "loopless-subgraph", "exact": False}
         assert run(["solve", c5_loop, "--format", "json-lines"]) == 0
         rec = json.loads(capsys.readouterr().out)
         assert (rec["status"], rec["t_min"], rec["floor_source"]) == ("found", 5, "bounds")
         assert [lv[:3] for lv in rec["levels"]] == [[4, "exhausted", 43], [5, "found", 5]]
-        assert run(["construct", c5_loop]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        # construct builds the loopless C_5's coloring row and checks it against the loop
+        mat = tmp_path / "c5_loop.mat"
+        assert run(["construct", c5_loop, "--output", str(mat)]) == 0
+        assert capsys.readouterr().err.startswith("coloring: 5x5 matrix")
+        assert run(["verify", c5_loop, str(mat)]) == 0
+
+    def test_loop_on_an_isolated_vertex(self, tmp_path, capsys):
+        """A looped vertex with no edge is a rule of its own: only the
+        loopless graph's t and t_e floors are stated, and nothing is built."""
+        path = tmp_path / "c5_plus_loop.txt"
+        path.write_text("6 6\n" + C5_EDGES + "5 5\n")
+        spec = f"file:{path}"
+        assert run(["bounds", spec, "--format", "json-lines"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert rows == [{"quantity": q, "kind": "lower", "value": 4, "source": "loopless-subgraph",
+                         "exact": False} for q in ("t", "t_e")]
+        assert run(["construct", spec]) == 2
+        assert capsys.readouterr().err.startswith("error: method auto does not apply to file")
 
     def test_negative_vertex_count_refused_before_edge_lines(self, tmp_path, capsys):
         """n + m of this header is under the size limit, so only a vertex

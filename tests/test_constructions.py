@@ -8,7 +8,6 @@ from math import prod
 import pytest
 
 from gcff import constructions
-from gcff.bounds import bounds_for
 from gcff.constructions import (
     CATALOG,
     METHODS,
@@ -26,7 +25,6 @@ from gcff.core import IncidenceMatrix, find_violation, is_g_cff
 from gcff.errors import InvalidInputError
 from gcff.graphs import (
     Graph,
-    add_universal_vertex,
     complete,
     complete_bipartite,
     cycle,
@@ -127,7 +125,9 @@ class TestUniversal:
         for n in (3, 5, 9):
             m = add_universal(star_cff(n), star(n))
             assert m.t == t1(n - 1) + 2
-            assert is_g_cff(m, add_universal_vertex(star(n)))
+            # the new hub 0 joined to the star's hub 1 and its leaves 2..n
+            hub_over_star = {(0, v) for v in range(1, n + 1)} | {(1, v) for v in range(2, n + 1)}
+            assert is_g_cff(m, Graph(n + 1, frozenset(hub_over_star)))
 
     def test_identity_to_k4(self):
         m = add_universal(IncidenceMatrix.identity(3), complete(3))
@@ -335,19 +335,7 @@ class TestConstruct:
 
 
 class TestFamilyRoutes:
-    """Graphs whose family is renamed as they are built (a universal vertex
-    over a cycle is a wheel) build past the exact coloring solver's 20
-    vertices."""
-
-    @pytest.mark.parametrize("inner,method", [(cycle, "universal"), (star, "universal"),
-                                              (complete, "coloring")])
-    def test_universal_over_thirty_vertices(self, inner, method):
-        g = add_universal_vertex(inner(30))
-        m, used = construct(g)
-        assert used == method
-        assert find_violation(m, g, "cff") is None
-        if inner is not complete:
-            assert m.t == bounds_for(g).upper()
+    """Family members build past the exact coloring solver's 20 vertices."""
 
     # the family's colouring, past the exact solver's 20 vertices: one block per class
     @pytest.mark.parametrize("spec, classes", [
@@ -359,12 +347,6 @@ class TestFamilyRoutes:
         m, used = construct(g, "coloring")
         assert used == "coloring" and find_violation(m, g, "cff") is None
         assert m.t == sum(t1(size) for size in classes)
-
-    def test_universal_star_is_the_hub_over_the_star(self):
-        for n in range(3, 12):
-            m, used = construct(add_universal_vertex(star(n)))
-            assert (m, used) == (add_universal(star_cff(n), star(n)), "universal")
-            assert m.t == t1(n - 1) + 2
 
 
 class TestIsolatedVertices:

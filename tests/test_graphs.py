@@ -12,7 +12,6 @@ from gcff.graphs import (
     SPEC_FAMILIES,
     SPEC_SIZE_LIMIT,
     Graph,
-    add_universal_vertex,
     chromatic_number,
     clique_number,
     complete,
@@ -62,7 +61,9 @@ class TestGenerators:
         assert matching(8).edges == frozenset({(0, 1), (2, 3), (4, 5), (6, 7)})
 
     def test_wheel_is_cycle_plus_universal(self):
-        assert wheel(6).edges == add_universal_vertex(cycle(5)).edges
+        # hub 0 joined to every vertex of a cycle shifted up by one
+        rim = {(u + 1, v + 1) for u, v in cycle(5).edges}
+        assert wheel(6).edges == rim | {(0, v) for v in range(1, 6)}
 
     def test_sperner_graph_edges_are_incomparable_pairs(self):
         for z in (3, 4, 5):
@@ -166,13 +167,8 @@ class TestFileAndSpec:
         assert {spec.partition(":")[0] for spec in tags} == SPEC_FAMILIES.keys() | {"file"}
         for spec, tag in tags.items():
             assert make_family(spec).tag == tag, spec
-        # a tag names the family whose theorems apply: renamed, and renamed again
-        # when a universal vertex is added; no family builds W_6 plus a hub
+        # a tag names the family whose theorems apply, renamed as it is built
         assert make_family("windmill:2,5").tag == "star(6)"
-        assert add_universal_vertex(cycle(5)).tag == "wheel(6)"
-        assert add_universal_vertex(add_universal_vertex(cycle(5))).tag is None
-        assert add_universal_vertex(make_family(f"file:{f}")).tag is None
-        assert add_universal_vertex(Graph(2, frozenset({(0, 1)}))).tag == "complete(3)"
 
     def test_make_family_errors(self):
         for spec in ("nope:3", "cycle", "cycle:x", "bipartite:3", "hamming:2,3", "path:3x4",
@@ -233,8 +229,6 @@ class TestSpecSizeLimit:
 
 def _rebuild(parsed) -> Graph:
     name, args = parsed
-    if name == "universal":
-        return add_universal_vertex(_rebuild(args))
     return SPEC_FAMILIES[name][0](*args)
 
 
@@ -250,8 +244,7 @@ class TestParseFamily:
     def test_every_generator_round_trips(self):
         assert self.SAMPLE_ARGS.keys() == SPEC_FAMILIES.keys()
         graphs = [entry[0](*self.SAMPLE_ARGS[name]) for name, entry in SPEC_FAMILIES.items()]
-        graphs += [hamming([4]), add_universal_vertex(star(5)), add_universal_vertex(cycle(5)),
-                   windmill(2, 5), wheel(3), path(2), add_universal_vertex(windmill(2, 4))]
+        graphs += [hamming([4]), windmill(2, 5), wheel(3), path(2)]
         for g in graphs:
             assert _rebuild(g.family) == g, g.tag
 
@@ -259,22 +252,18 @@ class TestParseFamily:
         assert windmill(3, 4).family == ("windmill", (3, 4))
         assert friendship(2).family == ("windmill", (3, 2))
         assert hamming([2, 2, 3]).family == ("hamming", (2, 2, 3))
-        assert add_universal_vertex(windmill(2, 4)).family == ("universal", ("star", (5,)))
-        assert add_universal_vertex(add_universal_vertex(cycle(5))).family == (None, ())
 
     def test_untagged_and_unknown_forms(self):
-        """A graph no family builds has the family (None, ()), whether no
-        generator built it or it is a universal vertex over one that is not a
-        star; a read file has the family "file", which builds nothing.  A K_2
-        is star(2) however it was built."""
+        """A graph no generator built has the family (None, ()), even where
+        a generator builds its edges; a read file has the family "file", which
+        builds nothing.  A K_2 is star(2) however it was built."""
         read = Graph.from_text("3 1\n0 1\n")
         assert read.family == ("file", ()) and read.tag == "file"
-        untagged = [Graph(3, frozenset({(0, 1)})), add_universal_vertex(Graph(3, frozenset({(0, 1)}))),
-                    add_universal_vertex(read), Graph(2, frozenset({(0, 1)}), frozenset({0}))]
+        untagged = [Graph(3, frozenset({(0, 1)})), Graph(4, wheel(4).edges),
+                    Graph(2, frozenset({(0, 1)}), frozenset({0}))]
         for g in untagged:
             assert g.family == (None, ()) and g.tag is None
-        for g in (Graph(2, frozenset({(0, 1)})), Graph.from_text("2 1\n1 0\n"), complete(2),
-                  add_universal_vertex(complete(1))):
+        for g in (Graph(2, frozenset({(0, 1)})), Graph.from_text("2 1\n1 0\n"), complete(2)):
             assert g.family == ("star", (2,)), g
 
 
@@ -302,23 +291,18 @@ class TestFamilyOf:
     apply and one graph gets one family however it was spelled."""
 
     def test_every_rename_keeps_the_labels(self):
-        """For every small CLI spec, and a universal vertex over it one and two
-        levels deep, the family is (None, ()), "file", or one whose own
-        generator builds the same labelled graph (for "universal", a universal
-        vertex over that star)."""
+        """For every small CLI spec the family is one whose own generator
+        builds the same labelled graph, with integer arguments."""
         renamed = 0
         for spec in _small_specs():
             g = make_family(spec)
             name = spec.partition(":")[0]
-            spelled = "windmill" if name == "friendship" else name
-            for depth in range(3):
-                if g.family[0] not in (None, "file"):
-                    assert _rebuild(g.family) == g, (spec, depth, g.tag)
-                    renamed += g.family[0] != (spelled if depth == 0 else "universal")
-                if g.loops:
-                    break
-                g = add_universal_vertex(g)
-        assert renamed >= 40
+            assert _rebuild(g.family) == g, (spec, g.tag)
+            assert all(isinstance(a, int) for a in g.family[1]), spec
+            renamed += g.family[0] != ("windmill" if name == "friendship" else name)
+        # 22 stars (bipartite:1,b and windmill:2,b, 11 each), 21 complete graphs
+        # (hamming:K, windmill:K,1, friendship:1 and wheel:3) and five K_2
+        assert renamed == 48
 
     def test_renamed_values(self):
         cases = [
@@ -329,19 +313,9 @@ class TestFamilyOf:
             (complete_bipartite(4, 1), ("bipartite", (4, 1))),  # hub last
             (windmill(4, 1), ("complete", (4,))),
             (wheel(3), ("complete", (3,))),
-            (add_universal_vertex(cycle(6)), ("wheel", (7,))),
-            (add_universal_vertex(complete(6)), ("complete", (7,))),
-            (add_universal_vertex(star(6)), ("universal", ("star", (6,)))),
-            (add_universal_vertex(path(6)), (None, ())),
-            (add_universal_vertex(add_universal_vertex(star(4))), (None, ())),
+            (hamming([5]), ("complete", (5,))),
             (Graph(3, frozenset({(0, 1)})), (None, ())),
             (loops_graph(2), ("loops", (2,))),
-            # renames compose: the inner graph is renamed first
-            (add_universal_vertex(windmill(2, 5)), ("universal", ("star", (6,)))),
-            (add_universal_vertex(complete_bipartite(1, 5)), ("universal", ("star", (6,)))),
-            (add_universal_vertex(wheel(3)), ("complete", (4,))),
-            (add_universal_vertex(windmill(5, 1)), ("complete", (6,))),
-            (add_universal_vertex(path(2)), ("complete", (3,))),  # K_2 is complete(2) too
         ]
         for g, want in cases:
             assert g.family == want, g.tag
@@ -349,8 +323,8 @@ class TestFamilyOf:
 
 def colored_specs():
     """Every CLI spec of at most 20 vertices whose family states a colouring,
-    and the universal vertex over each star, each with the generator call it
-    makes as its id (friendship:4 calls windmill(3,4))."""
+    each with the generator call it makes as its id (friendship:4 calls
+    windmill(3,4))."""
     specs = [f"{name}:{n}" for name in ("path", "cycle", "star", "wheel", "complete", "matching")
              for n in range(1, 21)]
     specs += [f"bipartite:{a},{b}" for a in range(1, 20) for b in range(1, 21 - a)]
@@ -369,8 +343,7 @@ def colored_specs():
         if name == "friendship":
             name, arg = "windmill", f"3,{arg}"
         params.append(pytest.param(g, id=f"{name}({arg.replace('x', ',')})"))
-    return params + [pytest.param(add_universal_vertex(star(m)), id=f"universal(star({m}))")
-                     for m in range(2, 20)]
+    return params
 
 
 #: chi of each family that states a colouring, from (n, args) as `Graph.family`
@@ -385,7 +358,6 @@ CHI = {
     "complete": lambda n, args: n,
     "windmill": lambda n, args: args[0],
     "hamming": lambda n, args: max(args),
-    "universal": lambda n, args: 3,
 }
 
 
@@ -398,8 +370,7 @@ def large_colored_graphs():
              "complete:60", "windmill:5,400", "windmill:2,1999", "windmill:40,1",
              "friendship:999", "hamming:4x4x4x4x4", "hamming:3x5x7x11",
              "hamming:2x2x2x2x2x2x2x2x2x2"]
-    graphs = [make_family(spec) for spec in specs]
-    return graphs + [add_universal_vertex(star(m)) for m in (21, 1999)]
+    return [make_family(spec) for spec in specs]
 
 
 class TestFamilyColorings:
