@@ -265,9 +265,10 @@ def bounds_for(g: Graph) -> BoundsReport:
     wherever `Graph.coloring` has a colouring) and the minimum-degree
     relations between the full and edge-only quantities, all of `Graph.core`
     under g's family (no core, one edge's floor and the coloring row over g;
-    no edge, t = 1 exactly).  A graph with loops gets the t_e floor of the
-    graph without them, and its t and t_s bounds where `loopless` says the
-    loops add no cff rule, else its t floor.
+    no edge, t = 1 exactly).  A graph with loops gets the t_e floor and the
+    t_s bounds of the graph without them (loops never enter the Sperner
+    rule), and its t bounds where `loopless` says the loops add no cff rule,
+    else its t floor.
     """
     graph_id = g.tag or f"graph(n={g.n},m={len(g.edges)})"
     name, args = g.family
@@ -279,8 +280,9 @@ def bounds_for(g: Graph) -> BoundsReport:
     if g.loops:  # a matrix for g is one for g without its loops
         plain = loopless(g)
         rep = bounds_for(plain or Graph(g.n, g.edges))
-        # loops that add no cff rule leave t, and t_s, the loopless graph's
-        same = ("t", "t_s") if plain else ()
+        # loops never enter the Sperner rule, so t_s is always the loopless
+        # graph's; t is too where the loops add no cff rule
+        same = ("t", "t_s") if plain else ("t_s",)
         floors = ((q, rep.lower(q)) for q in ("t", "t_e") if q not in same)
         return BoundsReport(graph_id, tuple([b for b in rep.bounds if b.quantity in same] + [
             Bound(q, "lower", v, "loopless-subgraph") for q, v in floors if v is not None]))

@@ -21,9 +21,11 @@ One rule, `_interval`, builds the path/cycle CFF: n in (2*3^(k-1), 3^k],
 
 Codes are held digit-major: `array` has shape (N, k), one row per word, but
 its uint8 memory is Fortran-ordered, so the N values of each digit sit next to
-each other.  The predicates compare, count and rank a digit at a time, and with
-k small (at most 12 in the criterion-1 sweep) a word-major layout would run
-numpy's inner loops over a handful of bytes per word.  `MixedRadixCode` states
+each other.  The predicates work on whole arrays, never a word at a time: they
+compare and count over the digit rows, and rank all N words in one `einsum`
+against the radices' place values.  With k small (at most 12 in the
+criterion-1 sweep) a word-major layout would run numpy's inner loops over a
+handful of bytes per word.  `MixedRadixCode` states
 the layout, and validates the array, once for every constructor; the `words`
 view materializes tuples on demand.
 
@@ -38,9 +40,10 @@ read-only; nothing is taken from `kind` or from how the code was built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import accumulate, combinations
 from math import prod
+from operator import mul
 
 import numpy as np
 
@@ -131,19 +134,33 @@ def reflected(radices) -> MixedRadixCode:
     into c blocks of m * n words, m = radices[i]; in each block digit i takes
     the values 0..m-1 for n words each, rising in even blocks and falling in
     odd ones, because consecutive blocks differ in an earlier digit and
-    digit i holds still across their boundary.  So each row is written by
-    two broadcast assignments into its (c, m, n) view.
+    digit i holds still across their boundary.  So the row repeats a period
+    of 2 * m * n words, the radix's zigzag 0..m-1, m-1..0 with each value
+    held n times: one broadcast assignment writes its c // 2 whole periods,
+    and an odd c adds the rising half.
     """
-    radices = tuple(int(m) for m in radices)
-    digits = np.empty((len(radices), _code_size(radices)), dtype=np.uint8)
-    up = np.arange(max(radices), dtype=np.uint8)[:, None]
+    radices = tuple(map(int, radices))
+    size = _code_size(radices)
+    digits = np.empty((len(radices), size), dtype=np.uint8)
     c = 1  # words of the code over radices[:i]
     for row, m in zip(digits, radices):
-        blocks = row.reshape(c, m, -1)
-        blocks[0::2] = up[:m]
-        blocks[1::2] = up[m - 1::-1]
+        period = _zigzag(m).repeat(size // (c * m))
+        whole = c // 2 * period.size
+        row[:whole].reshape(-1, period.size)[:] = period
+        if c % 2:
+            row[whole:] = period[:period.size // 2]
         c *= m
     return MixedRadixCode(radices, digits.T, "reflected")
+
+
+@cache
+def _zigzag(m: int) -> np.ndarray:
+    """0..m-1 then m-1..0 as uint8, read-only: one copy per radix, shared by
+    every `reflected` build."""
+    up = np.arange(m, dtype=np.uint8)
+    zigzag = np.concatenate((up, up[::-1]))
+    zigzag.setflags(write=False)
+    return zigzag
 
 
 def modular(q: int, k: int) -> MixedRadixCode:
@@ -197,14 +214,13 @@ def _in_box(radices: tuple[int, ...], words: np.ndarray) -> bool:
 
 
 def _ranks(radices: tuple[int, ...], words: np.ndarray, dtype) -> np.ndarray:
-    """Mixed-radix ranks of in-box words (most significant digit first), by
-    Horner's rule over the digit rows.  Every partial rank is at most the
-    final one, so `dtype` need only hold the largest rank."""
-    rank = words[:, 0].astype(dtype)
-    for m, digits in zip(radices[1:], words.T[1:]):
-        rank *= m
-        rank += digits
-    return rank
+    """Mixed-radix ranks of in-box words (most significant digit first): one
+    `einsum` of the (N, k) words against the place values prod(radices[j+1:]),
+    accumulated in `dtype`.  Every place value and partial sum is below
+    prod(radices), so `dtype` need only hold prod(radices) - 1; `object`
+    ranks are exact Python ints."""
+    places = np.array([*accumulate(radices[:0:-1], mul, initial=1)][::-1], dtype=dtype)
+    return np.einsum("ij,j->i", words, places, dtype=dtype)
 
 
 def _check_words(radices: tuple[int, ...], words: np.ndarray) -> None:
@@ -222,7 +238,8 @@ def is_permutation(code: MixedRadixCode) -> bool:
     """Does the code visit every tuple of the radix box exactly once?
 
     That is: prod(radices) words, every digit below its radix, and no rank
-    repeated.
+    repeated.  The ranks come from `_ranks`, one `einsum` over all words,
+    and are counted by one `bincount`.
     """
     r, a = code.radices, code.array
     n = len(code)

@@ -42,10 +42,9 @@ def doubling_increment(n: int) -> int:
 
 
 def half_subsets(t: int):
-    """All floor(t/2)-subsets of [1, t] in lexicographic order, as bitmasks."""
-    bits = [1 << i for i in range(t)]
-    for combo in combinations(range(t), t // 2):
-        yield sum(map(bits.__getitem__, combo))
+    """All floor(t/2)-subsets of [1, t] in lexicographic order, as bitmasks:
+    the sums of the floor(t/2)-combinations of the t single bits."""
+    return map(sum, combinations([1 << i for i in range(t)], t // 2))
 
 
 def optimal_1cff(n: int) -> IncidenceMatrix:

@@ -311,15 +311,21 @@ class TestGraphFiles:
         assert run(["verify", c5_loop, str(mat)]) == 0
 
     def test_loop_on_an_isolated_vertex(self, tmp_path, capsys):
-        """A looped vertex with no edge is a rule of its own: only the
-        loopless graph's t and t_e floors are stated, and nothing is built."""
+        """A looped vertex with no edge is a cff rule of its own: only the
+        loopless graph's t and t_e floors are stated, and nothing is built.
+        Loops never enter the Sperner rule, so t_s is the loopless graph's."""
         path = tmp_path / "c5_plus_loop.txt"
         path.write_text("6 6\n" + C5_EDGES + "5 5\n")
         spec = f"file:{path}"
         assert run(["bounds", spec, "--format", "json-lines"]) == 0
         rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        assert rows == [{"quantity": q, "kind": "lower", "value": 4, "source": "loopless-subgraph",
-                         "exact": False} for q in ("t", "t_e")]
+        assert rows == [{"quantity": "t_s", "kind": k, "value": 3, "source": "sperner-chromatic",
+                         "exact": True} for k in ("lower", "upper")] + [
+            {"quantity": q, "kind": "lower", "value": 4, "source": "loopless-subgraph",
+             "exact": False} for q in ("t", "t_e")]
+        assert run(["solve", spec, "--property", "sperner", "--format", "json-lines"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["status"], rec["t_min"]) == ("found", 3)
         assert run(["construct", spec]) == 2
         assert capsys.readouterr().err.startswith("error: method auto does not apply to file")
 

@@ -52,6 +52,24 @@ def cyclic_oracle(words) -> bool:
     return len(words) >= 2 and gray_oracle(list(words) + [words[0]])
 
 
+def reflected_oracle(radices) -> list:
+    """The recursive definition: each first digit d = 0..m-1 prefixes the
+    tail's code, forward for even d and reversed for odd d."""
+    if not radices:
+        return [()]
+    tail = reflected_oracle(radices[1:])
+    return [(d,) + w for d in range(radices[0]) for w in (tail[::-1] if d % 2 else tail)]
+
+
+def radix_vectors(digits, cap) -> list:
+    """Every radix vector over `digits` whose product is at most `cap`."""
+    out, frontier = [], [()]
+    while frontier:
+        frontier = [v + (m,) for v in frontier for m in digits if prod(v) * m <= cap]
+        out += frontier
+    return out
+
+
 class TestPredicatesOnBrokenCodes:
     # name: (radices, words, (is_permutation, is_gray, is_cyclic))
     CASES = {
@@ -218,6 +236,30 @@ class TestLayoutMatchesOracles:
         assert not is_permutation(MixedRadixCode(code.radices, array, "shortened"))
 
 
+class TestRanks:
+    # each box's largest rank needs the rank type, the object one beyond int64
+    CASES = [(np.uint16, (5, 4, 3, 2, 255)), (np.uint32, (255, 255, 255, 7)),
+             (np.int64, (255,) * 7 + (3,)), (object, (255,) * 9)]
+
+    @pytest.mark.parametrize("dtype, radices", CASES, ids=["uint16", "uint32", "int64", "object"])
+    def test_match_horner_on_python_ints(self, dtype, radices):
+        rng = random.Random(37)
+        words = [[rng.randrange(m) for m in radices] for _ in range(500)]
+        words += [[0] * len(radices), [m - 1 for m in radices]]
+        want = []
+        for word in words:
+            rank = 0
+            for m, d in zip(radices, word):
+                rank = rank * m + d
+            want.append(rank)
+        # the last word has the box's largest rank, which sets the rank type
+        assert want[-1] == prod(radices) - 1
+        assert dtype is object or want[-1] <= np.iinfo(dtype).max
+        for order in "CF":
+            got = graycode._ranks(radices, np.array(words, dtype=np.uint8, order=order), dtype)
+            assert got.dtype == np.dtype(dtype) and got.tolist() == want, order
+
+
 class TestReflected:
     def test_binary_length_3_order(self):
         want = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0),
@@ -249,6 +291,14 @@ class TestReflected:
     def test_bad_radices(self):
         with pytest.raises(InvalidInputError):
             reflected((1, 2))
+
+    def test_matches_recursive_definition(self):
+        prefix_parities = set()
+        for radices in radix_vectors((2, 3, 4, 5), 256):
+            assert list(reflected(radices).words) == reflected_oracle(radices), radices
+            prefix_parities |= {prod(radices[:i]) % 2 for i in range(1, len(radices))}
+        # a digit row after an odd prefix count ends on a rising half period
+        assert prefix_parities == {0, 1}
 
 
 class TestModular:
