@@ -32,7 +32,8 @@ DEFAULT_BUDGET = 10 ** 9
 #: The kernel's two candidate tables (the subsets and the non-supersets of
 #: each column; the in-place filter reads no other) take about 2^(2t) bits:
 #: 3.6 MB at t = 12, 13.9 MB at t = 13 and 54.6 MB at t = 14, so cap the row
-#: count.
+#: count.  The memo's spread table adds 2^t ints, and its key has room for 15
+#: rows.
 SEARCH_ROW_CAP = 13
 
 @dataclass(frozen=True)
@@ -42,7 +43,8 @@ class SearchOutcome:
 
     t: int
     status: str  # "found" | "exhausted" | "budget-exceeded"
-    nodes: int
+    nodes: int  # tree nodes counted, the subtrees the memo skipped included
+    walked: int  # nodes less the subtrees the kernel's memo skipped
     wall_s: float
     witness: Optional[IncidenceMatrix]
 
@@ -146,18 +148,18 @@ def exists_cff(g: Graph, t: int, prop: str = "cff",
                budget: int = DEFAULT_BUDGET) -> SearchOutcome:
     """Search for a t-row matrix with the property on g; complete search.
 
-    Returns the record of this one level: t, status, nodes and the wall
-    time of the call.  A "found" outcome carries a verified witness;
-    "exhausted" is a proof of nonexistence at t rows.  The search record is
-    reused from the previous call when that call had the same graph object
-    and property.
+    Returns the record of this one level: t, status, nodes, nodes walked
+    and the wall time of the call.  A "found" outcome carries a verified
+    witness; "exhausted" is a proof of nonexistence at t rows.  The search
+    record is reused from the previous call when that call had the same
+    graph object and property.
     """
     begin = time.perf_counter()
     _check_rows(t, 1, "search")
     problem = _degree_problem(g, prop)
-    status, cols, nodes = walk(t, problem, budget)
+    status, cols, nodes, walked = walk(t, problem, budget)
     witness = _witness(t, g, prop, problem.order, cols) if status == "found" else None
-    return SearchOutcome(t, status, nodes, time.perf_counter() - begin, witness)
+    return SearchOutcome(t, status, nodes, walked, time.perf_counter() - begin, witness)
 
 
 def exact_t(g: Graph, prop: str = "cff", t_max: Optional[int] = None,
@@ -209,6 +211,7 @@ class LongestPathResult:
     n_max: int
     witness: Optional[IncidenceMatrix]
     nodes_explored: int
+    walked: int  # nodes_explored less the subtrees the kernel's memo skipped
     wall_time: float
 
 
@@ -224,9 +227,9 @@ def longest_path_cff(t: int, budget: int = DEFAULT_BUDGET) -> LongestPathResult:
     cap = comb(t, t // 2)
     problem = _problem(path(cap), "cff", range(cap))
     begin = time.perf_counter()
-    status, cols, nodes = walk(t, problem, budget)
+    status, cols, nodes, walked = walk(t, problem, budget)
     wall = time.perf_counter() - begin
     depth = len(cols)
     witness = _witness(t, path(depth), "cff", problem.order, cols) if depth >= 2 else None
     label = "budget-exceeded" if status == "budget-exceeded" else "complete"
-    return LongestPathResult(label, depth, witness, nodes, wall)
+    return LongestPathResult(label, depth, witness, nodes, walked, wall)

@@ -49,27 +49,28 @@ same earlier columns stay interchangeable and the tree holds isomorphic
 subtrees.  A memo that lives for one `walk` call counts each of them once, in
 the manner of isomorph rejection (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 1998).  Its key is the canonical form of a prefix
-of at most MEMO_DEPTH columns, built from its row classes: a class is a set of
-used rows that lie in exactly the same prefix columns, and the classes are
-kept in a fixed order.  Each column appends, for every class of the shorter
-prefix in that order, how many of its rows the column holds, and then how
-many new rows it takes; the classes of the longer prefix are each class split
-into its rows inside and outside the column (empty parts dropped), followed
-by the new rows.  A column thus adds at most one field per used row, plus
-one.  Equal keys give equal class sizes for every pattern of membership, and
-the used rows are the lowest ones, so two prefixes with one key differ by a
-permutation of their used rows.  Every filter of the walk (sub, out, canon,
-the end-column masks, forb, free) commutes with that permutation, so it maps
-the subtree below one prefix onto the subtree below the other.  Once the
-subtree below a prefix is exhausted its node count is stored under the key;
-a later prefix with the same key whose count fits the remaining budget adds
-the count and takes the next candidate instead.  The skipped subtree is an
-isomorphic copy of an exhausted one: it holds no complete assignment and
-reaches no deeper than its twin, so statuses, witnesses, deepest assignments
-and node counts are those of the full walk, and "exhausted" still rules out
-the whole tree.  A node count is therefore the size of the tree, not the
-number of nodes walked, and nodes per second of wall time (perfbench's
-solver.nodes_per_s) rise accordingly.
+of at most MEMO_DEPTH columns: its length and the multiset of its row
+patterns, a row's pattern being the set of prefix columns that hold it.  The
+walk keeps the patterns in one int, a 4-bit field per row, and column c at
+depth d ORs in spread[c] << d.  The key sums one lookup per 12-bit chunk
+(three rows) in a 4,096-entry table, which puts a 4-bit count at bit 4p for
+each nonzero pattern p, and skips the chunks above row 5 while they are
+zero; an empty column leaves the multiset as it was, so the length goes in
+the free field of pattern 0.  Fifteen fields hold SEARCH_ROW_CAP rows, a
+field a pattern of MEMO_DEPTH columns and a count field t, so two prefixes
+with one key have one length and one multiset of patterns.  The
+used rows, those with a nonzero pattern, are the lowest ones, so the two
+differ by a permutation of their used rows.  Every filter of the walk (sub,
+out, canon, the end-column masks, forb, free) commutes with that
+permutation, so it maps the subtree below one prefix onto the subtree below
+the other.  Once the subtree below a prefix is exhausted its node count is
+stored under the key; a later prefix with the same key whose count fits the
+remaining budget adds the count and takes the next candidate instead.  The
+skipped subtree is an isomorphic copy of an exhausted one: it holds no
+complete assignment and reaches no deeper than its twin, so statuses,
+witnesses, deepest assignments and node counts are those of the full walk,
+and "exhausted" still rules out the whole tree.  A node count is therefore
+the size of the tree; the nodes walked leave out the skipped subtrees.
 
 The one entry point is `walk(t, problem, budget)`.  A frozen `Problem` record
 states the instance depth by depth (vertex order, earlier neighbours and
@@ -83,17 +84,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-#: Longest prefix, in columns, whose exhausted subtree the memo records.  Each
-#: column adds to a node's key one field per row class plus one, and longer
-#: prefixes repeat less often.  Nodes walked for cycle:10 at t = 6 (tree size
-#: 57,412): 14,351 at limit 3, 11,208 at 4, 10,485 at 5 and 10,395 with no
-#: limit; for K_9 at t = 8 (761,360): 119,420, 59,508, 52,314 and 51,674.
-#: perfbench table4-proofs with the in-place filter, 6-s runs on a 2-core
-#: host, seeds 31-38 each, medians [ranges]: wall_s 0.121 [0.115-0.129] s at
-#: limit 3, 0.106 [0.098-0.115] s at 4 and 0.124 [0.114-0.126] s at 5;
-#: op_p90_ms 14.9, 13.2 and 15.0; op_p50_ms 0.58, 0.63 and 0.69.  A limit of
-#: 3 makes the many small cells cheaper but the proofs dearer, and beyond four
-#: columns the keys cost more than the few extra skips save.
+#: Longest prefix, in columns, whose exhausted subtree the memo records; a
+#: row's 4-bit pattern field holds four.  Nodes walked for cycle:10 at t = 6
+#: (tree size 57,412): 14,351 at limit 3, 11,208 at 4, 10,485 at 5 and 10,395
+#: with no limit; for K_9 at t = 8 (761,360): 119,420, 59,508, 52,314 and
+#: 51,674.  perfbench table4-proofs with the row-pattern key, 6-s runs on a
+#: 2-core host, seeds 31-38 each, medians [ranges]: wall_s 0.104 [0.103-0.121]
+#: s at limit 3 and 0.087 [0.086-0.089] s at 4; op_p90_ms 12.4 and 10.2;
+#: op_p50_ms 0.47 and 0.48.  Limit 5 needs 5-bit fields; with the old
+#: class-split key it cost more than its few extra skips saved.
 MEMO_DEPTH = 4
 
 
@@ -130,14 +129,16 @@ class Problem:
 
 
 @lru_cache(maxsize=None)
-def _tables(t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Candidate masks over the 2^t columns on t rows: (sub, out, canon).
+def _tables(t: int) -> tuple[tuple[int, ...], ...]:
+    """Candidate masks over the 2^t columns on t rows, and the memo's
+    spreads: (sub, out, canon, spread).
 
     sub[u] holds the columns that are subsets of u, out[m] the columns that
     are not supersets of m, and canon[k] the columns whose rows outside the
     lowest k are the next lowest ones (the canonical candidates once rows
-    0..k-1 are used).  Built on first use for each t; they take about
-    2^(2t) bits.
+    0..k-1 are used).  spread[c] moves bit r of column c to bit 4r, row r's
+    field.  Built on first use for each t; the masks take about 2^(2t) bits,
+    the spreads 2^t ints.
     """
     full = (1 << t) - 1
     every = (1 << (full + 1)) - 1
@@ -154,23 +155,35 @@ def _tables(t: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
         for j in range(t - k + 1):
             mask |= below << (((1 << j) - 1) << k)
         canon.append(mask)
-    return tuple(sub), out, tuple(canon)
+    # the binary digits of c read as hexadecimal ones
+    spread = tuple(int(f"{c:b}", 16) for c in range(full + 1))
+    return tuple(sub), out, tuple(canon), spread
 
 
-def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
+@lru_cache(maxsize=1)
+def _counts() -> tuple[int, ...]:
+    """Per 12-bit chunk of a row-pattern int (three 4-bit row fields), how
+    many of its rows have each nonzero pattern p, at bit 4p.  Built on first
+    use; its 816 distinct values are shared, a third of the memory."""
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(v, v) for v in (
+        sum(1 << 4 * p for p in (x & 15, x >> 4 & 15, x >> 8) if p) for x in range(1 << 12)))
+
+
+def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int, int]:
     """Depth-first search over column assignments, lowest candidate first.
 
-    Returns (status, best, nodes): status is "found" once every depth has a
-    column, "exhausted" when the whole tree holds no such assignment, and
-    "budget-exceeded" when node budget + 1 was reached; `best` is the deepest
-    assignment reached, indexed by depth.  `nodes` counts the nodes of every
-    subtree the memo skips, as if it had been walked.
+    Returns (status, best, nodes, walked): status is "found" once every depth
+    has a column, "exhausted" when the whole tree holds no such assignment,
+    and "budget-exceeded" when node budget + 1 was reached; `best` is the
+    deepest assignment reached, indexed by depth.  `nodes` counts the nodes
+    of every subtree the memo skips, as if walked; `walked` leaves them out.
     """
     nbrs, lone, scans, loops = problem.nbrs, problem.lone, problem.scans, problem.loops
     need_sperner, need_cover = problem.sperner, problem.cover
     looped = need_cover and any(loops)
     n = len(problem.order)
-    sub, out, canon = _tables(t)
+    sub, out, canon, spread = _tables(t)
     top = 1 << ((1 << t) - 1)  # candidate bit of the full column
     # Per depth: the candidates the end-column rules leave.
     ends = [(-1 if z else ~1) & (-1 if f else ~top)
@@ -183,22 +196,17 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
     left = [0] * n  # candidates not yet tried at each depth
     best: list[int] = []
     reach = 0  # deepest depth reached; best is cols[:reach] once left behind
-    nodes = 0
+    nodes = skipped = 0
     depth = 0
-    # Memo of exhausted subtrees, keyed by the canonical form of their prefix
-    # (see the module docstring).  For d <= MEMO_DEPTH, classes[d] holds the
-    # row classes of cols[:d] as row masks, in order; key[d] packs the sizes the
-    # columns gave in fields of `width` bits after a leading 1.  The fields
-    # read so far fix the class sizes and so how many fields the next column
-    # adds, so keys of different prefix lengths differ; start[d] is the node
-    # count on entering depth d.
+    # Memo of exhausted subtrees (see the module docstring).  For d <=
+    # MEMO_DEPTH: the row patterns of cols[:d], its key, and the node count on
+    # entering depth d.
     memo_depth = MEMO_DEPTH
     memo: dict[int, int] = {}
-    classes: list[list[int]] = [[]] * (memo_depth + 1)
-    key = [1] * (memo_depth + 1)
+    count = _counts()
+    rowpat = [0] * (memo_depth + 1)
+    key = [0] * (memo_depth + 1)
     start = [0] * (memo_depth + 1)
-    width = t.bit_length()
-    popcount = int.bit_count
     m = canon[0] & ends[0]  # depth 0 has no earlier column to filter against
 
     while True:
@@ -206,7 +214,7 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
             if depth == reach > len(best):
                 best = cols[:reach]
             if depth == 0:
-                return "exhausted", best, nodes
+                return "exhausted", best, nodes, nodes - skipped
             if depth <= memo_depth:
                 memo[key[depth]] = nodes - start[depth]
             depth -= 1
@@ -220,26 +228,18 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
         if nodes > budget:
             if reach > len(best):
                 best = cols[:reach]
-            return "budget-exceeded", best, nodes
+            return "budget-exceeded", best, nodes, nodes - skipped
         if depth < memo_depth:
-            k = key[depth]
-            parts = []
-            for x in classes[depth]:
-                y = x & c
-                k = k << width | popcount(y)
-                if y:
-                    parts.append(y)
-                if x != y:
-                    parts.append(x ^ y)
-            y = c & ~used[depth]
-            k = k << width | popcount(y)
+            p = rowpat[depth] | spread[c] << depth
+            k = depth + count[p & 4095] + count[p >> 12 & 4095]
+            if p >> 24:  # a row above 5 is used
+                k += count[p >> 24 & 4095] + count[p >> 36 & 4095] + count[p >> 48]
             skip = memo.get(k)
             if skip is not None and nodes + skip <= budget:
                 nodes += skip  # an isomorphic copy of this subtree is exhausted
+                skipped += skip
                 continue
-            if y:
-                parts.append(y)
-            classes[depth + 1] = parts
+            rowpat[depth + 1] = p
             key[depth + 1] = k
             start[depth + 1] = nodes
         cols[depth] = c
@@ -257,7 +257,7 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int]:
         if depth > reach:
             reach = depth
             if depth == n:
-                return "found", cols, nodes
+                return "found", cols, nodes, nodes - skipped
 
         # The child's candidates, filtered in place; the cover scan stops at
         # the first filter that leaves none.

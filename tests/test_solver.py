@@ -1,9 +1,13 @@
 """Exact search: soundness against naive enumeration, equality with the
 reference kernel, small exact values, budgets, determinism."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,7 +138,7 @@ def match_reference(g, t, budgets):
             problem.cover, problem.zero_ok, problem.full_ok)
     for budget in budgets:
         want, want_cols, want_nodes = reference_engine.search_exists(*args, budget)
-        status, cols, nodes = engine.walk(t, problem, budget)
+        status, cols, nodes, _ = engine.walk(t, problem, budget)
         assert (status, cols if status == "found" else None, nodes) == \
             (TestKernelMatchesReference.REF_STATUS[want], want_cols, want_nodes), budget
     return nodes
@@ -152,7 +156,7 @@ class TestKernelMatchesReference:
                              ids=[f"{g.tag}-t{t}-{p}" for g, t, p in KERNEL_CASES])
     def test_search_exists(self, g, t, prop, budget):
         problem = _problem(g, prop, by_degree(g))
-        status, cols, nodes = engine.walk(t, problem, budget)
+        status, cols, nodes, _ = engine.walk(t, problem, budget)
         want, want_cols, want_nodes = reference_engine.search_exists(
             t, len(problem.order), problem.nbrs, problem.loops, problem.sperner,
             problem.cover, problem.zero_ok, problem.full_ok, budget)
@@ -171,7 +175,7 @@ class TestKernelMatchesReference:
     def test_search_longest_path(self, t, budget):
         cap = comb(t, t // 2)
         problem = _problem(path(cap), "cff", range(cap))
-        status, cols, nodes = engine.walk(t, problem, budget)
+        status, cols, nodes, _ = engine.walk(t, problem, budget)
         want, depth, want_cols, want_nodes = reference_engine.search_longest_path(
             t, len(problem.order), budget)
         # reaching the cap ("found") is as conclusive as a full walk
@@ -209,7 +213,7 @@ class TestKernelMatchesReference:
                     if want == reference_engine.BUDGET:
                         continue
                     budget, uncut = 10 ** 9, uncut + 1
-                status, cols, nodes = engine.walk(t, problem, budget)
+                status, cols, nodes, _ = engine.walk(t, problem, budget)
                 assert (status, cols if status == "found" else None, nodes) == \
                     (self.REF_STATUS[want], want_cols, want_nodes), \
                     (n, sorted(edges), sorted(loops), prop, t, order, budget)
@@ -236,7 +240,7 @@ class TestKernelMatchesReference:
         # one seeded budget in each of eight log-spaced strata of [1, 2 * 10^4]
         budgets = [round(20_000 ** ((k + rng.random()) / 8)) for k in range(8)]
         for budget in budgets:
-            status, cols, nodes = engine.walk(t, problem, budget)
+            status, cols, nodes, _ = engine.walk(t, problem, budget)
             want, depth, want_cols, want_nodes = reference_engine.search_longest_path(
                 t, cap, budget)
             assert (status == "budget-exceeded") == (want == reference_engine.BUDGET)
@@ -264,6 +268,90 @@ class TestMemoMatchesReference:
         """Each budget up to 150 nodes: the first skips of three- and
         four-column prefixes lie there, so some budgets stop inside them."""
         match_reference(g, t, range(1, 151))
+
+    @pytest.mark.parametrize("g,t", MEMO_CASES, ids=[f"{g.tag}-t{t}" for g, t in MEMO_CASES])
+    def test_memo_off_walks_every_node(self, g, t, monkeypatch):
+        """With no prefix memoised the walk is the same, and every node of
+        the tree is walked; with the memo fewer are."""
+        problem = _problem(g, "cff", by_degree(g))
+        status, cols, nodes, walked = engine.walk(t, problem, 10 ** 9)
+        monkeypatch.setattr(engine, "MEMO_DEPTH", 0)
+        assert engine.walk(t, problem, 10 ** 9) == (status, cols, nodes, nodes)
+        assert walked < nodes
+
+
+def memo_key(t: int, cols: list[int]) -> int:
+    """The memo key `walk` gives the prefix `cols`, from the engine's tables:
+    every 12-bit chunk of the row-pattern int looked up, the length tag in
+    the field of pattern 0."""
+    spread = engine._tables(t)[3]
+    count = engine._counts()
+    p = 0
+    for d, c in enumerate(cols):
+        p |= spread[c] << d
+    return len(cols) - 1 + sum(count[p >> s & 4095] for s in range(0, 60, 12))
+
+
+def random_prefix(rng: random.Random, t: int, length: int) -> list[int]:
+    """A canonical prefix on t rows: each column takes some used rows and
+    then the next lowest unused ones, and one in ten is empty."""
+    cols, used = [], 0
+    for _ in range(length):
+        if rng.random() < 0.1:
+            cols.append(0)
+            continue
+        old = sum(1 << r for r in range(used) if rng.random() < 0.5)
+        new = min(t - used, rng.choice((0, 1, 1, 2, 3, t)))
+        cols.append(old | ((1 << new) - 1) << used)
+        used += new
+    return cols
+
+
+class TestMemoKey:
+    """The memo's key is the prefix's canonical form: its length and the
+    multiset of its row patterns, packed within the search caps."""
+
+    @pytest.mark.parametrize("t", range(1, SEARCH_ROW_CAP + 1))
+    def test_key_is_length_and_row_patterns(self, t):
+        """Seeded prefixes of 1..MEMO_DEPTH columns, empty columns among
+        them, share a key exactly when they have one length and one sorted
+        tuple of row patterns."""
+        rng = random.Random(t)
+        by_key, by_form = {}, {}
+        for _ in range(1500):
+            cols = random_prefix(rng, t, rng.randrange(1, engine.MEMO_DEPTH + 1))
+            form = (len(cols), tuple(sorted(
+                sum(1 << d for d, c in enumerate(cols) if c >> r & 1) for r in range(t))))
+            key = memo_key(t, cols)
+            assert by_key.setdefault(key, form) == form, (t, cols)
+            assert by_form.setdefault(form, key) == key, (t, cols)
+        # distinct prefixes meet on one key, and prefixes of every length
+        # are told apart
+        assert len(by_key) < 1500
+        assert {n for n, _ in by_form} == set(range(1, engine.MEMO_DEPTH + 1))
+
+    def test_packing_holds_the_caps(self):
+        """Five 12-bit chunks hold 15 rows of 4-bit fields, a 4-bit field a
+        pattern of MEMO_DEPTH columns, and a 4-bit count field t rows, so
+        raising either cap fails here instead of merging keys."""
+        assert len(engine._counts()) == 1 << 12
+        assert 5 * 12 // 4 >= SEARCH_ROW_CAP
+        assert 4 >= engine.MEMO_DEPTH
+        assert SEARCH_ROW_CAP < 16
+        spread = engine._tables(SEARCH_ROW_CAP)[3]
+        assert spread[-1] << engine.MEMO_DEPTH - 1 < 1 << 60
+
+    def test_import_builds_no_table(self):
+        """The kernel's tables are built on a search's first use, not when
+        the CLI is imported."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = ("import gcff.cli; from gcff.solver import engine; "
+                "print(engine._tables.cache_info().currsize, engine._counts.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        assert proc.stdout.split() == ["0", "0"]
 
 
 class TestProblemRecord:
@@ -412,6 +500,19 @@ class TestNodeCounts:
         res = longest_path_cff(6)
         assert (res.status, res.n_max, res.nodes_explored) == ("complete", 10, 57_526)
 
+    @pytest.mark.parametrize("g,t,status,walked", [
+        (complete(9), 8, "exhausted", 59_508), (cycle(10), 6, "exhausted", 11_208),
+        (path(10), 6, "found", 6_742), (complete(8), 7, "exhausted", 3_870),
+    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(10)-t6", "complete(8)-t7"])
+    def test_walked_nodes(self, g, t, status, walked):
+        """Nodes walked: the tree less the subtrees the memo skipped."""
+        out = exists_cff(g, t)
+        assert (out.status, out.walked) == (status, walked)
+
+    def test_longest_path_walked_nodes(self):
+        res = longest_path_cff(6)
+        assert (res.status, res.n_max, res.walked) == ("complete", 10, 11_227)
+
 
 class TestLongestPath:
     def test_ground_three(self):
@@ -537,7 +638,7 @@ class TestSharedRecord:
     @staticmethod
     def fresh(g, t, prop, budget=10 ** 9):
         """(status, nodes, witness) of a search on a record built anew."""
-        status, cols, nodes = engine.walk(t, _problem(g, prop, by_degree(g)), budget)
+        status, cols, nodes, _ = engine.walk(t, _problem(g, prop, by_degree(g)), budget)
         witness = None
         if status == "found":
             by_vertex = [0] * g.n
