@@ -1,13 +1,7 @@
 """Cover-free families on graphs: constructions, verification, bounds, and
 exact exhaustive search."""
 
-from .core import (
-    IncidenceMatrix,
-    SetSystem,
-    is_d_disjunct,
-    is_g_cff,
-    matrix_from_sets,
-)
+from .core import IncidenceMatrix, is_d_disjunct, is_g_cff
 from .errors import InvalidInputError, ResourceLimitError
 from .graphs import Graph, make_family
 
@@ -25,11 +19,9 @@ __all__ = [
     "IncidenceMatrix",
     "InvalidInputError",
     "ResourceLimitError",
-    "SetSystem",
     "is_d_disjunct",
     "is_g_cff",
     "make_family",
-    "matrix_from_sets",
     "bounds_for",
     "construct",
     "star_cff",

@@ -171,7 +171,8 @@ def cmd_gray(args) -> int:
     else:
         code = graycode.reflected(radices)
     lines = []
-    for w in code.words:
+    # lists, not `code.words`, whose tuples would stay cached on the code
+    for w in code.array.tolist():
         row = ",".join(map(str, w))
         if args.map:
             subset = sorted(graycode.word_to_subset(code.radices, w))
@@ -179,7 +180,7 @@ def cmd_gray(args) -> int:
         lines.append(row)
     _emit("\n".join(lines) + "\n", args.output)
     cyc = "cyclic" if graycode.is_cyclic(code) else "not cyclic"
-    print(f"{len(code.words)} words, {cyc}", file=sys.stderr)
+    print(f"{len(code)} words, {cyc}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Binary incidence matrices, set systems, and the verification predicates.
+"""Set systems as binary incidence matrices, and the verification predicates.
 
 A family of n subsets of the ground set [1, t] is stored column-wise: column
 j is a t-bit integer whose bit i (0-based) is set iff ground element i+1
@@ -112,6 +112,9 @@ class IncidenceMatrix:
             t, n = int(head[0]), int(head[1])
         except ValueError:
             raise InvalidInputError(f"bad header {lines[0]!r}") from None
+        if t < 1 or n < 1:  # before any row is read, or an array sized by n built
+            raise InvalidInputError(
+                f"matrix needs at least one row and one column, header gives t = {t}, n = {n}")
         if len(lines) != t + 1:
             raise InvalidInputError(f"expected {t} matrix rows, got {len(lines) - 1}")
         rows = [line.strip() for line in lines[1:]]
@@ -140,29 +143,6 @@ class IncidenceMatrix:
     @classmethod
     def identity(cls, n: int) -> "IncidenceMatrix":
         return cls(n, tuple(1 << i for i in range(n)))
-
-
-@dataclass(frozen=True)
-class SetSystem:
-    """n blocks over the ground set [1, t]; block i corresponds to vertex i."""
-
-    ground_size: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if self.ground_size < 1:
-            raise InvalidInputError("ground set must be non-empty")
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                if not 1 <= x <= self.ground_size:
-                    raise InvalidInputError(
-                        f"block {i} contains {x}, outside [1, {self.ground_size}]"
-                    )
-
-
-def matrix_from_sets(s: SetSystem) -> IncidenceMatrix:
-    cols = tuple(sum(1 << (x - 1) for x in b) for b in s.blocks)
-    return IncidenceMatrix(s.ground_size, cols)
 
 
 # ---------------------------------------------------------------------------

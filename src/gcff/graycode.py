@@ -47,7 +47,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import GROUND_CAP, IncidenceMatrix, SetSystem
+from .core import GROUND_CAP, IncidenceMatrix
 from .errors import InvalidInputError, ResourceLimitError
 
 #: Refuse to materialize codes beyond this many words.
@@ -104,18 +104,19 @@ def _code_size(radices: tuple[int, ...]) -> int:
     return n
 
 
-def _digit_major(radices: tuple[int, ...], words, dtype=np.uint8) -> np.ndarray:
-    """A digit-major copy, of the unsigned `dtype`, of the (N, len(radices))
-    integer array `words`.
+def _digit_major(radices: tuple[int, ...], words) -> np.ndarray:
+    """A digit-major copy of the (N, len(radices)) integer array `words`, in
+    the smallest unsigned type that holds the largest radix (uint8 for codes).
 
-    Digits must fit `dtype`; a digit at or above its radix is kept, for the
-    predicates to report.  The copy is the caller's own, so later writes to
-    `words` do not reach it.
+    Digits must fit that type; a digit at or above its radix is kept, for
+    the predicates to report.  The copy is the caller's own, so later writes
+    to `words` do not reach it.
     """
     a = np.asarray(words)
     if a.ndim != 2 or a.shape[1] != len(radices):
         raise InvalidInputError(
             f"words must form an (N, {len(radices)}) array, got shape {a.shape}")
+    dtype = np.min_scalar_type(max(radices))
     if a.dtype.kind not in "ui" or (a.dtype != dtype and a.size and (
             a.min() < 0 or a.max() > np.iinfo(dtype).max)):
         raise InvalidInputError(f"digits must be integers in 0..{np.iinfo(dtype).max}")
@@ -213,12 +214,13 @@ def _in_box(radices: tuple[int, ...], words: np.ndarray) -> bool:
     return not (words >= np.array(radices, dtype=words.dtype)).any()
 
 
-def _ranks(radices: tuple[int, ...], words: np.ndarray, dtype) -> np.ndarray:
+def _ranks(radices: tuple[int, ...], words: np.ndarray) -> np.ndarray:
     """Mixed-radix ranks of in-box words (most significant digit first): one
     `einsum` of the (N, k) words against the place values prod(radices[j+1:]),
-    accumulated in `dtype`.  Every place value and partial sum is below
-    prod(radices), so `dtype` need only hold prod(radices) - 1; `object`
-    ranks are exact Python ints."""
+    in the smallest type that holds the largest rank, prod(radices) - 1, which
+    bounds every place value and partial sum; past uint64 that type is
+    `object`, and the ranks are exact Python ints."""
+    dtype = np.min_scalar_type(prod(radices) - 1)
     places = np.array([*accumulate(radices[:0:-1], mul, initial=1)][::-1], dtype=dtype)
     return np.einsum("ij,j->i", words, places, dtype=dtype)
 
@@ -228,8 +230,7 @@ def _check_words(radices: tuple[int, ...], words: np.ndarray) -> None:
     the ranks are sorted, not counted over the radix box."""
     if not _in_box(radices, words):
         raise InvalidInputError(f"code has a digit outside its radices {radices}")
-    # int64 holds every rank below 2^63; beyond that they are Python ints
-    ranks = np.sort(_ranks(radices, words, np.int64 if prod(radices) <= 1 << 63 else object))
+    ranks = np.sort(_ranks(radices, words))
     if not (ranks[1:] != ranks[:-1]).all():
         raise InvalidInputError("code words must be distinct")
 
@@ -242,11 +243,9 @@ def is_permutation(code: MixedRadixCode) -> bool:
     and are counted by one `bincount`.
     """
     r, a = code.radices, code.array
-    n = len(code)
-    # with n = prod(r) words in the box every rank is below n, so the smallest
-    # type that holds n - 1 holds them, and counting costs O(n)
-    return (n == prod(r) and _in_box(r, a)
-            and int(np.bincount(_ranks(r, a, np.min_scalar_type(n - 1))).max()) <= 1)
+    # with prod(r) words every rank is below the word count: counting is O(N)
+    return (len(code) == prod(r) and _in_box(r, a)
+            and int(np.bincount(_ranks(r, a)).max()) <= 1)
 
 
 def word_to_subset(radices: tuple[int, ...], word: Word) -> frozenset[int]:
@@ -258,12 +257,12 @@ def word_to_subset(radices: tuple[int, ...], word: Word) -> frozenset[int]:
     return frozenset(out)
 
 
-def to_set_system(code: MixedRadixCode) -> SetSystem:
-    """The transversal subsets of the code's words, in code order."""
+def to_set_system(code: MixedRadixCode) -> tuple[frozenset[int], ...]:
+    """The transversal blocks of the code's words over [1, sum(radices)], in
+    code order, one `word_to_subset` per word: the per-word route to what
+    `product_matrix` builds over whole arrays, with no ground cap."""
     _check_words(code.radices, code.array)
-    t = sum(code.radices)
-    blocks = tuple(word_to_subset(code.radices, w) for w in code.words)
-    return SetSystem(t, blocks)
+    return tuple(word_to_subset(code.radices, w) for w in code.words)
 
 
 def product_matrix(blocks, words) -> IncidenceMatrix:
@@ -279,8 +278,8 @@ def product_matrix(blocks, words) -> IncidenceMatrix:
     # first, before any word is read: it keeps every shift below 64
     if t > GROUND_CAP:
         raise InvalidInputError(f"ground set capped at {GROUND_CAP}, got t={t}")
-    # the smallest type holding every radix: a block may have over 255 columns
-    words = _digit_major(radices, words, np.min_scalar_type(max(radices)))
+    # a block may have over 255 columns, so its digits over a byte
+    words = _digit_major(radices, words)
     _check_words(radices, words)
     cols = np.zeros(len(words), dtype=np.uint64)
     offset = 0

@@ -6,7 +6,7 @@ from math import comb, prod
 
 import pytest
 
-from gcff.bounds import Bound, bounds_for, t2_lower, t2_upper
+from gcff.bounds import Bound, BoundsReport, bounds_for, t2_lower, t2_upper
 from gcff.constructions import METHODS, class_sizes, construct, table
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import (
@@ -257,6 +257,13 @@ class TestConsistencyAndCrossChecks:
                   complete(30), complete_bipartite(4, 7), loops_graph(9)]
         for g in graphs:
             assert bounds_for(g).is_consistent(), g.family
+
+    def test_floor_above_ceiling_is_inconsistent(self):
+        # t_e alone crosses; t and t_s agree
+        rep = BoundsReport("g", (Bound("t", "lower", 3, "a"), Bound("t", "upper", 3, "b"),
+                                 Bound("t_e", "lower", 5, "a"), Bound("t_e", "upper", 4, "b")))
+        assert not rep.is_consistent()
+        assert BoundsReport("g", rep.bounds[:2]).is_consistent()
 
     def test_construction_rows_match_family_uppers(self):
         from gcff.constructions import add_universal, star_cff, windmill_cff

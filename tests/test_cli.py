@@ -14,10 +14,11 @@ import pytest
 from gcff import cli
 from gcff.cli import build_parser, main
 from gcff.constructions import METHODS
-from gcff.core import IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
+from gcff.core import IncidenceMatrix, is_g_cff
 from gcff.graphs import make_family
 from gcff.graycode import word_to_subset
 from gcff.solver import DEFAULT_BUDGET
+from test_core import matrix_of_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -139,7 +140,7 @@ class TestConstructVerify:
         radices = (2, 3, 4)
         blocks = tuple(word_to_subset(radices, w)
                        for w in product(*(range(m) for m in radices)))
-        oracle = matrix_from_sets(SetSystem(sum(radices), blocks))
+        oracle = matrix_of_blocks(sum(radices), blocks)
         assert IncidenceMatrix.from_text(out.read_text()) == oracle
 
     # past the exact chromatic solver's 20 vertices, the family tag states the coloring
@@ -345,6 +346,20 @@ class TestGraphFiles:
         assert run(["bounds", f"file:{path}"]) == 2
         assert capsys.readouterr().err == "error: bad header '3 -1', edge count is negative\n"
 
+    def test_loop_violation(self, tmp_path, capsys):
+        """Three looped vertices and no edge: column 1, {1, 2}, contains
+        column 0, {1}, so the loop at vertex 1 fails."""
+        path = tmp_path / "loops.txt"
+        path.write_text("3 3\n0 0\n1 1\n2 2\n")
+        mat = tmp_path / "loops.mat"
+        mat.write_text("2 3\n110\n011\n")
+        spec = f"file:{path}"
+        assert run(["verify", spec, str(mat)]) == 1
+        assert capsys.readouterr().out == f"cff fails for {spec}: column 0 contained in loop vertex 1\n"
+        assert run(["verify", spec, str(mat), "--format", "json-lines"]) == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["violation"] == {"kind": "loop", "edge": [1, 1], "column": 0}
+
 
 class TestGray:
     def test_reflected_with_map(self, tmp_path, capsys):
@@ -434,6 +449,18 @@ class TestFileErrors:
         argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestMatrixHeader:
+    """A matrix header with no row or no column is refused before any row is
+    read: exit 2 with an `error:` line, not a traceback."""
+
+    @pytest.mark.parametrize("header", ["0 -5", "0 10000000000000"])
+    def test_exit_2(self, header, tmp_path, capsys):
+        mat = tmp_path / "m.mat"
+        mat.write_text(header + "\n")
+        assert run(["verify", "path:3", str(mat)]) == 2
+        assert capsys.readouterr().err.startswith("error: matrix needs at least one row")
 
 
 class TestOutputFiles:

@@ -147,6 +147,15 @@ class TestFileAndSpec:
         g2 = Graph.from_text(g.to_text())
         assert (g2.n, g2.edges, g2.loops) == (g.n, g.edges, g.loops)
 
+    @pytest.mark.parametrize("text, message", [
+        ("4 5\n0 1\n", "expected 5 edge lines, got 1"),
+        ("\n  \n", "empty graph file"),
+    ], ids=["missing edge lines", "blank file"])
+    def test_malformed_file_messages(self, text, message):
+        with pytest.raises(InvalidInputError) as err:
+            Graph.from_text(text)
+        assert str(err.value) == message
+
     def test_loops_in_file(self):
         g = Graph.from_text("3 2\n0 1\n2 2\n")
         assert g.loops == frozenset({2}) and g.edges == frozenset({(0, 1)})

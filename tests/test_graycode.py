@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gcff.graycode as graycode
-from gcff.core import GROUND_CAP, IncidenceMatrix, SetSystem, is_g_cff, matrix_from_sets
+from gcff.core import GROUND_CAP, IncidenceMatrix, is_g_cff
 from gcff.errors import InvalidInputError, ResourceLimitError
 from gcff.graphs import cycle, path
 from gcff.graycode import (
@@ -28,6 +28,7 @@ from gcff.graycode import (
     word_to_subset,
 )
 from gcff.sperner import optimal_1cff
+from test_core import matrix_of_blocks
 
 
 def transversal(radices, words):
@@ -217,7 +218,7 @@ class TestLayoutMatchesOracles:
                 if valid:
                     blocks = to_set_system(code)
                     if matrix_ok:
-                        assert transversal(radices, array) == matrix_from_sets(blocks)
+                        assert transversal(radices, array) == matrix_of_blocks(sum(radices), blocks)
                 else:
                     with pytest.raises(InvalidInputError):
                         to_set_system(code)
@@ -237,11 +238,13 @@ class TestLayoutMatchesOracles:
 
 
 class TestRanks:
-    # each box's largest rank needs the rank type, the object one beyond int64
+    # the rank type `_ranks` picks for each box, the smallest that holds its
+    # largest rank; 255^8 - 1 lies in [2^63, 2^64), exact in uint64
     CASES = [(np.uint16, (5, 4, 3, 2, 255)), (np.uint32, (255, 255, 255, 7)),
-             (np.int64, (255,) * 7 + (3,)), (object, (255,) * 9)]
+             (np.uint64, (255,) * 7 + (3,)), (np.uint64, (255,) * 8), (object, (255,) * 9)]
 
-    @pytest.mark.parametrize("dtype, radices", CASES, ids=["uint16", "uint32", "int64", "object"])
+    @pytest.mark.parametrize("dtype, radices", CASES,
+                             ids=["uint16", "uint32", "uint64", "uint64 past 2^63", "object"])
     def test_match_horner_on_python_ints(self, dtype, radices):
         rng = random.Random(37)
         words = [[rng.randrange(m) for m in radices] for _ in range(500)]
@@ -256,7 +259,7 @@ class TestRanks:
         assert want[-1] == prod(radices) - 1
         assert dtype is object or want[-1] <= np.iinfo(dtype).max
         for order in "CF":
-            got = graycode._ranks(radices, np.array(words, dtype=np.uint8, order=order), dtype)
+            got = graycode._ranks(radices, np.array(words, dtype=np.uint8, order=order))
             assert got.dtype == np.dtype(dtype) and got.tolist() == want, order
 
 
@@ -344,24 +347,21 @@ class TestTransversalMap:
 
     def test_blocks_are_transversal_k_subsets(self):
         code = reflected((2, 3, 2))
-        s = to_set_system(code)
-        assert s.ground_size == 7
+        blocks = to_set_system(code)
+        assert set().union(*blocks) == set(range(1, 8))
         parts = [frozenset({1, 2}), frozenset({3, 4, 5}), frozenset({6, 7})]
-        for b in s.blocks:
+        for b in blocks:
             assert len(b) == 3
             assert all(len(b & p) == 1 for p in parts)
 
     def test_fig6_matrix_bit_exact(self):
-        from gcff.core import matrix_from_sets
-
-        m = matrix_from_sets(to_set_system(reflected((2, 2, 2))))
+        m = matrix_of_blocks(6, to_set_system(reflected((2, 2, 2))))
         rows = ["11110000", "00001111", "11000011",
                 "00111100", "10011001", "01100110"]
         assert [m.row_string(i) for i in range(6)] == rows
 
     def test_blocks_distinct(self):
-        s = to_set_system(modular(3, 3))
-        assert len(set(s.blocks)) == 27
+        assert len(set(to_set_system(modular(3, 3)))) == 27
 
     @pytest.mark.parametrize("words", [
         [(0, 0), (0, 1), (1, 1), (2, 0)],  # last block would be {3}, inside P_2
@@ -389,7 +389,7 @@ class TestTransversalMap:
                 transversal(radices, words)
 
     def test_word_checks_exact_beyond_int64_ranks(self):
-        # 255^9 > 2^64: ranks 0 and 2^64 would wrap to one int64
+        # 255^9 > 2^64: ranks 0 and 2^64 would wrap to one uint64
         radices = (255,) * 9
         zero = (0,) * 9
         far = tuple(2 ** 64 // 255 ** i % 255 for i in reversed(range(9)))
@@ -404,8 +404,6 @@ class TestTransversalMap:
 
     def test_covering_lemma_on_full_codes(self):
         # consecutive pairs never cover a third block, up to 729-word codes
-        from gcff.core import matrix_from_sets
-
         pool = [
             reflected((2, 2, 3)), reflected((3, 3)), reflected((2, 3, 3)),
             reflected((2, 2, 2, 2)), reflected((4, 5)), reflected((5, 3, 2)),
@@ -413,7 +411,7 @@ class TestTransversalMap:
             modular(2, 5),
         ]
         for code in pool:
-            cols = matrix_from_sets(to_set_system(code)).cols
+            cols = matrix_of_blocks(sum(code.radices), to_set_system(code)).cols
             n = len(cols)
             for i in range(n - 1):
                 u = cols[i] | cols[i + 1]
@@ -428,7 +426,8 @@ class TestTransversalMatrix:
 
     def test_path_cycle_matches_set_system_route(self):
         for n in [*range(5, 601), 1000, 2187, 4000, 6561, 20000]:
-            oracle = matrix_from_sets(to_set_system(cycle_code(n)))
+            code = cycle_code(n)
+            oracle = matrix_of_blocks(sum(code.radices), to_set_system(code))
             assert path_cycle_cff(n) == oracle, n
 
     @pytest.mark.parametrize("radices", [(2,), (2, 2), (2, 2, 3), (3, 3), (2, 3, 4),
@@ -437,7 +436,7 @@ class TestTransversalMatrix:
         words = np.indices(radices).reshape(len(radices), -1).T
         blocks = tuple(word_to_subset(radices, w)
                        for w in product(*(range(m) for m in radices)))
-        oracle = matrix_from_sets(SetSystem(sum(radices), blocks))
+        oracle = matrix_of_blocks(sum(radices), blocks)
         assert transversal(radices, words) == oracle
 
     def test_full_ground_set(self):
