@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import graycode
 from .bounds import bounds_for, smaller_inner_block
 from .constructions import METHODS, construct
@@ -46,6 +48,9 @@ EXIT_BROKEN_PIPE = 141
 #: host), whose t = 11 tree is far larger.  Nodes, not seconds, so that
 #: verdicts are deterministic.
 SOLVE_BUDGET = 10 ** 6
+
+#: `gcff gray` formats this many words at a time, not all the code's ints at once.
+GRAY_BLOCK = 1 << 16
 
 
 def _write(path, text: str) -> None:
@@ -152,10 +157,8 @@ def cmd_solve(args) -> int:
             print(f"budget exceeded at t = {res.levels[-1].t} after {res.nodes_explored} nodes "
                   f"(exhausted {list(res.searched_exhaustively)}); "
                   f"rerun with a larger --budget")
-    if res.witness is not None and args.output:
-        _write(args.output, res.witness.to_text())
-    elif res.witness is not None and not args.format == "json-lines":
-        sys.stdout.write(res.witness.to_text())
+    if res.witness is not None and (args.output or args.format == "text"):
+        _emit(res.witness.to_text(), args.output)
     return EXIT_OK if res.status in ("found", "exhausted") else EXIT_BUDGET
 
 
@@ -170,15 +173,12 @@ def cmd_gray(args) -> int:
         code = graycode.modular(radices[0], len(radices))
     else:
         code = graycode.reflected(radices)
-    lines = []
-    # lists, not `code.words`, whose tuples would stay cached on the code
-    for w in code.array.tolist():
-        row = ",".join(map(str, w))
-        if args.map:
-            subset = sorted(graycode.word_to_subset(code.radices, w))
-            row += "\t" + " ".join(map(str, subset))
-        lines.append(row)
-    _emit("\n".join(lines) + "\n", args.output)
+    fields = ["%d"] * len(code.radices)
+    line = ",".join(fields) + ("\t" + " ".join(fields) if args.map else "") + "\n"
+    blocks = (code.array[i:i + GRAY_BLOCK] for i in range(0, len(code), GRAY_BLOCK))
+    if args.map:  # elements firsts[i] + d_i rise with i; Python ints widen them past uint8
+        blocks = (np.hstack((b, b + graycode.firsts(code.radices))) for b in blocks)
+    _emit("".join(line * len(b) % tuple(b.ravel().tolist()) for b in blocks), args.output)
     cyc = "cyclic" if graycode.is_cyclic(code) else "not cyclic"
     print(f"{len(code)} words, {cyc}", file=sys.stderr)
     return EXIT_OK

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IncidenceMatrix, find_violation, is_d_disjunct, is_g_cff
+from .core import IncidenceMatrix, find_violation, is_g_cff
 from .errors import InvalidInputError
 from .graphs import Graph, chromatic_number, matching, path
 from .graycode import cycle_cff_rows, path_cycle_cff, product_matrix
@@ -118,26 +118,18 @@ def double_path(m: IncidenceMatrix) -> IncidenceMatrix:
 double_cycle = double_path
 
 
-def windmill_cff(k: int, n: int, inner: Optional[IncidenceMatrix] = None) -> IncidenceMatrix:
+def windmill_cff(k: int, n: int) -> IncidenceMatrix:
     """CFF for n copies of K_k glued at a hub.
 
     Stacks three bands: blades share a 1-disjunct column per blade, blade
-    members get distinct columns of a 2-disjunct inner block, and a final row
-    isolates the hub.  Rows: t1(n) + rows(inner) + 1.
+    members get distinct columns of I_{k-1} (d-disjunct for every d < k - 1),
+    and a final row isolates the hub.  Rows: t1(n) + k.
     """
     if k < 3 or n < 2:
         raise InvalidInputError("windmill construction needs k >= 3, n >= 2")
-    if inner is None:
-        inner = IncidenceMatrix.identity(k - 1)
-    if inner.n != k - 1:
-        raise InvalidInputError(f"inner matrix needs {k - 1} columns, got {inner.n}")
-    need_d = 1 if k == 3 else 2
-    if not is_d_disjunct(inner, need_d):
-        raise InvalidInputError(f"inner matrix is not {need_d}-disjunct")
-
     # blade i's member j is vertex 1 + i * (k - 1) + j: word (i, j) in lexicographic order
     words = np.indices((n, k - 1)).reshape(2, -1).T
-    return _universal(product_matrix((optimal_1cff(n), inner), words))
+    return _universal(product_matrix((optimal_1cff(n), IncidenceMatrix.identity(k - 1)), words))
 
 
 def with_isolated_vertices(m: IncidenceMatrix, g: Graph) -> IncidenceMatrix:

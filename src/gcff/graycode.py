@@ -7,7 +7,8 @@ the direction of the tail recursion; in the modular code over q^k words digit
 j of word w is (w // q^(k-1-j) - w // q^(k-j)) mod q, so each step increments
 one digit mod q.  `product_matrix` gives word D the union of the columns
 B_i(d_i) of blocks B_1, ..., B_k, each block on its own rows; over identity
-blocks that is the paper's transversal subset {offset_i + d_i + 1}.  If each
+blocks that is the paper's transversal subset {f_i + d_i}, where f_i, read
+through `firsts`, is the first ground element of radix i's rows.  If each
 B_i is a G_i-CFF and no G_i has an isolated vertex, the product is a CFF of
 the Cartesian product G_1 x ... x G_k.  A Gray code over the blocks' column
 counts is a Hamiltonian path of P_{m_1} x ... x P_{m_k}, so path-CFF blocks
@@ -83,10 +84,6 @@ class MixedRadixCode:
         """Do consecutive words differ in exactly one digit?"""
         return _one_step(self.array)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self) == prod(self.radices)
-
 
 def _check_radices(radices: tuple[int, ...]) -> None:
     if not radices or min(radices) < 2:
@@ -121,10 +118,6 @@ def _digit_major(radices: tuple[int, ...], words) -> np.ndarray:
             a.min() < 0 or a.max() > np.iinfo(dtype).max)):
         raise InvalidInputError(f"digits must be integers in 0..{np.iinfo(dtype).max}")
     return np.array(a, dtype=dtype, order="F")
-
-
-def hamming_distance(a: Word, b: Word) -> int:
-    return sum(1 for x, y in zip(a, b) if x != y)
 
 
 def reflected(radices) -> MixedRadixCode:
@@ -248,13 +241,14 @@ def is_permutation(code: MixedRadixCode) -> bool:
             and int(np.bincount(_ranks(r, a)).max()) <= 1)
 
 
+def firsts(radices: tuple[int, ...]) -> tuple[int, ...]:
+    """The first ground element of each radix's rows, (1, 1 + m_1, 1 + m_1 +
+    m_2, ...): word (d_1, ..., d_k) takes element firsts[i] + d_i."""
+    return tuple(accumulate(radices[:-1], initial=1))
+
+
 def word_to_subset(radices: tuple[int, ...], word: Word) -> frozenset[int]:
-    offset = 0
-    out = []
-    for m, d in zip(radices, word):
-        out.append(offset + d + 1)
-        offset += m
-    return frozenset(out)
+    return frozenset(f + d for f, d in zip(firsts(radices), word))
 
 
 def to_set_system(code: MixedRadixCode) -> tuple[frozenset[int], ...]:
@@ -262,7 +256,7 @@ def to_set_system(code: MixedRadixCode) -> tuple[frozenset[int], ...]:
     code order, one `word_to_subset` per word: the per-word route to what
     `product_matrix` builds over whole arrays, with no ground cap."""
     _check_words(code.radices, code.array)
-    return tuple(word_to_subset(code.radices, w) for w in code.words)
+    return tuple(word_to_subset(code.radices, w) for w in code.array.tolist())
 
 
 def product_matrix(blocks, words) -> IncidenceMatrix:
@@ -362,17 +356,18 @@ def hamming_maximal_check(code: MixedRadixCode) -> bool:
     """True iff the transversal family is a CFF exactly for the Hamming graph
     on the radices: every distance-1 pair is safe and every distance->=2 pair
     covers some third block."""
-    if not code.is_full:
+    a = code.array
+    if len(code) != prod(code.radices):
         raise InvalidInputError("maximality check needs a full code")
     if len(code) > MAXIMALITY_WORDS:
         raise ResourceLimitError(f"maximality check capped at {MAXIMALITY_WORDS} words")
-    m = product_matrix(tuple(map(IncidenceMatrix.identity, code.radices)), code.array)
-    words = code.words
+    m = product_matrix(tuple(map(IncidenceMatrix.identity, code.radices)), a)
+    near = ((a[:, None] != a).sum(axis=2) == 1).tolist()  # at Hamming distance 1
     # Every block takes one element per radix, so the blocks of a distance-1
     # pair are distinct k-sets and Sperner; such a pair is safe iff it covers
     # no third block.
-    for i, j in combinations(range(len(words)), 2):
+    for i, j in combinations(range(len(code)), 2):
         covers = m.inside(m.cols[i] | m.cols[j]) & ~(1 << i | 1 << j)
-        if bool(covers) == (hamming_distance(words[i], words[j]) == 1):
+        if bool(covers) == near[i][j]:
             return False
     return True

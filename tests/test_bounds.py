@@ -80,8 +80,9 @@ class TestT2Table:
         assert t2_lower(400) == 11 or t2_lower(400) >= 11
 
     def test_requires_three(self):
-        with pytest.raises(InvalidInputError):
-            t2_upper(2)
+        for bound in (t2_upper, t2_lower):
+            with pytest.raises(InvalidInputError):
+                bound(2)
 
 
 # Cells the paper leaves open that the bounds close: the longest-path search

@@ -16,7 +16,7 @@ from gcff.cli import build_parser, main
 from gcff.constructions import METHODS
 from gcff.core import IncidenceMatrix, is_g_cff
 from gcff.graphs import make_family
-from gcff.graycode import word_to_subset
+from gcff.graycode import modular, reflected, word_to_subset
 from gcff.solver import DEFAULT_BUDGET
 from test_core import matrix_of_blocks
 
@@ -256,6 +256,10 @@ class TestBoundsAndSolve:
         out = capsys.readouterr().out
         assert out == "no matrix up to t_max for bipartite:3,3 (cff); exhausted [5]\n"
 
+    def test_solve_tmax_below_the_floor_exits_2(self, capsys):
+        assert run(["solve", "path:5", "--tmax", "3"]) == 2
+        assert capsys.readouterr().err == "error: t_max=3 below the starting point 5\n"
+
 
 C5_EDGES = "0 1\n1 2\n2 3\n3 4\n0 4\n"
 
@@ -382,6 +386,33 @@ class TestGray:
     def test_malformed_radix_list(self, radices, capsys):
         assert run(["gray", radices]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["reflected", "modular"])
+    def test_word_cap_exits_2(self, kind, capsys):
+        assert run(["gray", ",".join(["2"] * 21), "--kind", kind]) == 2
+        assert capsys.readouterr() == ("", "error: code would have 2097152 words (cap 1048576)\n")
+
+    # each line is the word's digits and, under --map, its sorted transversal
+    # block, word by word through `word_to_subset`; 2^17 words span two blocks
+    @pytest.mark.parametrize("map_", [False, True], ids=["plain", "map"])
+    @pytest.mark.parametrize("build, radices, kind", [
+        (reflected, (2, 2, 3), "reflected"),
+        (reflected, (12, 3, 7), "reflected"),
+        (reflected, (255, 2), "reflected"),
+        (reflected, (5,), "reflected"),
+        (lambda r: modular(r[0], len(r)), (3, 3, 3), "modular"),
+        (reflected, (2,) * 17, "reflected"),
+    ], ids=["2,2,3", "12,3,7", "255,2", "5", "modular-3,3,3", "2^17"])
+    def test_lines_match_the_word_oracle(self, build, radices, kind, map_, capsys):
+        argv = ["gray", ",".join(map(str, radices)), "--kind", kind] + ["--map"] * map_
+        assert run(argv) == 0
+        want = []
+        for w in build(radices).array.tolist():
+            line = ",".join(map(str, w))
+            if map_:
+                line += "\t" + " ".join(map(str, sorted(word_to_subset(radices, w))))
+            want.append(line + "\n")
+        assert capsys.readouterr().out == "".join(want)
 
 
 class TestReproduce:

@@ -82,6 +82,10 @@ class TestFromColoring:
             assert m.t == sum(t1(s) for s in sizes.values())
             assert all(m.cols[v] == (1 << m.t) - 1 for v in g.isolated_vertices if len(kept) >= 3)
 
+    def test_needs_a_simple_graph(self):
+        with pytest.raises(InvalidInputError, match="needs a simple graph"):
+            from_coloring(Graph(3, frozenset({(0, 1), (1, 2)}), frozenset({0})))
+
 
 class TestStar:
     def test_s9_shape(self):
@@ -136,8 +140,10 @@ class TestUniversal:
 
     def test_rejects_bad_input(self):
         bad = IncidenceMatrix(3, (1, 1, 2))  # duplicate columns on an edge
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="fails g-CFF"):
             add_universal(bad, cycle(3))
+        with pytest.raises(InvalidInputError, match="no isolated vertex"):
+            add_universal(IncidenceMatrix(2, (1, 2, 3)), Graph(3, frozenset({(0, 1)})))
 
 
 class TestDoubling:
@@ -233,7 +239,7 @@ class TestWindmill:
         assert is_g_cff(m, windmill(3, 4))
 
     def test_k5_two_blades_with_identity_inner(self):
-        m = windmill_cff(5, 2, inner=IncidenceMatrix.identity(4))
+        m = windmill_cff(5, 2)
         assert m.t == t1(2) + 4 + 1 == 7
         assert is_g_cff(m, windmill(5, 2))
 
@@ -250,15 +256,14 @@ class TestWindmill:
                 assert m.t == t1(n) + inner_rows + 1
                 assert is_g_cff(m, windmill(k, n))
 
-    def test_rejects_bad_inner(self):
-        # a column contained in another is not even 1-disjunct
-        bad = IncidenceMatrix(3, (1, 3, 4))
-        with pytest.raises(InvalidInputError):
-            windmill_cff(4, 3, inner=bad)
-
-    def test_custom_2_disjunct_inner(self):
-        m = windmill_cff(4, 2, inner=IncidenceMatrix.identity(3))
+    def test_k4_two_blades(self):
+        m = windmill_cff(4, 2)
         assert is_g_cff(m, windmill(4, 2))
+
+    @pytest.mark.parametrize("k, n", [(2, 3), (3, 1)])
+    def test_needs_three_blade_vertices_and_two_blades(self, k, n):
+        with pytest.raises(InvalidInputError, match="needs k >= 3, n >= 2"):
+            windmill_cff(k, n)
 
 
 class TestCatalog:

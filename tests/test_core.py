@@ -94,6 +94,15 @@ class TestConversions:
             IncidenceMatrix(t, cols)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("t, cols, message", [
+        (0, (0,), "need at least one row, got t=0"),
+        (2, (), "need at least one column"),
+    ], ids=["no row", "no column"])
+    def test_needs_a_row_and_a_column(self, t, cols, message):
+        with pytest.raises(InvalidInputError) as err:
+            IncidenceMatrix(t, cols)
+        assert str(err.value) == message
+
 
 class TestTextFormat:
     def test_round_trip(self):
@@ -247,8 +256,9 @@ class TestDDisjunct:
         assert is_d_disjunct(m, 1)
 
     def test_d_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            is_d_disjunct(IncidenceMatrix.identity(3), 3)
+        for d, message in ((3, "smaller than the column count 3"), (0, "d must be positive, got 0")):
+            with pytest.raises(InvalidInputError, match=message):
+                is_d_disjunct(IncidenceMatrix.identity(3), d)
 
 
 class TestSpecInvariants:

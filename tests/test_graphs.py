@@ -93,7 +93,8 @@ class TestGenerators:
 
     def test_size_preconditions(self):
         for bad in (lambda: path(1), lambda: cycle(2), lambda: matching(5),
-                    lambda: wheel(2), lambda: windmill(1, 3)):
+                    lambda: wheel(2), lambda: windmill(1, 3), lambda: Graph(0),
+                    lambda: complete_bipartite(0, 3), lambda: sperner_graph(0)):
             with pytest.raises(InvalidInputError):
                 bad()
 

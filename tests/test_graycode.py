@@ -292,8 +292,15 @@ class TestReflected:
                 assert is_cyclic(c) == (k == 1 or radices[0] % 2 == 0)
 
     def test_bad_radices(self):
-        with pytest.raises(InvalidInputError):
-            reflected((1, 2))
+        for bad in (lambda: reflected((1, 2)), lambda: modular(1, 2), lambda: modular(2, 0)):
+            with pytest.raises(InvalidInputError):
+                bad()
+
+    @pytest.mark.parametrize("build", [lambda: reflected((2,) * 21), lambda: modular(2, 21)],
+                             ids=["reflected", "modular"])
+    def test_word_cap(self, build):
+        with pytest.raises(ResourceLimitError, match=r"^code would have 2097152 words \(cap 1048576\)$"):
+            build()
 
     def test_matches_recursive_definition(self):
         prefix_parities = set()
@@ -501,6 +508,8 @@ class TestShorten:
         assert full[7] in kept
 
     def test_allowance(self):
+        with pytest.raises(InvalidInputError, match="negative"):
+            shorten(modular(3, 3), -1)
         with pytest.raises(InvalidInputError):
             shorten(modular(3, 3), 9)
         with pytest.raises(InvalidInputError):
@@ -602,8 +611,9 @@ class TestPathCycleCFF:
             assert cycle_cff_rows(n) == oracle(n)
 
     def test_needs_three(self):
-        with pytest.raises(InvalidInputError):
-            path_cycle_cff(2)
+        for bad in (lambda: path_cycle_cff(2), lambda: cycle_cff_rows(2), lambda: cycle_code(4)):
+            with pytest.raises(InvalidInputError):
+                bad()
 
 
 class TestHammingMaximality:

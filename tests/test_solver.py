@@ -581,6 +581,10 @@ class TestBudgetsAndDeterminism:
         with pytest.raises(InvalidInputError):
             exists_cff(path(3), 63)
 
+    def test_t_max_below_the_floor(self):
+        with pytest.raises(InvalidInputError, match="t_max=3 below the starting point 5"):
+            exact_t(path(5), t_max=3)
+
     def test_unknown_property(self):
         for call in (lambda: exists_cff(path(3), 2, "disjunct"),
                      lambda: exact_t(path(3), "disjunct")):

@@ -52,8 +52,9 @@ class TestT1:
             assert comb(t, t // 2) >= n > comb(t - 1, (t - 1) // 2)
 
     def test_requires_positive(self):
-        with pytest.raises(InvalidInputError):
-            t1(0)
+        for bad in (lambda: t1(0), lambda: nbar(0), lambda: doubling_increment(1)):
+            with pytest.raises(InvalidInputError):
+                bad()
 
 
 class TestOptimal1CFF:
