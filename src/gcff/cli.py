@@ -11,9 +11,11 @@ exceeded, 141 (128 + SIGPIPE) when the reader closes stdout first, as
 `solve complete:40`, exits 3 after about 7 s (best of three runs on a
 2-core host) instead of searching for most of an hour.
 
-Output files (`--output`, and the files `reproduce` writes) are rewritten in
-place and cut to length, not truncated first; they are not written
-atomically.
+Every output goes out one text block at a time (`gray`: `GRAY_BLOCK` words a
+block).  Files (`--output`, and what `reproduce` writes) are rewritten in
+place and cut to length, not truncated first, not atomically.  A reader who
+leaves part way through a multi-block output gets exit 141; a one-block
+output, such as `construct`'s matrix, can still end with exit 0.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ EXIT_BROKEN_PIPE = 141
 #: verdicts are deterministic.
 SOLVE_BUDGET = 10 ** 6
 
-#: `gcff gray` formats this many words at a time, not all the code's ints at once.
+#: `gcff gray` formats and writes the code this many words at a time.
 GRAY_BLOCK = 1 << 16
 
 
-def _write(path, text: str) -> None:
-    """Write text to path as UTF-8: the one way the CLI writes a file.
+def _emit(blocks, path=None) -> None:
+    """Write text blocks one at a time to stdout, or as UTF-8 to path.
 
-    The file is opened without O_TRUNC, written from its first byte and then
+    A file is opened without O_TRUNC, written from its first byte and then
     cut to the written length.  Truncating to zero first, as `open(path, "w")`
     does, makes ext4 (by its default `auto_da_alloc` rule) start writeback
     when the file is closed, so each rewrite of an existing output would pay
@@ -64,23 +66,21 @@ def _write(path, text: str) -> None:
     `/dev/stdout` take the bytes as written.  There is no fsync, and the
     write is not atomic: one that fails part way can leave new bytes over
     old ones."""
-    data = text.encode()
+    if not path:
+        sys.stdout.writelines(blocks)
+        return
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        size = 0
+        for block in blocks:
+            view = memoryview(block.encode())
+            size += len(view)
+            while view:
+                view = view[os.write(fd, view):]
         if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, len(data))
+            os.ftruncate(fd, size)
     finally:
         os.close(fd)
-
-
-def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        _write(output, text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_construct(args) -> int:
@@ -89,7 +89,7 @@ def cmd_construct(args) -> int:
     k = g.family[1][0] if used == "windmill" else 0
     if smaller_inner_block(k):
         print(f"note: identity inner block may be suboptimal for k={k}", file=sys.stderr)
-    _emit(m.to_text(), args.output)
+    _emit([m.to_text()], args.output)
     print(f"{used}: {m.t}x{m.n} matrix for {g.tag or args.graph}, verified", file=sys.stderr)
     return EXIT_OK
 
@@ -158,7 +158,7 @@ def cmd_solve(args) -> int:
                   f"(exhausted {list(res.searched_exhaustively)}); "
                   f"rerun with a larger --budget")
     if res.witness is not None and (args.output or args.format == "text"):
-        _emit(res.witness.to_text(), args.output)
+        _emit([res.witness.to_text()], args.output)
     return EXIT_OK if res.status in ("found", "exhausted") else EXIT_BUDGET
 
 
@@ -178,7 +178,7 @@ def cmd_gray(args) -> int:
     blocks = (code.array[i:i + GRAY_BLOCK] for i in range(0, len(code), GRAY_BLOCK))
     if args.map:  # elements firsts[i] + d_i rise with i; Python ints widen them past uint8
         blocks = (np.hstack((b, b + graycode.firsts(code.radices))) for b in blocks)
-    _emit("".join(line * len(b) % tuple(b.ravel().tolist()) for b in blocks), args.output)
+    _emit((line * len(b) % tuple(b.ravel().tolist()) for b in blocks), args.output)
     cyc = "cyclic" if graycode.is_cyclic(code) else "not cyclic"
     print(f"{len(code)} words, {cyc}", file=sys.stderr)
     return EXIT_OK
@@ -202,7 +202,7 @@ def _reproduce_figures(outdir: Path) -> list[str]:
     lines = []
     for fname, fam, n in _FIGURES:
         m, _ = construct(make_family(f"{fam}:{n}"), "gray")
-        _write(outdir / fname, m.to_text())
+        _emit([m.to_text()], outdir / fname)
         lines.append(f"{fname}: {m.t}x{m.n} cycle-CFF, verified")
     return lines
 
@@ -245,7 +245,7 @@ def _reproduce_table4(outdir: Path, budget: int) -> list[str]:
                 "bounds_lower": lo, "bounds_upper": up,
                 "solver_status": status, "solver_t": tmin,
             })
-    _write(outdir / "table4.json", json.dumps(records, indent=1))
+    _emit([json.dumps(records, indent=1)], outdir / "table4.json")
     return lines
 
 
@@ -260,8 +260,8 @@ def cmd_reproduce(args) -> int:
     else:
         lines = _reproduce_table4(outdir, args.budget or DEFAULT_BUDGET)
     report = "\n".join(lines) + f"\nelapsed {time.perf_counter() - begin:.1f}s\n"
-    _write(outdir / f"{args.what}.txt", report)
-    sys.stdout.write(report)
+    _emit([report], outdir / f"{args.what}.txt")
+    _emit([report])
     if args.what == "table4" and "budget-exceeded" in report:
         return EXIT_BUDGET
     return EXIT_OK

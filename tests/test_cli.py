@@ -27,6 +27,12 @@ def run(argv):
     return main(argv)
 
 
+def cli_env(unbuffered=""):
+    """The environment for `python -m gcff.cli` in a subprocess."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, PYTHONUNBUFFERED=unbuffered)
+
+
 class TestConstructVerify:
     def test_cycle12_round_trip(self, tmp_path, capsys):
         out = tmp_path / "c12.mat"
@@ -505,7 +511,8 @@ class TestOutputFiles:
         ["construct", "wheel:9", "--method", "coloring"],
         ["gray", "2,2,3", "--map"],
         ["gray", "3,3", "--kind", "modular"],
-    ], ids=["construct", "construct-coloring", "gray-map", "gray-modular"])
+        ["gray", ",".join(["2"] * 17), "--map"],
+    ], ids=["construct", "construct-coloring", "gray-map", "gray-modular", "gray-map-blocks"])
     def test_output_equals_stdout(self, argv, tmp_path, capsys):
         out = tmp_path / "out.txt"
         out.write_text(self.LONGER)
@@ -576,14 +583,34 @@ class TestClosedStdout:
     def test_exit_141_and_no_error_line(self, argv, unbuffered):
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader, before the CLI writes a byte
-        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONUNBUFFERED=unbuffered)
         try:
             proc = subprocess.run([sys.executable, "-m", "gcff.cli", *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=env, timeout=120)
+                                  stderr=subprocess.PIPE, env=cli_env(unbuffered), timeout=120)
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr.decode()) == (141, "")
+
+
+class TestReaderLeavesPartWay:
+    """A reader that takes one line and closes stdout, as `| head -1` does,
+    stops a multi-block output at its next block: exit 141 with nothing on
+    stderr, not the whole code formatted and exit 0.  Unbuffered, a write
+    that the closing cuts short returns its part count, and only a next
+    block's write can fail."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("map_", [[], ["--map"]], ids=["words", "map"])
+    def test_exit_141_after_one_line(self, map_, unbuffered):
+        argv = ["gray", ",".join(["2"] * 17), *map_]  # 131,072 words: two blocks
+        proc = subprocess.Popen([sys.executable, "-m", "gcff.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=cli_env(unbuffered))
+        try:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            _out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err.decode()) == (141, "")
 
 
 class TestOversizedSpecs:
