@@ -14,8 +14,7 @@ exceeded, 141 (128 + SIGPIPE) when the reader closes stdout first, as
 Every output goes out one text block at a time (`gray`: `GRAY_BLOCK` words a
 block).  Files (`--output`, and what `reproduce` writes) are rewritten in
 place and cut to length, not truncated first, not atomically.  A reader who
-leaves part way through a multi-block output gets exit 141; a one-block
-output, such as `construct`'s matrix, can still end with exit 0.
+leaves before the last byte is written gets exit 141, buffered or not.
 """
 
 from __future__ import annotations
@@ -55,28 +54,46 @@ SOLVE_BUDGET = 10 ** 6
 GRAY_BLOCK = 1 << 16
 
 
+def _write_all(write, blocks) -> int:
+    """Write each text block's UTF-8 bytes through `write`, which may take
+    only part of them, as an unbuffered stream or `os.write` does when its
+    reader leaves; the rest goes in the next call, which then fails.
+    Returns the bytes written."""
+    size = 0
+    for block in blocks:
+        view = memoryview(block.encode())
+        size += len(view)
+        while view:
+            view = view[write(view):]
+    return size
+
+
 def _emit(blocks, path=None) -> None:
     """Write text blocks one at a time to stdout, or as UTF-8 to path.
 
-    A file is opened without O_TRUNC, written from its first byte and then
-    cut to the written length.  Truncating to zero first, as `open(path, "w")`
-    does, makes ext4 (by its default `auto_da_alloc` rule) start writeback
-    when the file is closed, so each rewrite of an existing output would pay
-    for a flush.  Only a regular file is cut, so `/dev/null`, pipes and
-    `/dev/stdout` take the bytes as written.  There is no fsync, and the
-    write is not atomic: one that fails part way can leave new bytes over
-    old ones."""
+    Stdout takes the bytes through its binary buffer, after what `print`
+    left in the text layer, so a write that a leaving reader cuts short
+    raises instead of passing for done; a text-only stream, such as
+    `io.StringIO`, takes the blocks as they are.  A file is opened without
+    O_TRUNC, written from its first byte and then cut to the written length.
+    Truncating to zero first, as `open(path, "w")` does, makes ext4 (by its
+    default `auto_da_alloc` rule) start writeback when the file is closed,
+    so each rewrite of an existing output would pay for a flush.  Only a
+    regular file is cut, so `/dev/null`, pipes and `/dev/stdout` take the
+    bytes as written.  There is no fsync, and the write is not atomic: one
+    that fails part way can leave new bytes over old ones."""
     if not path:
-        sys.stdout.writelines(blocks)
+        stdout = sys.stdout
+        binary = getattr(stdout, "buffer", None)
+        if binary is None:
+            stdout.writelines(blocks)
+        else:
+            stdout.flush()
+            _write_all(binary.write, blocks)
         return
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        size = 0
-        for block in blocks:
-            view = memoryview(block.encode())
-            size += len(view)
-            while view:
-                view = view[os.write(fd, view):]
+        size = _write_all(functools.partial(os.write, fd), blocks)
         if stat.S_ISREG(os.fstat(fd).st_mode):
             os.ftruncate(fd, size)
     finally:

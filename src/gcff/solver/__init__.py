@@ -10,12 +10,14 @@ Every witness either entry point returns is checked by `find_violation`.
 
 A record does not depend on t, so `exists_cff` keeps the last one it built,
 for one (graph, property) pair: the levels `exact_t` searches one by one
-build it once.  The cache holds that single record, and the graph with it.
+build it once.  The cache holds that single record while its graph lives,
+and drops it with the graph.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional
@@ -29,8 +31,8 @@ from .engine import Problem, walk
 #: Default node budget; "exhausted" is only ever claimed for completed trees.
 DEFAULT_BUDGET = 10 ** 9
 
-#: The kernel's two candidate tables (the subsets and the non-supersets of
-#: each column; the in-place filter reads no other) take about 2^(2t) bits:
+#: The kernel's two candidate tables (the non-subsets and the non-supersets
+#: of each column; the in-place filter reads no other) take about 2^(2t) bits:
 #: 3.6 MB at t = 12, 13.9 MB at t = 13 and 54.6 MB at t = 14, so cap the row
 #: count.  The memo's spread table adds 2^t ints, and its key has room for 15
 #: rows.
@@ -127,10 +129,19 @@ def _witness(t: int, g: Graph, prop: str, order: Iterable[int],
     return witness
 
 
-#: (graph, property, record) of the last `exists_cff` call.  The graph is
-#: matched by identity, so a Graph whose edges are a plain set, which cannot
-#: be hashed, still solves; holding it keeps its id from being reused.
-_last: Optional[tuple[Graph, str, Problem]] = None
+#: (weak reference to the graph, property, record) of the last `exists_cff`
+#: call.  The graph is matched by identity, so a Graph whose edges are a plain
+#: set, which cannot be hashed, still solves.  The reference's callback drops
+#: the entry when the graph is collected, so the record does not outlive it,
+#: and a dead reference matches no later graph that reuses the id.
+_last: Optional[tuple[weakref.ref, str, Problem]] = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the cached record once its graph is collected."""
+    global _last
+    if _last is not None and _last[0] is ref:
+        _last = None
 
 
 def _degree_problem(g: Graph, prop: str) -> Problem:
@@ -138,8 +149,8 @@ def _degree_problem(g: Graph, prop: str) -> Problem:
     label; built once for consecutive calls on one graph and property."""
     global _last
     last = _last
-    if last is None or last[0] is not g or last[1] != prop:
-        last = _last = (g, prop, _problem(
+    if last is None or last[0]() is not g or last[1] != prop:
+        last = _last = (weakref.ref(g, _forget), prop, _problem(
             g, prop, sorted(range(g.n), key=lambda v: (-g.degrees[v], v))))
     return last[2]
 

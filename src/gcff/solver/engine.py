@@ -13,15 +13,25 @@ Ground-element relabeling symmetry is broken by requiring each column's new
 rows to be exactly the lowest unused ones, so the used rows are always the
 lowest k and every row-permutation class is visited once.  The cover
 constraints of completed edges are kept incrementally: each completed edge
-(and each loop) forbids, for all later columns, the subsets of its union.
+(and each loop) forbids, for all later columns, the subsets of its union, so
+ok[d], the candidates inside no union completed before depth d, starts at
+every column and each completed union ANDs in its non-subsets.
+
+Every mask the walk reads or builds is a non-negative int: the tables hold
+the complements (the non-subsets and the non-supersets of each column), the
+end-column rules start from all candidates, and the lowest candidate is split
+off with m & (m - 1).  No node inverts or negates a 2^t-bit set, which in
+CPython costs a new int and, on ANDing, a two's-complement copy of each
+negative operand.
 
 A child's candidates are filtered in place, in the manner of forward checking
 (Haralick and Elliott, "Increasing tree search efficiency for constraint
 satisfaction problems", Artif. Intell. 1980).  The set starts from the
-canonical candidates the end-column rules and the completed unions leave, and
-each further rule ANDs in one table entry: under the Sperner rule, the columns
-that are not supersets of an earlier neighbour's column, and those that are
-not its subsets unless a completed union already forbids these; under the
+canonical candidates the end-column rules and ok[d] leave, and each further
+rule ANDs in one table entry: under the Sperner rule, the columns that are
+neither supersets nor subsets of an earlier neighbour's column (under the
+cover rule, the subsets only where no completed union already forbids them,
+and without it both in one pass over the neighbours); under the
 cover rule, for each earlier neighbour j and every other earlier column w, the
 columns that are not supersets of column w minus column j, so that the edge's
 union does not cover w.  The cover scan stops at the first filter that leaves
@@ -60,8 +70,8 @@ the free field of pattern 0.  Fifteen fields hold SEARCH_ROW_CAP rows, a
 field a pattern of MEMO_DEPTH columns and a count field t, so two prefixes
 with one key have one length and one multiset of patterns.  The
 used rows, those with a nonzero pattern, are the lowest ones, so the two
-differ by a permutation of their used rows.  Every filter of the walk (sub,
-out, canon, the end-column masks, forb, free) commutes with that
+differ by a permutation of their used rows.  Every filter of the walk (nsub,
+out, canon, the end-column masks, ok, free) commutes with that
 permutation, so it maps the subtree below one prefix onto the subtree below
 the other.  Once the subtree below a prefix is exhausted its node count is
 stored under the key; a later prefix with the same key whose count fits the
@@ -131,18 +141,19 @@ class Problem:
 @lru_cache(maxsize=None)
 def _tables(t: int) -> tuple[tuple[int, ...], ...]:
     """Candidate masks over the 2^t columns on t rows, and the memo's
-    spreads: (sub, out, canon, spread).
+    spreads: (nsub, out, canon, spread).
 
-    sub[u] holds the columns that are subsets of u, out[m] the columns that
-    are not supersets of m, and canon[k] the columns whose rows outside the
-    lowest k are the next lowest ones (the canonical candidates once rows
+    nsub[u] holds the columns that are not subsets of u, out[m] the columns
+    that are not supersets of m, and canon[k] the columns whose rows outside
+    the lowest k are the next lowest ones (the canonical candidates once rows
     0..k-1 are used).  spread[c] moves bit r of column c to bit 4r, row r's
-    field.  Built on first use for each t; the masks take about 2^(2t) bits,
-    the spreads 2^t ints.
+    field.  Every mask is non-negative, so the walk ANDs them and never
+    inverts one.  Built on first use for each t; the masks take about 2^(2t)
+    bits, the spreads 2^t ints.
     """
     full = (1 << t) - 1
     every = (1 << (full + 1)) - 1
-    sub = [1] * (full + 1)
+    sub = [1] * (full + 1)  # sub[u]: the columns that are subsets of u
     for u in range(1, full + 1):
         low = u & -u
         s = sub[u ^ low]
@@ -157,7 +168,7 @@ def _tables(t: int) -> tuple[tuple[int, ...], ...]:
         canon.append(mask)
     # the binary digits of c read as hexadecimal ones
     spread = tuple(int(f"{c:b}", 16) for c in range(full + 1))
-    return tuple(sub), out, tuple(canon), spread
+    return tuple(every ^ s for s in sub), out, tuple(canon), spread
 
 
 @lru_cache(maxsize=1)
@@ -183,16 +194,17 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int, in
     need_sperner, need_cover = problem.sperner, problem.cover
     looped = need_cover and any(loops)
     n = len(problem.order)
-    sub, out, canon, spread = _tables(t)
-    top = 1 << ((1 << t) - 1)  # candidate bit of the full column
+    nsub, out, canon, spread = _tables(t)
+    full = (1 << t) - 1
+    every = (1 << (full + 1)) - 1  # every column a candidate
     # Per depth: the candidates the end-column rules leave.
-    ends = [(-1 if z else ~1) & (-1 if f else ~top)
+    ends = [(every if z else every ^ 1) & (every if f else every ^ 1 << full)
             for z, f in zip(problem.zero_ok, problem.full_ok)]
     cols = [0] * n
     used = [0] * (n + 1)
-    forb = [0] * (n + 1)  # candidates inside a completed edge's or loop's union
+    ok = [every] * (n + 1)  # candidates inside no completed edge's or loop's union
     # free[d]: candidates containing none of the first d columns (loops only)
-    free = [-1] * (n + 1) if looped else None
+    free = [every] * (n + 1) if looped else None
     left = [0] * n  # candidates not yet tried at each depth
     best: list[int] = []
     reach = 0  # deepest depth reached; best is cols[:reach] once left behind
@@ -219,10 +231,9 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int, in
                 memo[key[depth]] = nodes - start[depth]
             depth -= 1
             m = left[depth]
-        low = m & -m
-        m ^= low
-        left[depth] = m
-        c = low.bit_length() - 1
+        rest = m & (m - 1)  # m less its lowest candidate
+        c = (m ^ rest).bit_length() - 1
+        m = left[depth] = rest
 
         nodes += 1
         if nodes > budget:
@@ -245,12 +256,12 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int, in
         cols[depth] = c
         used[depth + 1] = used[depth] | c
         if need_cover:
-            f = forb[depth]
+            o = ok[depth]
             for j in nbrs[depth]:
-                f |= sub[cols[j] | c]
+                o &= nsub[cols[j] | c]
             if loops[depth]:
-                f |= sub[c]
-            forb[depth + 1] = f
+                o &= nsub[c]
+            ok[depth + 1] = o
             if looped:
                 free[depth + 1] = free[depth] & out[c]
         depth += 1
@@ -261,21 +272,23 @@ def walk(t: int, problem: Problem, budget: int) -> tuple[str, list[int], int, in
 
         # The child's candidates, filtered in place; the cover scan stops at
         # the first filter that leaves none.
-        m = canon[used[depth].bit_length()] & ends[depth] & ~forb[depth]
-        if need_sperner:
-            for j in lone[depth]:
-                m &= ~sub[cols[j]]
-            if not need_cover:
+        m = canon[used[depth].bit_length()] & ends[depth] & ok[depth]
+        if not need_cover:
+            if need_sperner:
                 for j in nbrs[depth]:
-                    m &= out[cols[j]]
-        if need_cover and m:
+                    cj = cols[j]
+                    m &= nsub[cj] & out[cj]
+        elif m:
+            if need_sperner:
+                for j in lone[depth]:
+                    m &= nsub[cols[j]]
             if loops[depth]:
                 m &= free[depth]
             for j, later, earlier in scans[depth]:
                 cj = cols[j]
                 if need_sperner:  # no superset of column j either
                     m &= out[cj]
-                keep = ~cj
+                keep = full ^ cj
                 for w in later:
                     m &= out[cols[w] & keep]
                     if not m:

@@ -593,15 +593,18 @@ class TestClosedStdout:
 
 class TestReaderLeavesPartWay:
     """A reader that takes one line and closes stdout, as `| head -1` does,
-    stops a multi-block output at its next block: exit 141 with nothing on
-    stderr, not the whole code formatted and exit 0.  Unbuffered, a write
-    that the closing cuts short returns its part count, and only a next
-    block's write can fail."""
+    stops the output at the write it cuts short: exit 141 with nothing on
+    stderr, not the rest formatted and exit 0.  Unbuffered, that write
+    returns its part count, and writing the rest fails; this holds for a
+    multi-block Gray code and for `construct`'s one-block matrix alike."""
 
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("map_", [[], ["--map"]], ids=["words", "map"])
-    def test_exit_141_after_one_line(self, map_, unbuffered):
-        argv = ["gray", ",".join(["2"] * 17), *map_]  # 131,072 words: two blocks
+    @pytest.mark.parametrize("argv", [
+        ["gray", ",".join(["2"] * 17)],  # 131,072 words: two blocks
+        ["gray", ",".join(["2"] * 17), "--map"],
+        ["construct", "path:20000"],  # one block of about 560 kB
+    ], ids=["words", "map", "construct"])
+    def test_exit_141_after_one_line(self, argv, unbuffered):
         proc = subprocess.Popen([sys.executable, "-m", "gcff.cli", *argv], stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, env=cli_env(unbuffered))
         try:

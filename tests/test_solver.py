@@ -1,10 +1,12 @@
 """Exact search: soundness against naive enumeration, equality with the
 reference kernel, small exact values, budgets, determinism."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -122,7 +124,19 @@ BUDGETS = [10 ** 9, 7, 40]
 KERNEL_CASES = [
     (cycle(5), 4, "cff"), (cycle(4), 4, "cff"), (wheel(6), 5, "cff"),
     (matching(6), 4, "ecff"), (path(6), 5, "cff"), (cycle(5), 3, "sperner"),
+    # records with loops, and a Sperner-only record in which vertices have
+    # several earlier neighbours
+    (loops_graph(4), 3, "cff"), (Graph(5, cycle(5).edges, frozenset({2})), 4, "cff"),
+    (Graph(4, frozenset({(0, 1), (2, 3)}), frozenset({0, 2})), 3, "ecff"),
+    (complete(6), 4, "sperner"),
 ]
+
+
+def case_id(g: Graph, t: int, prop: str) -> str:
+    """A test id for (g, t, prop); a graph no family builds is named by its
+    size and loop vertices."""
+    name = g.tag or f"n{g.n}-loops{''.join(map(str, sorted(g.loops)))}"
+    return f"{name}-t{t}-{prop}"
 
 
 def by_degree(g: Graph) -> list[int]:
@@ -153,7 +167,7 @@ class TestKernelMatchesReference:
 
     @pytest.mark.parametrize("budget", BUDGETS, ids=["uncut", "cut7", "cut40"])
     @pytest.mark.parametrize("g,t,prop", KERNEL_CASES,
-                             ids=[f"{g.tag}-t{t}-{p}" for g, t, p in KERNEL_CASES])
+                             ids=[case_id(*case) for case in KERNEL_CASES])
     def test_search_exists(self, g, t, prop, budget):
         problem = _problem(g, prop, by_degree(g))
         status, cols, nodes, _ = engine.walk(t, problem, budget)
@@ -488,25 +502,31 @@ class TestNodeCounts:
     """Tree sizes as regression values: the memo skips isomorphic subtrees
     but still counts every node of them."""
 
-    @pytest.mark.parametrize("g,t,nodes", [
-        (complete(9), 8, 761_360), (cycle(10), 6, 57_412), (path(11), 6, 57_526),
-        (complete(8), 7, 13_858), (wheel(9), 6, 2_096),
-    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(11)-t6", "complete(8)-t7", "wheel(9)-t6"])
-    def test_exhausted_tree_size(self, g, t, nodes):
-        out = exists_cff(g, t)
+    @pytest.mark.parametrize("g,t,nodes,prop", [
+        (complete(9), 8, 761_360, "cff"), (cycle(10), 6, 57_412, "cff"),
+        (path(11), 6, 57_526, "cff"), (complete(8), 7, 13_858, "cff"),
+        (wheel(9), 6, 2_096, "cff"), (complete(11), 5, 1_042_666, "sperner"),
+        (loops_graph(12), 5, 1_042_666, "cff"),
+    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(11)-t6", "complete(8)-t7", "wheel(9)-t6",
+            "complete(11)-t5-sperner", "loops(12)-t5"])
+    def test_exhausted_tree_size(self, g, t, nodes, prop):
+        out = exists_cff(g, t, prop)
         assert (out.status, out.nodes) == ("exhausted", nodes)
 
     def test_longest_path_tree_size(self):
         res = longest_path_cff(6)
         assert (res.status, res.n_max, res.nodes_explored) == ("complete", 10, 57_526)
 
-    @pytest.mark.parametrize("g,t,status,walked", [
-        (complete(9), 8, "exhausted", 59_508), (cycle(10), 6, "exhausted", 11_208),
-        (path(10), 6, "found", 6_742), (complete(8), 7, "exhausted", 3_870),
-    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(10)-t6", "complete(8)-t7"])
-    def test_walked_nodes(self, g, t, status, walked):
+    @pytest.mark.parametrize("g,t,status,walked,prop", [
+        (complete(9), 8, "exhausted", 59_508, "cff"), (cycle(10), 6, "exhausted", 11_208, "cff"),
+        (path(10), 6, "found", 6_742, "cff"), (complete(8), 7, "exhausted", 3_870, "cff"),
+        (complete(11), 5, "exhausted", 201_244, "sperner"),
+        (loops_graph(12), 5, "exhausted", 201_244, "cff"),
+    ], ids=["complete(9)-t8", "cycle(10)-t6", "path(10)-t6", "complete(8)-t7",
+            "complete(11)-t5-sperner", "loops(12)-t5"])
+    def test_walked_nodes(self, g, t, status, walked, prop):
         """Nodes walked: the tree less the subtrees the memo skipped."""
-        out = exists_cff(g, t)
+        out = exists_cff(g, t, prop)
         assert (out.status, out.walked) == (status, walked)
 
     def test_longest_path_walked_nodes(self):
@@ -695,6 +715,17 @@ class TestSharedRecord:
             want = self.fresh(Graph(n, edges), t, "cff")
             out = exists_cff(Graph(n, edges), t, "cff")
             assert (out.status, out.nodes, out.witness) == want, (n, sorted(edges), t)
+
+    def test_record_released_with_graph(self):
+        """The cached record does not keep its graph alive: once the caller
+        drops both, the graph is collected and the cache is empty."""
+        g = cycle(7)
+        res = exact_t(g, "cff", start=1)
+        assert res.t_min == 6 and solver._last is not None
+        ref = weakref.ref(g)
+        del g, res
+        gc.collect()
+        assert ref() is None and solver._last is None
 
     def test_plain_set_of_edges_solves(self):
         g = Graph(4, {(0, 1), (1, 2), (2, 3)})
